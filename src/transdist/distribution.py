@@ -83,10 +83,6 @@ class TransversalDistribution:
             raise DimensionError("cannot add distributions on different bundles")
         return TransversalDistribution(self.bundle, self.terms + other.terms)
 
-    @property
-    def is_zero_representation(self) -> bool:
-        return not self.terms
-
 
 def zero_distribution(bundle: TrivialBundle) -> TransversalDistribution:
     return TransversalDistribution(bundle, ())
@@ -388,7 +384,7 @@ def module_action_total(F: Expr, T: TransversalDistribution) -> TransversalDistr
         if isinstance(term, DensityTerm):
             new_terms.append(DensityTerm(b, ex.mul(F, term.phi)))
             continue
-        for gamma in _multi_indices_below(term.beta):
+        for gamma in ex.multi_indices_below(term.beta):
             coeff = 1
             for bi, gi in zip(term.beta, gamma):
                 coeff *= math.comb(bi, gi)
@@ -398,16 +394,6 @@ def module_action_total(F: Expr, T: TransversalDistribution) -> TransversalDistr
             weight = ex.mul(ex.const(coeff, b.base_dim), term.weight, factor)
             new_terms.append(DiracSectionTerm(term.section, weight, gamma))
     return TransversalDistribution(b, tuple(new_terms))
-
-
-def _multi_indices_below(beta):
-    """All gamma with gamma <= beta componentwise."""
-    if not beta:
-        yield ()
-        return
-    for head in range(beta[0] + 1):
-        for tail in _multi_indices_below(beta[1:]):
-            yield (head,) + tail
 
 
 # ---------------------------------------------------------------------------

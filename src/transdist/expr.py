@@ -16,6 +16,20 @@ a denominator must fold to a nonzero rational constant, which is absorbed
 as an exact reciprocal factor.  There is therefore no quotient node that
 could ever divide by zero.
 
+Nodes are immutable and freely shared, so an expression is a DAG: the
+derivative rules reuse the node being differentiated and its children, and
+a high-order derivative has far fewer distinct nodes than its tree has
+paths.  The code treats it as one.  ``diff1`` and ``support_box`` are
+memoized on each node, so ``D^alpha`` reuses ``D^(alpha - e_i)`` and asking
+again returns the identical object.  Evaluation (scalar and array),
+substitution, remapping and the bump-boundary scan walk a per-node plan
+that lists every distinct node once, children first; ``interval`` keeps
+a per-call memo.  Each node still applies the same float operation, in the
+same order, to the same child values as a tree walk would, so results do
+not depend on how much is shared.  The memos hold only values that are pure
+functions of their node and die with it; there is no intern table, so
+structurally equal nodes built separately stay distinct objects.
+
 Expression equality is structural only in the trivial sense (identical
 trees compare equal); semantic equality is always tested extensionally on
 grids, since simplification beyond constant folding is out of scope.
@@ -23,6 +37,7 @@ grids, since simplification beyond constant folding is out of scope.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -65,6 +80,21 @@ def check_multi_index(alpha, dim: int) -> MultiIndex:
 
 def add_multi_indices(alpha, beta) -> MultiIndex:
     return tuple(a + b for a, b in zip(alpha, beta))
+
+
+def multi_indices_below(beta) -> list:
+    """All gamma <= beta componentwise, lexicographically (first slot slowest)."""
+    return list(itertools.product(*(range(b + 1) for b in beta)))
+
+
+def multi_indices_up_to(dim: int, m: int) -> list:
+    """All multi-indices of length dim with |alpha| <= m, by order, then lexicographically."""
+    out = []
+    for total in range(m + 1):
+        for alpha in itertools.product(range(total + 1), repeat=dim):
+            if sum(alpha) == total:
+                out.append(alpha)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -224,27 +254,85 @@ class Expr:
     def evaluate(self, point) -> float:
         if len(point) != self.dim:
             raise DimensionError(f"point has {len(point)} coordinates, ambient is {self.dim}")
-        return self._eval(tuple(float(c) for c in point))
+        point = tuple(float(c) for c in point)
+        vals = []
+        append = vals.append
+        for node, args, _ in self._plan:
+            append((node or self)._eval(point, vals, args))
+        return vals[-1]
 
     def eval_array(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate on an (N, dim) array of points, returning shape (N,)."""
         pts = np.asarray(pts, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != self.dim:
             raise DimensionError(f"expected points of shape (N, {self.dim})")
-        return self._eval_arr(pts)
+        vals = []
+        append = vals.append
+        for node, args, dead in self._plan:
+            append((node or self)._eval_arr(pts, vals, args))
+            for i in dead:
+                vals[i] = None  # its last consumer has run
+        return vals[-1]
 
-    def _eval(self, point):
+    def _eval(self, point, vals, args):
+        """This node's value; its children's values are ``vals[i] for i in args``."""
         raise NotImplementedError
 
-    def _eval_arr(self, pts):
+    def _eval_arr(self, pts, vals, args):
         raise NotImplementedError
+
+    @cached_property
+    def _plan(self) -> tuple:
+        """Every distinct node of this DAG once, children before parents.
+
+        Entries are ``(node, args, dead)``: ``args`` are the plan positions
+        of the node's children and ``dead`` the positions it reads last.
+        The root comes last, with ``None`` for its node, so that the plan
+        does not keep its own node alive through a reference cycle.  Passes
+        that walk the plan handle a node shared by many paths once, where a
+        recursive pass would expand the DAG into its tree.
+        """
+        nodes, args = [], []
+        _number_nodes(self, {}, nodes, args)
+        nodes[-1] = None
+        last = [0] * len(nodes)
+        for pos, kids in enumerate(args):
+            for i in kids:
+                last[i] = pos
+        dead = [[] for _ in nodes]
+        for i, pos in enumerate(last[:-1]):
+            dead[pos].append(i)
+        return tuple(zip(nodes, args, map(tuple, dead)))
 
     # -- calculus -----------------------------------------------------------
 
     def diff1(self, slot: int) -> "Expr":
+        """d/dx_slot, memoized on the node."""
+        memo = self._derivatives
+        d = memo.get(slot)
+        if d is None:
+            d = memo.setdefault(slot, self._diff1(slot))
+        return d
+
+    @cached_property
+    def _derivatives(self) -> dict:
+        return {}
+
+    def _diff1(self, slot):
         raise NotImplementedError
 
     def diff(self, alpha) -> "Expr":
+        """Exact mixed partial derivative D^alpha, one ``diff1`` per order.
+
+        ``diff1`` is memoized on every node, so D^alpha reuses
+        D^(alpha - e_i), and asking again returns the identical object:
+
+        >>> e = parse("bump(x0)*exp(sin(x0))", 1)
+        >>> e.diff((3,)) is e.diff((3,))
+        True
+        >>> e.diff((3,)) is e.diff((2,)).diff1(0)
+        True
+        """
         alpha = check_multi_index(alpha, self.dim)
         out = self
         for slot, n in enumerate(alpha):
@@ -260,36 +348,45 @@ class Expr:
             if repl.dim != self.dim:
                 raise DimensionError(
                     f"replacement for slot {slot} has ambient {repl.dim}, expected {self.dim}")
-        return self._subst(mapping)
-
-    def _subst(self, mapping):
-        raise NotImplementedError
+        return self._map_leaves(
+            lambda leaf: mapping.get(leaf.slot, leaf) if isinstance(leaf, Var) else leaf)
 
     def remap(self, slot_map, new_dim: int) -> "Expr":
         """Re-index free coordinates; every free slot must appear in slot_map."""
         missing = self.free_slots - set(slot_map)
         if missing:
             raise DimensionError(f"remap misses slots {sorted(missing)}")
-        return self._remap(slot_map, new_dim)
+        return self._map_leaves(lambda leaf: leaf._remap(slot_map, new_dim))
 
-    def _remap(self, slot_map, new_dim):
+    def _map_leaves(self, leaf_fn) -> "Expr":
+        """Rebuild the DAG bottom-up with each leaf replaced by leaf_fn(leaf)."""
+        out = []
+        for node, args, _ in self._plan:
+            node = node or self
+            out.append(node._rebuild([out[i] for i in args]) if args else leaf_fn(node))
+        return out[-1]
+
+    def _rebuild(self, args):
+        """This interior node over new children, through the smart constructor."""
         raise NotImplementedError
 
     # -- structure ----------------------------------------------------------
 
     @cached_property
     def free_slots(self) -> frozenset:
-        return self._free()
-
-    def _free(self):
-        raise NotImplementedError
+        return frozenset().union(*(c.free_slots for c in self._children()))
 
     def support_box(self) -> Box:
         """A box outside of which the expression is identically zero.
 
         Conservative: may overestimate the support, never underestimates.
-        Unbounded directions are reported as infinite intervals.
+        Unbounded directions are reported as infinite intervals.  Memoized
+        on the node.
         """
+        return self._support_box
+
+    @cached_property
+    def _support_box(self) -> Box:
         return self._support()
 
     def _support(self) -> Box:
@@ -301,9 +398,16 @@ class Expr:
             raise DimensionError("box dimension mismatched with expression")
         if box.is_empty:
             return (0.0, 0.0)
-        return self._interval(box)
+        return self._iv(box, {})
 
-    def _interval(self, box):
+    def _iv(self, box, memo):
+        """This node's interval, computed once per ``interval`` call."""
+        iv = memo.get(id(self))
+        if iv is None:
+            iv = memo[id(self)] = self._interval(box, memo)
+        return iv
+
+    def _interval(self, box, memo):
         raise NotImplementedError
 
     def bump_boundary_distance(self, point) -> float:
@@ -312,17 +416,13 @@ class Expr:
         Used to exclude evaluation points where finite differences of bump
         expressions degrade; returns inf when no bump node is present.
         """
+        nodes = [node or self for node, _, _ in self._plan]
+        bump_args = {id(n.arg): n.arg for n in nodes if isinstance(n, BumpRat)}
         d = _INF
-        for node in self._walk():
-            if isinstance(node, BumpRat):
-                u = node.arg.evaluate(point)
-                d = min(d, abs(abs(u) - 1.0))
+        for arg in bump_args.values():
+            u = arg.evaluate(point)
+            d = min(d, abs(abs(u) - 1.0))
         return d
-
-    def _walk(self):
-        yield self
-        for child in self._children():
-            yield from child._walk()
 
     def _children(self):
         return ()
@@ -381,28 +481,22 @@ class Const(Expr):
     def _float(self):
         return float(self.value)
 
-    def _eval(self, point):
+    def _eval(self, point, vals, args):
         return self._float
 
-    def _eval_arr(self, pts):
+    def _eval_arr(self, pts, vals, args):
         return np.full(pts.shape[0], self._float)
 
-    def diff1(self, slot):
+    def _diff1(self, slot):
         return Const(self.dim, Fraction(0))
-
-    def _subst(self, mapping):
-        return self
 
     def _remap(self, slot_map, new_dim):
         return Const(new_dim, self.value)
 
-    def _free(self):
-        return frozenset()
-
     def _support(self):
         return Box.empty(self.dim) if self.value == 0 else Box.whole(self.dim)
 
-    def _interval(self, box):
+    def _interval(self, box, memo):
         return (self._float, self._float)
 
     def _text(self, prec):
@@ -424,25 +518,19 @@ class NamedConst(Expr):
     def _float(self):
         return math.pi
 
-    def _eval(self, point):
+    def _eval(self, point, vals, args):
         return self._float
 
-    def _eval_arr(self, pts):
+    def _eval_arr(self, pts, vals, args):
         return np.full(pts.shape[0], self._float)
 
-    def diff1(self, slot):
+    def _diff1(self, slot):
         return Const(self.dim, Fraction(0))
-
-    def _subst(self, mapping):
-        return self
 
     def _remap(self, slot_map, new_dim):
         return NamedConst(new_dim, self.name)
 
-    def _free(self):
-        return frozenset()
-
-    def _interval(self, box):
+    def _interval(self, box, memo):
         return _round_out(self._float, self._float)
 
     def _text(self, prec):
@@ -458,25 +546,23 @@ class Var(Expr):
         if not 0 <= self.slot < self.dim:
             raise DimensionError(f"variable slot {self.slot} outside ambient {self.dim}")
 
-    def _eval(self, point):
+    def _eval(self, point, vals, args):
         return point[self.slot]
 
-    def _eval_arr(self, pts):
+    def _eval_arr(self, pts, vals, args):
         return pts[:, self.slot]
 
-    def diff1(self, slot):
+    def _diff1(self, slot):
         return Const(self.dim, Fraction(1 if slot == self.slot else 0))
-
-    def _subst(self, mapping):
-        return mapping.get(self.slot, self)
 
     def _remap(self, slot_map, new_dim):
         return Var(new_dim, slot_map[self.slot], self.name)
 
-    def _free(self):
+    @cached_property
+    def free_slots(self) -> frozenset:
         return frozenset((self.slot,))
 
-    def _interval(self, box):
+    def _interval(self, box, memo):
         return box.intervals[self.slot]
 
     def _text(self, prec):
@@ -487,37 +573,31 @@ class Var(Expr):
 class Sum(Expr):
     terms: tuple
 
-    def _eval(self, point):
-        return math.fsum(t._eval(point) for t in self.terms)
+    def _eval(self, point, vals, args):
+        return math.fsum([vals[i] for i in args])
 
-    def _eval_arr(self, pts):
+    def _eval_arr(self, pts, vals, args):
         acc = np.zeros(pts.shape[0])
-        for t in self.terms:
-            acc = acc + t._eval_arr(pts)
+        for i in args:
+            acc = acc + vals[i]
         return acc
 
-    def diff1(self, slot):
+    def _diff1(self, slot):
         return add(*(t.diff1(slot) for t in self.terms))
 
-    def _subst(self, mapping):
-        return add(*(t._subst(mapping) for t in self.terms))
-
-    def _remap(self, slot_map, new_dim):
-        return add(*(t._remap(slot_map, new_dim) for t in self.terms))
-
-    def _free(self):
-        return frozenset().union(*(t.free_slots for t in self.terms))
+    def _rebuild(self, args):
+        return add(*args)
 
     def _support(self):
         box = Box.empty(self.dim)
         for t in self.terms:
-            box = box.hull(t._support())
+            box = box.hull(t.support_box())
         return box
 
-    def _interval(self, box):
+    def _interval(self, box, memo):
         lo, hi = 0.0, 0.0
         for t in self.terms:
-            a, b = t._interval(box)
+            a, b = t._iv(box, memo)
             lo, hi = lo + a, hi + b
         return _round_out(lo, hi)
 
@@ -537,55 +617,47 @@ class Sum(Expr):
 class Product(Expr):
     factors: tuple
 
-    def _eval(self, point):
-        vals = [f._eval(point) for f in self.factors]
-        # exact zero factors annihilate, even alongside overflowed ones
-        if any(v == 0.0 for v in vals):
-            return 0.0
-        acc = 1.0
-        for v in vals:
+    def _eval(self, point, vals, args):
+        acc, zero = 1.0, False
+        for i in args:
+            v = vals[i]
+            zero = zero or v == 0.0
             acc *= v
-        return acc
+        # exact zero factors annihilate, even alongside overflowed ones
+        return 0.0 if zero else acc
 
-    def _eval_arr(self, pts):
-        vals = [f._eval_arr(pts) for f in self.factors]
+    def _eval_arr(self, pts, vals, args):
         # inf * 0 from saturated factors is overridden by the zero mask
         with np.errstate(invalid="ignore", over="ignore"):
             acc = np.ones(pts.shape[0])
-            for v in vals:
-                acc = acc * v
+            for i in args:
+                acc = acc * vals[i]
         zero = np.zeros(pts.shape[0], dtype=bool)
-        for v in vals:
-            zero |= v == 0.0
+        for i in args:
+            zero |= vals[i] == 0.0
         acc[zero] = 0.0
         return acc
 
-    def diff1(self, slot):
+    def _diff1(self, slot):
         terms = []
         for i, f in enumerate(self.factors):
             df = f.diff1(slot)
             terms.append(mul(*self.factors[:i], df, *self.factors[i + 1:]))
         return add(*terms)
 
-    def _subst(self, mapping):
-        return mul(*(f._subst(mapping) for f in self.factors))
-
-    def _remap(self, slot_map, new_dim):
-        return mul(*(f._remap(slot_map, new_dim) for f in self.factors))
-
-    def _free(self):
-        return frozenset().union(*(f.free_slots for f in self.factors))
+    def _rebuild(self, args):
+        return mul(*args)
 
     def _support(self):
         box = Box.whole(self.dim)
         for f in self.factors:
-            box = box.intersect(f._support())
+            box = box.intersect(f.support_box())
         return box
 
-    def _interval(self, box):
+    def _interval(self, box, memo):
         lo, hi = 1.0, 1.0
         for f in self.factors:
-            a, b = f._interval(box)
+            a, b = f._iv(box, memo)
             cands = (lo * a, lo * b, hi * a, hi * b)
             lo, hi = min(cands), max(cands)
         return _round_out(lo, hi)
@@ -603,35 +675,29 @@ class IntPow(Expr):
     base: Expr
     exponent: int
 
-    def _eval(self, point):
+    def _eval(self, point, vals, args):
+        v = vals[args[0]]
         try:
-            return self.base._eval(point) ** self.exponent
+            return v ** self.exponent
         except OverflowError:
-            v = self.base._eval(point)
             sign = -1.0 if (v < 0 and self.exponent % 2 == 1) else 1.0
             return sign * _INF
 
-    def _eval_arr(self, pts):
-        return self.base._eval_arr(pts) ** self.exponent
+    def _eval_arr(self, pts, vals, args):
+        return vals[args[0]] ** self.exponent
 
-    def diff1(self, slot):
+    def _diff1(self, slot):
         n = self.exponent
         return mul(const(n, self.dim), int_pow(self.base, n - 1), self.base.diff1(slot))
 
-    def _subst(self, mapping):
-        return int_pow(self.base._subst(mapping), self.exponent)
-
-    def _remap(self, slot_map, new_dim):
-        return int_pow(self.base._remap(slot_map, new_dim), self.exponent)
-
-    def _free(self):
-        return self.base.free_slots
+    def _rebuild(self, args):
+        return int_pow(args[0], self.exponent)
 
     def _support(self):
-        return self.base._support()
+        return self.base.support_box()
 
-    def _interval(self, box):
-        a, b = self.base._interval(box)
+    def _interval(self, box, memo):
+        a, b = self.base._iv(box, memo)
         n = self.exponent
         if n % 2 == 1:
             return _round_out(a**n, b**n)
@@ -651,21 +717,15 @@ class _Unary(Expr):
     _np_fn = None
     _name = ""
 
-    def _eval(self, point):
-        return type(self)._fn(self.arg._eval(point))
+    def _eval(self, point, vals, args):
+        return type(self)._fn(vals[args[0]])
 
-    def _eval_arr(self, pts):
+    def _eval_arr(self, pts, vals, args):
         with np.errstate(over="ignore"):
-            return type(self)._np_fn(self.arg._eval_arr(pts))
+            return type(self)._np_fn(vals[args[0]])
 
-    def _subst(self, mapping):
-        return type(self)(self.dim, self.arg._subst(mapping))
-
-    def _remap(self, slot_map, new_dim):
-        return type(self)(new_dim, self.arg._remap(slot_map, new_dim))
-
-    def _free(self):
-        return self.arg.free_slots
+    def _rebuild(self, args):
+        return type(self)(args[0].dim, args[0])
 
     def _children(self):
         return (self.arg,)
@@ -686,11 +746,11 @@ class Exp(_Unary):
     _np_fn = np.exp
     _name = "exp"
 
-    def diff1(self, slot):
+    def _diff1(self, slot):
         return mul(self, self.arg.diff1(slot))
 
-    def _interval(self, box):
-        a, b = self.arg._interval(box)
+    def _interval(self, box, memo):
+        a, b = self.arg._iv(box, memo)
         return _round_out(math.exp(a) if a > -_INF else 0.0,
                           math.exp(min(b, 709.0)) if b < _INF else _INF)
 
@@ -702,10 +762,10 @@ class Sin(_Unary):
     _np_fn = np.sin
     _name = "sin"
 
-    def diff1(self, slot):
+    def _diff1(self, slot):
         return mul(Cos(self.dim, self.arg), self.arg.diff1(slot))
 
-    def _interval(self, box):
+    def _interval(self, box, memo):
         return (-1.0, 1.0)
 
 
@@ -716,10 +776,10 @@ class Cos(_Unary):
     _np_fn = np.cos
     _name = "cos"
 
-    def diff1(self, slot):
+    def _diff1(self, slot):
         return mul(const(-1, self.dim), Sin(self.dim, self.arg), self.arg.diff1(slot))
 
-    def _interval(self, box):
+    def _interval(self, box, memo):
         return (-1.0, 1.0)
 
 
@@ -735,11 +795,8 @@ class BumpRat(Expr):
     def _coeffs_float(self):
         return tuple(float(c) for c in self.coeffs)
 
-    def _eval(self, point):
-        u = self.arg._eval(point)
-        return self._value(u)
-
-    def _value(self, u: float) -> float:
+    def _eval(self, point, vals, args):
+        u = vals[args[0]]
         if abs(u) >= 1.0:
             return 0.0
         s = 1.0 - u * u
@@ -748,8 +805,8 @@ class BumpRat(Expr):
             r /= s
         return r * _poly_eval_float(self._coeffs_float, u)
 
-    def _eval_arr(self, pts):
-        u = self.arg._eval_arr(pts)
+    def _eval_arr(self, pts, vals, args):
+        u = vals[args[0]]
         inside = np.abs(u) < 1.0
         s = np.where(inside, 1.0 - u * u, 1.0)
         r = np.exp(-1.0 / s)
@@ -762,7 +819,7 @@ class BumpRat(Expr):
         out[~inside] = 0.0
         return out
 
-    def diff1(self, slot):
+    def _diff1(self, slot):
         # d/du [bump(u) p(u) (1-u^2)^-q]
         #   = bump(u) [p'(u)(1-u^2)^2 - 2u p(u) + 2qu(1-u^2)p(u)] (1-u^2)^-(q+2)
         p = self.coeffs
@@ -775,14 +832,8 @@ class BumpRat(Expr):
         dself = bump_rat(self.arg, ptilde, self.pole_order + 2)
         return mul(dself, self.arg.diff1(slot))
 
-    def _subst(self, mapping):
-        return bump_rat(self.arg._subst(mapping), self.coeffs, self.pole_order)
-
-    def _remap(self, slot_map, new_dim):
-        return bump_rat(self.arg._remap(slot_map, new_dim), self.coeffs, self.pole_order)
-
-    def _free(self):
-        return self.arg.free_slots
+    def _rebuild(self, args):
+        return bump_rat(args[0], self.coeffs, self.pole_order)
 
     def _support(self):
         if not self.coeffs:
@@ -799,8 +850,8 @@ class BumpRat(Expr):
                 return Box(self.dim, tuple(ivs))
         return Box.whole(self.dim)
 
-    def _interval(self, box):
-        a, b = self.arg._interval(box)
+    def _interval(self, box, memo):
+        a, b = self.arg._iv(box, memo)
         if b <= -1.0 or a >= 1.0:
             return (0.0, 0.0)
         q = self.pole_order
@@ -817,6 +868,18 @@ class BumpRat(Expr):
         # debug form: not part of the surface grammar
         poly = " + ".join(f"{c}*u^{i}" for i, c in enumerate(self.coeffs) if c != 0)
         return f"bumprat({self.arg._text(0)}; {poly or '0'}; {self.pole_order})"
+
+
+def _number_nodes(node, index, nodes, args) -> int:
+    """Number a node not yet in ``index`` after its children (``Expr._plan``)."""
+    kids = []
+    for k in node._children():
+        pos = index.get(id(k))
+        kids.append(_number_nodes(k, index, nodes, args) if pos is None else pos)
+    pos = index[id(node)] = len(nodes)
+    nodes.append(node)
+    args.append(tuple(kids))
+    return pos
 
 
 def _round_out(lo: float, hi: float):
@@ -968,27 +1031,6 @@ def constant_value(e: Expr):
     if isinstance(e, Const):
         return e.value
     return None
-
-
-# ---------------------------------------------------------------------------
-# Module-level operation entry points
-
-
-def differentiate(e: Expr, alpha) -> Expr:
-    """Exact mixed partial derivative D^alpha."""
-    return e.diff(alpha)
-
-
-def evaluate(e: Expr, point) -> float:
-    return e.evaluate(point)
-
-
-def substitute(e: Expr, assignments) -> Expr:
-    return e.substitute(assignments)
-
-
-def support_box(e: Expr) -> Box:
-    return e.support_box()
 
 
 # ---------------------------------------------------------------------------

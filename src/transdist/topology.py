@@ -10,7 +10,6 @@ shell index).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -18,7 +17,7 @@ import numpy as np
 
 from .distribution import (BaseFunction, PointDistribution, TransversalDistribution,
                            base_support, family_derivative, pair, restrict)
-from .expr import Box, DimensionError, Expr
+from .expr import Box, DimensionError, Expr, multi_indices_up_to
 
 DEFAULT_GRID_DENSITY = 33
 
@@ -59,16 +58,6 @@ def lattice_points(box: Box, density: int | None = None) -> np.ndarray:
     axes = [lattice_axis(lo, hi, pitch) for lo, hi in box.intervals]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
-
-
-def multi_indices_up_to(dim: int, m: int):
-    """All multi-indices of length dim with |alpha| <= m, lexicographically."""
-    out = []
-    for total in range(m + 1):
-        for alpha in itertools.product(range(total + 1), repeat=dim):
-            if sum(alpha) == total:
-                out.append(alpha)
-    return out
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ import numpy as np
 
 from . import distribution as dist
 from . import expr as ex
-from .bundle import TrivialBundle, restrict_function
+from .bundle import TrivialBundle, extend_base_function, restrict_function
 from .distribution import TransversalDistribution, total_support
 from .expr import Box, Expr, ExprError
 
@@ -118,14 +118,6 @@ def _relative_error(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0)
 
 
-def _splittings(alpha):
-    """All (beta, gamma) with beta + gamma = alpha, componentwise."""
-    ranges = [range(a + 1) for a in alpha]
-    for beta in itertools.product(*ranges):
-        gamma = tuple(a - b for a, b in zip(alpha, beta))
-        yield beta, gamma
-
-
 @_timed
 def check_leibniz(T: TransversalDistribution, F: Expr, alpha_max: int, grid,
                   tolerance: float = 1e-8, binomial: bool = True) -> CheckReport:
@@ -139,13 +131,14 @@ def check_leibniz(T: TransversalDistribution, F: Expr, alpha_max: int, grid,
     b = T.bundle
     bf = dist.evaluate(T, F)
     family_cache = {}
-    for alpha in sorted(_alphas_up_to(b.base_dim, alpha_max), key=sum):
+    for alpha in ex.multi_indices_up_to(b.base_dim, alpha_max):
         direct = bf.derivative(alpha)
         worst, witness = 0.0, None
         for x in grid:
             lhs = direct.value(x)
             rhs = 0.0
-            for beta, gamma in _splittings(alpha):
+            for beta in ex.multi_indices_below(alpha):
+                gamma = tuple(a_i - b_i for a_i, b_i in zip(alpha, beta))
                 coeff = 1
                 if binomial:
                     for a_i, b_i in zip(alpha, beta):
@@ -162,15 +155,6 @@ def check_leibniz(T: TransversalDistribution, F: Expr, alpha_max: int, grid,
                                        "lhs": lhs, "rhs": rhs}
         report.add(f"alpha={alpha}", worst, tolerance, witness)
     return report
-
-
-def _alphas_up_to(dim: int, m: int):
-    out = []
-    for total in range(m + 1):
-        for alpha in itertools.product(range(total + 1), repeat=dim):
-            if sum(alpha) == total:
-                out.append(alpha)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +271,7 @@ def check_duality(F_list, T_list, grid, cutoff: Expr | None = None,
     for F, T in itertools.product(F_list, T_list):
         base = dist.hat_pair(F, T)
         via_T = dist.hat_pair(F, dist.module_action_base(f, T))
-        via_F = dist.hat_pair(ex.mul(_extend(b, f), F), T)
+        via_F = dist.hat_pair(ex.mul(extend_base_function(b, f), F), T)
         for x in grid:
             want = pair_scale * f.evaluate(x) * base.value(x)
             e1 = abs(via_T.value(x) - want)
@@ -316,11 +300,6 @@ def check_duality(F_list, T_list, grid, cutoff: Expr | None = None,
     report.add("probe self-agreement", 0.0 if dist.separating_probe(
         F_list[0], F_list[0], probe_grid, bundle=b) else 1.0, 0.5)
     return report
-
-
-def _extend(b: TrivialBundle, f: Expr) -> Expr:
-    from .bundle import extend_base_function
-    return extend_base_function(b, f)
 
 
 # ---------------------------------------------------------------------------

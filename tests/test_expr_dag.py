@@ -1,0 +1,160 @@
+"""Expressions as DAGs: memoized derivatives and one-visit-per-node passes."""
+
+import math
+import sys
+import threading
+import warnings
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from reference_eval import ref_eval, ref_eval_array
+from transdist import expr as ex
+
+DIM = 2
+REFERENCE = "bump(x0)*exp(sin(x0))*cos(x0^2)"
+
+
+def distinct_nodes(root) -> int:
+    """Node objects reachable from root, each counted once."""
+    seen, todo = set(), [root]
+    while todo:
+        node = todo.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            todo.extend(node._children())
+    return len(seen)
+
+
+def _leaves():
+    fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    return st.one_of(
+        st.integers(0, DIM - 1).map(lambda s: ex.var(s, DIM)),
+        fractions.map(lambda c: ex.const(c, DIM)),
+        st.just(ex.pi(DIM)),
+    )
+
+
+def _extend(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        pairs.map(lambda ab: ex.add(*ab)),
+        pairs.map(lambda ab: ex.sub(*ab)),
+        pairs.map(lambda ab: ex.mul(*ab)),
+        st.tuples(children, st.integers(2, 3)).map(lambda bn: ex.int_pow(*bn)),
+        children.map(ex.exp),
+        children.map(ex.sin),
+        children.map(ex.cos),
+        children.map(ex.bump),
+    )
+
+
+expressions = st.recursive(_leaves(), _extend, max_leaves=8)
+coords = st.floats(-2.0, 2.0, allow_nan=False)
+points = st.tuples(*[coords] * DIM)
+
+
+def _differentiated(e, slots):
+    """Repeated diff1: later derivatives share the memoized earlier ones."""
+    for slot in slots:
+        e = e.diff1(slot)
+    return e
+
+
+def _same(a: float, b: float) -> bool:
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+def _outcome(fn, *args):
+    """A value, or the type of the exception raised computing it."""
+    try:
+        with warnings.catch_warnings(), np.errstate(all="ignore"):
+            warnings.simplefilter("ignore")
+            return fn(*args)
+    except (ValueError, OverflowError, ZeroDivisionError) as err:
+        return type(err)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expressions, st.lists(st.integers(0, DIM - 1), max_size=3),
+       st.lists(points, min_size=1, max_size=5))
+def test_dag_evaluation_matches_tree_reference_bit_for_bit(e, slots, pts):
+    d = _differentiated(e, slots)
+    for p in pts:
+        got, want = _outcome(d.evaluate, p), _outcome(ref_eval, d, p)
+        if isinstance(want, type):
+            assert got is want
+        else:
+            assert _same(got, want), (str(d), p, got, want)
+    arr = np.array(pts, dtype=float)
+    got, want = _outcome(d.eval_array, arr), _outcome(ref_eval_array, d, arr)
+    assert np.array_equal(got, want, equal_nan=True), (str(d), pts, got, want)
+
+
+def test_repeated_diff1_returns_the_memoized_object():
+    e = ex.parse("bump(x0)*sin(x0*x1)", 2)
+    assert e.diff1(0) is e.diff1(0)
+    assert e.diff((2, 1)) is e.diff1(0).diff1(0).diff1(1)
+    assert e.support_box() is e.support_box()
+
+
+def test_order_six_reference_derivative_is_a_compact_dag():
+    d = ex.parse(REFERENCE, 1).diff((6,))
+    assert distinct_nodes(d) <= 12_000
+    assert d.evaluate((0.3,)) == 1138.2431363426504
+    assert d.eval_array(np.array([[0.3]]))[0] == 1138.2431363426438
+
+
+def test_plan_visits_each_node_once_and_releases_each_intermediate_once():
+    d = ex.parse(REFERENCE, 1).diff((3,))
+    plan = d._plan
+    assert len(plan) == distinct_nodes(d)
+    assert plan[-1][0] is None  # the root: no cycle through its own plan
+    below = [node for node, _, _ in plan[:-1]]
+    assert len({id(node) for node in below}) == len(below)
+    assert all(node is not d for node in below)
+    released = [i for _, _, dead in plan for i in dead]
+    assert sorted(released) == list(range(len(plan) - 1))
+    for pos, (_, args, dead) in enumerate(plan):
+        assert all(i < pos for i in args)
+        for i in dead:
+            assert not any(i in later for _, later, _ in plan[pos + 1:])
+
+
+def test_shared_substitution_stays_shared():
+    d = ex.parse(REFERENCE, 2).diff((4, 0))
+    sub = d.substitute({0: ex.parse("x0/2 + sin(x1)/3", 2)})
+    assert distinct_nodes(sub) <= 2 * distinct_nodes(d)
+
+
+def test_concurrent_differentiation_matches_sequential():
+    grid = np.linspace(-0.9, 0.9, 7).reshape(-1, 1)
+
+    def work(e):
+        out = []
+        for k in range(5):
+            d = e.diff((k,))
+            out.append((d.evaluate((0.3,)), d.eval_array(grid).tolist(),
+                        d.support_box(), d.interval(ex.Box.of([(-0.5, 0.5)]))))
+        return out
+
+    expected = work(ex.parse(REFERENCE, 1))
+    shared = ex.parse(REFERENCE, 1)
+    results = [None] * 4
+
+    def run(i):
+        results[i] = work(shared)
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 4
