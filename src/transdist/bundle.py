@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from . import expr
 from .expr import Box, DimensionError, Expr
 
@@ -50,6 +52,13 @@ class TrivialBundle:
     def parse_fibre(self, text: str) -> Expr:
         """Function on a fibre (y variables only, ambient k)."""
         return expr.parse(text, self.fibre_dim, base_dim=0)
+
+    def join(self, x, Z: np.ndarray) -> np.ndarray:
+        """Total-space points (x, z) for one base point x and fibre points Z (N, k)."""
+        pts = np.empty((Z.shape[0], self.total_dim))
+        pts[:, :self.base_dim] = np.asarray(x, dtype=float)
+        pts[:, self.base_dim:] = Z
+        return pts
 
     # -- multi-index embeddings -----------------------------------------
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -315,9 +316,12 @@ def _parse_point(text: str, dim: int):
     if len(parts) != dim:
         raise SceneDimensionError(f"point {text!r} needs {dim} coordinates")
     try:
-        return tuple(float(p) for p in parts)
+        point = tuple(float(p) for p in parts)
     except ValueError as err:
         raise SceneParseError(f"bad point {text!r}") from err
+    if not all(map(math.isfinite, point)):
+        raise SceneParseError(f"bad point {text!r}: coordinates must be finite")
+    return point
 
 
 def _parse_box(text: str):
@@ -545,14 +549,24 @@ def _cmd_check(scene: Scene, args) -> tuple:
 # Entry point
 
 
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+    def parse(text: str) -> int:
+        if int(text) < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return int(text)
+    parse.__name__ = "int"  # argparse names the type when int() fails
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "table"),
                         default=argparse.SUPPRESS)
-    common.add_argument("--quad-order", type=int, default=argparse.SUPPRESS,
-                        help="override the global quadrature order")
-    common.add_argument("--grid-density", type=int, default=argparse.SUPPRESS,
-                        help="override the global grid points per axis")
+    common.add_argument("--quad-order", type=_int_at_least(2), default=argparse.SUPPRESS,
+                        help="override the global quadrature order (at least 2)")
+    common.add_argument("--grid-density", type=_int_at_least(3), default=argparse.SUPPRESS,
+                        help="override the global grid points per axis (at least 3)")
     common.add_argument("--tolerance-scale", type=float, default=argparse.SUPPRESS,
                         help="scale factor applied to check-suite tolerances")
     parser = argparse.ArgumentParser(
@@ -650,9 +664,9 @@ def main(argv=None) -> int:
     args.quad_order = getattr(args, "quad_order", None)
     args.grid_density = getattr(args, "grid_density", None)
     args.tolerance_scale = getattr(args, "tolerance_scale", 1.0)
-    if args.quad_order:
+    if args.quad_order is not None:
         quadrature.set_default_order(args.quad_order)
-    if args.grid_density:
+    if args.grid_density is not None:
         topology.set_default_grid_density(args.grid_density)
     try:
         scene = load_scene(args.scene)

@@ -138,7 +138,8 @@ class PointDistribution:
         if self.density is not None:
             box = self.density.support_box()
             if not box.is_empty:
-                pts = _box_grid(box.pad(1e-3), grid_points_per_axis)
+                pts = quadrature.tensor_grid([np.linspace(lo, hi, grid_points_per_axis)
+                                              for lo, hi in box.pad(1e-3).intervals])
                 if np.any(np.abs(self.density.eval_array(pts)) > tol):
                     return False
         return True
@@ -160,9 +161,7 @@ def pair(v: PointDistribution, g: Expr, order: int | None = None) -> float:
         total += c * g.diff(beta).evaluate(point)
     if v.density is not None:
         integrand = ex.mul(v.density, g)
-        box = integrand.support_box()
-        if not box.is_empty:
-            total += quadrature.integrate(integrand, box, order)
+        total += quadrature.integrate(integrand, integrand.support_box(), order)
     return total
 
 
@@ -177,19 +176,27 @@ class QuadPart:
     fibre_box: Box  # fixed fibre integration box
 
     def value(self, x, order) -> float:
-        if self.fibre_box.is_empty or self.fibre_box.volume() == 0.0:
-            return 0.0
-        rule = quadrature.QuadratureRule(self.fibre_box,
-                                         order if order else quadrature.default_order())
-        n = rule.points.shape[0]
-        pts = np.empty((n, self.bundle.total_dim))
-        pts[:, :self.bundle.base_dim] = np.asarray(x, dtype=float)
-        pts[:, self.bundle.base_dim:] = rule.points
-        return rule.integrate_values(self.integrand.eval_array(pts))
+        return quadrature.integrate(
+            lambda Z: self.integrand.eval_array(self.bundle.join(x, Z)),
+            self.fibre_box, order)
 
     def diff_base(self, alpha) -> "QuadPart":
         total_alpha = self.bundle.base_alpha_to_total(alpha)
         return QuadPart(self.bundle, self.integrand.diff(total_alpha), self.fibre_box)
+
+
+@dataclass(frozen=True)
+class NumericPart:
+    """A numeric kernel term (see operators) applied to a fibre function g."""
+
+    term: object  # NumericKernelTerm: values(x, Z) -> kernel values at (x, Z)
+    g: Expr  # fibre function
+    box: Box  # fibre integration box: the term's fibre box within g's support
+    support_box: Box  # base box outside which the value vanishes
+
+    def value(self, x, order) -> float:
+        return quadrature.integrate(
+            lambda Z: self.term.values(x, Z) * self.g.eval_array(Z), self.box, order)
 
 
 @dataclass(frozen=True)
@@ -204,7 +211,7 @@ class BaseFunction:
     bundle: TrivialBundle
     symbolic: Expr | None = None
     quad_parts: tuple = ()
-    numeric_parts: tuple = ()  # callables x -> float
+    numeric_parts: tuple = ()  # NumericPart objects
     order: int | None = None
 
     def __post_init__(self):
@@ -216,10 +223,8 @@ class BaseFunction:
             raise DimensionError("base point dimension mismatched with bundle")
         x = tuple(float(c) for c in x)
         total = self.symbolic.evaluate(x) if self.symbolic is not None else 0.0
-        for part in self.quad_parts:
+        for part in self.quad_parts + self.numeric_parts:
             total += part.value(x, self.order)
-        for fn in self.numeric_parts:
-            total += fn(x)
         return total
 
     def __call__(self, x) -> float:
@@ -240,8 +245,8 @@ class BaseFunction:
         for part in self.quad_parts:
             base_box = part.integrand.support_box().project(part.bundle.base_slots)
             box = box.hull(base_box)
-        for fn in self.numeric_parts:
-            box = box.hull(getattr(fn, "support_box", Box.whole(self.bundle.base_dim)))
+        for part in self.numeric_parts:
+            box = box.hull(part.support_box)
         return box
 
     def bump_boundary_distance(self, x) -> float:
@@ -267,12 +272,6 @@ class BaseFunction:
 
 def base_function_from_expr(bundle: TrivialBundle, f: Expr) -> BaseFunction:
     return BaseFunction(bundle, symbolic=f)
-
-
-def _box_grid(box: Box, per_axis: int) -> np.ndarray:
-    axes = [np.linspace(lo, hi, per_axis) for lo, hi in box.intervals]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
 # ---------------------------------------------------------------------------

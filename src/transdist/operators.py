@@ -24,15 +24,16 @@ composed; the jet expansion that composition would need is out of scope.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
 
 from . import expr as ex
 from . import quadrature
-from .bundle import Section, TrivialBundle, extend_base_function, extend_function
-from .distribution import (BaseFunction, DensityTerm, DiracSectionTerm,
+from .bundle import (Section, TrivialBundle, extend_base_function, extend_function,
+                     section_graph_support)
+from .distribution import (BaseFunction, DensityTerm, DiracSectionTerm, NumericPart,
                            TransversalDistribution, evaluate)
 from .expr import Box, DimensionError, Expr, ExprError
 
@@ -105,30 +106,13 @@ def apply(K: KernelOperator, g: Expr, order: int | None = None) -> BaseFunction:
     symbolic_terms = tuple(t for t in K.terms if not isinstance(t, NumericKernelTerm))
     out = evaluate(TransversalDistribution(b, symbolic_terms),
                    extend_function(b, g), order=order)
-    numeric_fns = []
+    numeric_parts = []
     for term in K.terms:
         if isinstance(term, NumericKernelTerm):
-            numeric_fns.append(_numeric_apply_fn(term, g, order))
-    if numeric_fns:
-        out = BaseFunction(b, out.symbolic, out.quad_parts,
-                           out.numeric_parts + tuple(numeric_fns), order)
-    return out
-
-
-def _numeric_apply_fn(term: NumericKernelTerm, g: Expr, order: int | None):
-    box = term.fibre_box.intersect(g.support_box())
-    if box.is_empty or box.volume() == 0.0:
-        fn = lambda x: 0.0  # noqa: E731
-        fn.support_box = Box.empty(term.bundle.base_dim)
-        return fn
-    rule = quadrature.QuadratureRule(box, order if order else quadrature.default_order())
-    g_vals = g.eval_array(rule.points)
-
-    def fn(x):
-        return rule.integrate_values(term.values(x, rule.points) * g_vals)
-
-    fn.support_box = term.base_box
-    return fn
+            box = term.fibre_box.intersect(g.support_box())
+            support = term.base_box if box.volume() > 0.0 else Box.empty(b.base_dim)
+            numeric_parts.append(NumericPart(term, g, box, support))
+    return replace(out, numeric_parts=tuple(numeric_parts))
 
 
 def apply_to_values(K: KernelOperator, fn, fn_support: Box,
@@ -143,37 +127,26 @@ def apply_to_values(K: KernelOperator, fn, fn_support: Box,
     b = K.bundle
     if any(k == "dirac_derivative" for k in K.kinds):
         raise ExprError("pointwise application needs derivative-free terms")
+    # Dirac terms as None; density and numeric terms as (kernel values, fibre box)
+    fibre_parts = [None if isinstance(t, DiracSectionTerm) else
+                   (_values_fn(t, b), _term_boxes(t, b)[1].intersect(fn_support))
+                   for t in K.terms]
+
+    def fn_values(Z):
+        return np.array([fn(tuple(z)) for z in Z])
 
     def value(x):
         x = tuple(float(c) for c in x)
         total = 0.0
-        for term in K.terms:
-            if isinstance(term, DiracSectionTerm):
+        for term, part in zip(K.terms, fibre_parts):
+            if part is None:
                 w = term.weight.evaluate(x)
                 if w != 0.0:
                     total += w * fn(term.section.value(x))
-            elif isinstance(term, DensityTerm):
-                phi_box = term.phi.support_box().project(b.fibre_slots)
-                box = phi_box.intersect(fn_support)
-                if box.is_empty or box.volume() == 0.0:
-                    continue
-                rule = quadrature.QuadratureRule(
-                    box, order if order else quadrature.default_order())
-                pts = np.empty((rule.points.shape[0], b.total_dim))
-                pts[:, :b.base_dim] = x
-                pts[:, b.base_dim:] = rule.points
-                phi_vals = term.phi.eval_array(pts)
-                f_vals = np.array([fn(tuple(z)) for z in rule.points])
-                total += rule.integrate_values(phi_vals * f_vals)
             else:
-                box = term.fibre_box.intersect(fn_support)
-                if box.is_empty or box.volume() == 0.0:
-                    continue
-                rule = quadrature.QuadratureRule(
-                    box, order if order else quadrature.default_order())
-                k_vals = term.values(x, rule.points)
-                f_vals = np.array([fn(tuple(z)) for z in rule.points])
-                total += rule.integrate_values(k_vals * f_vals)
+                kernel, box = part
+                total += quadrature.integrate(lambda Z: kernel(x, Z) * fn_values(Z),
+                                              box, order)
         return total
 
     return value
@@ -295,7 +268,6 @@ def _invert_matrix(rows):
 
 def _term_boxes(term, b: TrivialBundle):
     if isinstance(term, DiracSectionTerm):
-        from .bundle import section_graph_support
         box = section_graph_support(term.section, term.weight.support_box())
         return box.project(b.base_slots), box.project(b.fibre_slots)
     if isinstance(term, DensityTerm):
@@ -308,15 +280,7 @@ def _values_fn(term, b: TrivialBundle):
     """Pointwise kernel values of a density or numeric term."""
     if isinstance(term, NumericKernelTerm):
         return term.values
-    phi = term.phi
-
-    def dens_values(x, Z, _phi=phi):
-        pts = np.empty((Z.shape[0], b.total_dim))
-        pts[:, :b.base_dim] = np.asarray(x, dtype=float)
-        pts[:, b.base_dim:] = Z
-        return _phi.eval_array(pts)
-
-    return dens_values
+    return lambda x, Z: term.phi.eval_array(b.join(x, Z))
 
 
 def _compose_numeric(t1, t2, b: TrivialBundle, order):
@@ -349,7 +313,6 @@ def _compose_numeric(t1, t2, b: TrivialBundle, order):
             return _scale * w * _v1(x, S)
 
         base1, fibre1 = _term_boxes(t1, b)
-        from .bundle import section_graph_support
         pre_image = t2.weight.support_box().intersect(fibre1)
         if pre_image.is_empty:
             fibre2 = Box.empty(b.fibre_dim)
@@ -364,11 +327,9 @@ def _compose_numeric(t1, t2, b: TrivialBundle, order):
     base2, fibre2 = _term_boxes(t2, b)
     mid_box = fibre1.intersect(base2)
     base1, _ = _term_boxes(t1, b)
-    if mid_box.is_empty or mid_box.volume() == 0.0:
-        def zero_fn(x, Z):
-            return np.zeros(Z.shape[0])
-        return NumericKernelTerm(b, base1, fibre2, depth, zero_fn)
-    rule = quadrature.QuadratureRule(mid_box, order if order else quadrature.default_order())
+    if mid_box.volume() == 0.0:  # empty or degenerate
+        return NumericKernelTerm(b, base1, fibre2, depth, lambda x, Z: np.zeros(Z.shape[0]))
+    rule = quadrature.rule(mid_box, order)
     v1, v2 = _values_fn(t1, b), _values_fn(t2, b)
 
     def fn(x, Z, _v1=v1, _v2=v2, _rule=rule):

@@ -187,8 +187,17 @@ def fsum(p: np.ndarray) -> float:
     return math.fsum(p.tolist())
 
 
+def tensor_grid(axes) -> np.ndarray:
+    """Every point of the product of 1-d coordinate arrays, last axis fastest."""
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
 class QuadratureRule:
-    """Nodes and weights of order q per axis, mapped affinely onto a box."""
+    """Nodes and weights of order q per axis, mapped affinely onto a box.
+
+    The arrays are read-only, so callers can share one rule (see ``rule``).
+    """
 
     def __init__(self, box: Box, order: int):
         if order < 2:
@@ -204,16 +213,29 @@ class QuadratureRule:
             mid = 0.5 * (hi + lo)
             axes_pts.append(mid + half * x)
             axes_wts.append(half * w)
-        mesh = np.meshgrid(*axes_pts, indexing="ij")
-        self.points = np.stack([m.ravel() for m in mesh], axis=-1)
+        self.points = tensor_grid(axes_pts)
         wt = axes_wts[0]
         for aw in axes_wts[1:]:
             wt = np.multiply.outer(wt, aw)
         self.weights = wt.ravel()
+        self.points.flags.writeable = self.weights.flags.writeable = False
 
     def integrate_values(self, values: np.ndarray) -> float:
         """The correctly rounded sum of ``weights * values`` (see fsum)."""
         return fsum(self.weights * values)
+
+
+# A few boxes and orders are live at a time: one fibre box per term while a
+# base function is evaluated point by point.  A 3-d fibre rule at order 64
+# holds about 8 MB, so the cache keeps only the most recent few.
+@lru_cache(maxsize=8)
+def _cached_rule(box: Box, order: int) -> QuadratureRule:
+    return QuadratureRule(box, order)
+
+
+def rule(box: Box, order: int | None = None) -> QuadratureRule:
+    """The shared, read-only rule on a box; None means the default order."""
+    return _cached_rule(box, _default_order if order is None else order)
 
 
 def integrate(f, box: Box, order: int | None = None) -> float:
@@ -222,13 +244,8 @@ def integrate(f, box: Box, order: int | None = None) -> float:
     Degenerate and empty boxes integrate to 0 by convention.  Callables
     must accept an (N, dim) array of points and return N values.
     """
-    if order is None:
-        order = _default_order
-    if box.is_empty or box.volume() == 0.0:
+    if box.volume() == 0.0:
         return 0.0
-    rule = QuadratureRule(box, order)
-    if isinstance(f, Expr):
-        values = f.eval_array(rule.points)
-    else:
-        values = np.asarray(f(rule.points), dtype=float)
-    return rule.integrate_values(values)
+    r = rule(box, order)
+    values = f.eval_array(r.points) if isinstance(f, Expr) else f(r.points)
+    return r.integrate_values(np.asarray(values, dtype=float))

@@ -18,6 +18,7 @@ import numpy as np
 from .distribution import (BaseFunction, PointDistribution, TransversalDistribution,
                            base_support, family_derivative, pair, restrict)
 from .expr import Box, DimensionError, Expr, multi_indices_up_to
+from .quadrature import tensor_grid
 
 DEFAULT_GRID_DENSITY = 33
 
@@ -55,9 +56,7 @@ def lattice_points(box: Box, density: int | None = None) -> np.ndarray:
     if box.is_empty:
         return np.empty((0, box.dim))
     pitch = lattice_pitch(density)
-    axes = [lattice_axis(lo, hi, pitch) for lo, hi in box.intervals]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=-1)
+    return tensor_grid([lattice_axis(lo, hi, pitch) for lo, hi in box.intervals])
 
 
 @dataclass(frozen=True)

@@ -4,7 +4,7 @@ from importlib import resources
 
 import pytest
 
-from transdist import cli
+from transdist import cli, quadrature, topology
 
 
 def scene_path(name: str) -> str:
@@ -121,6 +121,42 @@ class TestExitCodes:
                             "--tolerance-scale", "0")
         assert code == 1
         assert json.loads(out)["passed"] is False
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("flag", ["--quad-order", "--grid-density"])
+    @pytest.mark.parametrize("value", ["0", "1", "-4"])
+    def test_too_small_flag_is_usage_error(self, capsys, dirac_scene, flag, value):
+        before = (quadrature.default_order(), topology.default_grid_density())
+        code = cli.main(["eval", dirac_scene, "T", "F", "--at", "0.5", flag, value])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert f"{flag}: must be at least" in captured.err
+        assert (quadrature.default_order(), topology.default_grid_density()) == before
+
+    def test_grid_density_two_is_usage_error(self, capsys, dirac_scene):
+        code = cli.main(["eval", dirac_scene, "T", "F", "--at", "0.5",
+                         "--grid-density", "2"])
+        assert code == cli.EXIT_USAGE
+        assert "--grid-density: must be at least 3" in capsys.readouterr().err
+
+    def test_smallest_valid_flags_are_used(self, capsys, dirac_scene):
+        before = (quadrature.default_order(), topology.default_grid_density())
+        try:
+            code, out = run_cli(capsys, "eval", dirac_scene, "T", "F", "--at", "0.5",
+                                "--quad-order", "2", "--grid-density", "3")
+            assert code == 0
+            assert (quadrature.default_order(), topology.default_grid_density()) == (2, 3)
+        finally:
+            quadrature.set_default_order(before[0])
+            topology.set_default_grid_density(before[1])
+
+    @pytest.mark.parametrize("point", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_point_is_parse_error(self, capsys, dirac_scene, point):
+        code, out = run_cli(capsys, "eval", dirac_scene, "T", "F", f"--at={point}")
+        assert code == cli.EXIT_PARSE
+        assert "must be finite" in json.loads(out)["error"]
 
 
 class TestCommands:

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import random_polynomial
 from transdist import expr as ex
+from transdist import operators as op
 from transdist import quadrature as qd
 from transdist.expr import Box
 
@@ -217,3 +220,85 @@ class TestDefaultOrder:
     def test_invalid_order_rejected(self):
         with pytest.raises(ValueError):
             qd.set_default_order(1)
+
+
+class TestSharedRule:
+    def test_equal_boxes_and_orders_give_the_same_rule(self):
+        r = qd.rule(Box.of([(0, 1), (-1, 2)]), 12)
+        assert qd.rule(Box.of([(0.0, 1.0), (-1.0, 2.0)]), 12) is r
+        assert qd.rule(Box.of([(0, 1), (-1, 2)]), 13) is not r
+        assert qd.rule(Box.of([(0, 1), (-1, 3)]), 12) is not r
+
+    def test_none_means_the_default_order(self):
+        box = Box.of([(-1, 1)])
+        assert qd.rule(box) is qd.rule(box, qd.default_order())
+        assert qd.rule(box).order == qd.default_order()
+
+    def test_arrays_are_read_only(self):
+        r = qd.rule(Box.of([(0, 1), (0, 2)]), 8)
+        with pytest.raises(ValueError):
+            r.points[0, 0] = 5.0
+        with pytest.raises(ValueError):
+            r.weights[0] = 5.0
+        with pytest.raises(ValueError):
+            r.points += 1.0
+
+    def test_threads_sharing_the_cache_match_sequential_results(self):
+        # more boxes than the cache holds, so threads also race on evictions
+        e = ex.parse("bump(x0)*exp(x1) + x0*x1", 2)
+        jobs = [(Box.of([(-1.0, 0.25 * k), (0.0, 1.0)]), order)
+                for k in range(1, 7) for order in (5, 9)]
+        want = [qd.integrate(e, box, order) for box, order in jobs]
+        got, errors = {}, []
+
+        def worker(t):
+            try:
+                for rep in range(15):
+                    i = (t + rep) % len(jobs)
+                    box, order = jobs[i]
+                    got.setdefault(i, set()).add(qd.integrate(e, box, order).hex())
+            except Exception as err:  # noqa: BLE001  (reported below)
+                errors.append(err)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(6)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(th.is_alive() for th in threads)
+        assert errors == []
+        assert got == {i: {want[i].hex()} for i in got}
+        assert len(got) == len(jobs)
+
+    @pytest.mark.parametrize("order", [3, 16, 64])
+    def test_expr_and_callable_integrands_agree_bit_for_bit(self, order):
+        e = ex.parse("bump(x0)*exp(x1)*cos(x0*x1) + x1", 2)
+        box = Box.of([(-1.0, 0.75), (-0.5, 2.0)])
+        got = qd.integrate(e, box, order)
+        assert same_float(got, qd.integrate(lambda pts: e.eval_array(pts), box, order))
+        assert same_float(got, qd.rule(box, order).integrate_values(
+            e.eval_array(qd.rule(box, order).points)))
+
+
+class TestApplyToValuesOutsideSupport:
+    """A fibre box disjoint from, or only touching, fn's support gives exactly 0."""
+
+    @staticmethod
+    def never(z):
+        raise AssertionError(f"fn evaluated at {z} outside its support")
+
+    @pytest.mark.parametrize("fn_support", [Box.of([(5.0, 6.0)]), Box.of([(1.0, 1.0)]),
+                                            Box.empty(1)])
+    def test_density_and_numeric_kernels(self, line_bundle, fn_support):
+        K = op.density_kernel(line_bundle, line_bundle.parse_total("bump(x0)*bump(y0)"))
+        numeric = op.compose(K, K, order=8)
+        assert numeric.kinds == ("numeric",)
+        for kernel in (K, numeric):
+            value = op.apply_to_values(kernel, self.never, fn_support, order=8)
+            for x in (-0.5, 0.0, 0.25):
+                assert same_float(value((x,)), 0.0)
