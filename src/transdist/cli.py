@@ -4,11 +4,13 @@ A scene is a single JSON document declaring a bundle plus named
 functions, sections, distributions, kernel operators, and LF profiles;
 expressions are grammar strings.  Commands operate on named objects and
 print JSON (or a plain-text table) with floats rendered to 17 significant
-digits, so reruns are byte-identical.
+digits, so reruns are byte-identical.  ``--quad-order`` and
+``--grid-density`` are read once and passed to every library call that
+takes an ``order`` or ``density``; nothing process-wide is set.
 
-Exit codes: 0 success, 1 check failure, 2 usage / unknown command,
-3 unresolved reference, 4 internal error, 5 scene parse error,
-6 dimension mismatch.
+Exit codes: 0 success, 1 check failure, 2 usage error, unknown command or
+unsupported operation, 3 unresolved reference, 4 internal error, 5 scene
+parse error, 6 dimension mismatch.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from pathlib import Path
 from . import distribution as dist
 from . import expr as ex
 from . import operators as ops
-from . import quadrature, topology, verify
+from . import topology, verify
 from .bundle import Section, TrivialBundle
 from .distribution import TransversalDistribution
 from .expr import Box, DimensionError, ExprError, ExprSyntaxError
@@ -329,9 +331,12 @@ def _parse_box(text: str):
     for axis in text.split(";"):
         lo, _, hi = axis.partition(":")
         try:
-            ivs.append((float(lo), float(hi)))
+            lo, hi = float(lo), float(hi)
         except ValueError as err:
             raise SceneParseError(f"bad box {text!r}") from err
+        if not -math.inf < lo <= hi < math.inf:
+            raise SceneParseError(f"bad box {text!r}: bounds must be finite, lo <= hi")
+        ivs.append((lo, hi))
     return Box.of(ivs)
 
 
@@ -339,18 +344,24 @@ def _parse_box(text: str):
 # Commands
 
 
+def _grid_values(scene: Scene, bf) -> list:
+    return [{"x": list(x), "value": bf.value(x)}
+            for x in _default_base_grid(scene.bundle, scene.checks)]
+
+
+def _values(scene: Scene, args, bf, payload: dict) -> dict:
+    """The payload plus bf at the --at point, or on the scene's default grid."""
+    if args.at:
+        x = _parse_point(args.at, scene.bundle.base_dim)
+        return {**payload, "x": list(x), "value": bf.value(x)}
+    return {**payload, "values": _grid_values(scene, bf)}
+
+
 def _cmd_eval(scene: Scene, args) -> dict:
     T = scene.distribution(args.distribution)
     F = scene.function(args.function)
-    bf = dist.evaluate(T, F)
-    if args.at:
-        x = _parse_point(args.at, scene.bundle.base_dim)
-        return {"command": "eval", "distribution": args.distribution,
-                "function": args.function, "x": list(x), "value": bf.value(x)}
-    grid = _default_base_grid(scene.bundle, scene.checks)
-    return {"command": "eval", "distribution": args.distribution,
-            "function": args.function,
-            "values": [{"x": list(x), "value": bf.value(x)} for x in grid]}
+    return _values(scene, args, dist.evaluate(T, F, args.quad_order), {
+        "command": "eval", "distribution": args.distribution, "function": args.function})
 
 
 def _cmd_restrict(scene: Scene, args) -> dict:
@@ -363,10 +374,9 @@ def _cmd_restrict(scene: Scene, args) -> dict:
 
 def _cmd_derive(scene: Scene, args) -> dict:
     T = scene.distribution(args.distribution)
-    alpha = tuple(int(a) for a in args.alpha.split(","))
-    dT = dist.family_derivative(T, alpha)
+    dT = dist.family_derivative(T, args.alpha)
     return {"command": "derive", "distribution": args.distribution,
-            "alpha": list(alpha), "result": _distribution_payload(dT)}
+            "alpha": list(args.alpha), "result": _distribution_payload(dT)}
 
 
 def _cmd_support(scene: Scene, args) -> dict:
@@ -395,30 +405,21 @@ def _cmd_action(scene: Scene, args) -> dict:
 def _cmd_apply(scene: Scene, args) -> dict:
     K = scene.operator(args.operator)
     g = _parse_expr(scene.path, scene.bundle, args.g, "--g", kind="fibre")
-    bf = ops.apply(K, g)
-    if args.at:
-        x = _parse_point(args.at, scene.bundle.base_dim)
-        return {"command": "apply", "operator": args.operator, "g": args.g,
-                "x": list(x), "value": bf.value(x)}
-    grid = _default_base_grid(scene.bundle, scene.checks)
-    return {"command": "apply", "operator": args.operator, "g": args.g,
-            "values": [{"x": list(x), "value": bf.value(x)} for x in grid]}
+    return _values(scene, args, ops.apply(K, g, args.quad_order),
+                   {"command": "apply", "operator": args.operator, "g": args.g})
 
 
 def _cmd_compose(scene: Scene, args) -> dict:
     K1 = scene.operator(args.k1)
     K2 = scene.operator(args.k2)
-    K = ops.compose(K1, K2)
+    K = ops.compose(K1, K2, args.quad_order)
     probes = args.probes.split(";") if args.probes else ["1", "y0", "y0^2"]
-    grid = _default_base_grid(scene.bundle, scene.checks)
     out = {"command": "compose", "k1": args.k1, "k2": args.k2,
            "kinds": list(K.kinds), "evaluations": []}
     for text in probes:
         g = _parse_expr(scene.path, scene.bundle, text, "--probes", kind="fibre")
-        bf = ops.apply(K, g)
-        out["evaluations"].append({
-            "g": text,
-            "values": [{"x": list(x), "value": bf.value(x)} for x in grid]})
+        out["evaluations"].append(
+            {"g": text, "values": _grid_values(scene, ops.apply(K, g, args.quad_order))})
     return out
 
 
@@ -429,10 +430,10 @@ def _cmd_seminorm(scene: Scene, args) -> dict:
         raise SceneDimensionError(
             f"seminorm box has {box.dim} axes, total space has "
             f"{scene.bundle.total_dim}")
-    p = topology.Seminorm(box, int(args.order))
+    p = topology.Seminorm(box, args.order)
     return {"command": "seminorm", "function": args.function,
-            "order": int(args.order), "box": box_payload(box),
-            "value": topology.seminorm_eval(p, F)}
+            "order": args.order, "box": box_payload(box),
+            "value": topology.seminorm_eval(p, F, args.grid_density)}
 
 
 def _cmd_member(scene: Scene, args) -> dict:
@@ -442,14 +443,15 @@ def _cmd_member(scene: Scene, args) -> dict:
         f = _parse_expr(scene.path, scene.bundle, args.function,
                         "--function", kind="base")
         bf = dist.base_function_from_expr(scene.bundle, f)
-        res = topology.lf_membership(profile, bf)
+        res = topology.lf_membership(profile, bf, args.grid_density)
         out["function"] = args.function
     elif args.distribution:
         if families is None:
             raise SceneParseError(
                 f"profile {args.profile!r} declares no bounded families")
         T = scene.distribution(args.distribution)
-        res = topology.lfB_membership(profile, families, T)
+        res = topology.lfB_membership(profile, families, T, args.grid_density,
+                                      args.quad_order)
         out["distribution"] = args.distribution
     else:
         raise SceneParseError("member needs --function or --distribution")
@@ -462,56 +464,50 @@ SUITES = ("restriction", "leibniz", "smoothness", "duality", "support",
           "localization")
 
 
-def run_checks(scene: Scene, suites, tolerance_scale: float = 1.0):
-    """Run the named verify suites over every eligible scene object."""
+def run_checks(scene: Scene, suites, tolerance_scale: float = 1.0,
+               order: int | None = None):
+    """Run the named verify suites over every eligible scene object.
+
+    ``order`` is the quadrature order of every check; None means the default.
+    """
     checks = scene.checks
     grid = _default_base_grid(scene.bundle, checks)
     smooth_grid = _default_base_grid(scene.bundle, checks, key="smooth_grid")
     alpha_max = int(checks.get("alpha_max", 2))
     probe_count = int(checks.get("probe_count", 20))
     ts = tolerance_scale
+    per_pair = {  # suite: (report name, check of one distribution against one function)
+        "restriction": ("restriction_compat", lambda T, F: verify.check_restriction_compat(
+            T, F, grid, tolerance=1e-10 * ts, order=order)),
+        "leibniz": ("leibniz", lambda T, F: verify.check_leibniz(
+            T, F, alpha_max, grid, tolerance=1e-8 * ts, order=order)),
+        "smoothness": ("smoothness", lambda T, F: verify.check_smoothness(
+            T, F, tuple(checks.get("smooth_alpha", (1,) + (0,) * (T.bundle.base_dim - 1))),
+            smooth_grid, terminal_tolerance=1e-5 * ts, order=order)),
+    }
     reports = []
     dists = sorted(scene.distributions)
     funcs = sorted(scene.functions)
     for suite in suites:
-        if suite == "restriction":
+        if suite in per_pair:
+            name, check = per_pair[suite]
             for tn in dists:
                 for fn in funcs:
-                    r = verify.check_restriction_compat(
-                        scene.distributions[tn], scene.functions[fn], grid,
-                        tolerance=1e-10 * ts)
-                    r.suite = f"restriction_compat[{tn},{fn}]"
-                    reports.append(r)
-        elif suite == "leibniz":
-            for tn in dists:
-                for fn in funcs:
-                    r = verify.check_leibniz(
-                        scene.distributions[tn], scene.functions[fn],
-                        alpha_max, grid, tolerance=1e-8 * ts)
-                    r.suite = f"leibniz[{tn},{fn}]"
-                    reports.append(r)
-        elif suite == "smoothness":
-            alpha = tuple(checks.get("smooth_alpha",
-                                     (1,) + (0,) * (scene.bundle.base_dim - 1)))
-            for tn in dists:
-                for fn in funcs:
-                    r = verify.check_smoothness(
-                        scene.distributions[tn], scene.functions[fn], alpha,
-                        smooth_grid, terminal_tolerance=1e-5 * ts)
-                    r.suite = f"smoothness[{tn},{fn}]"
+                    r = check(scene.distributions[tn], scene.functions[fn])
+                    r.suite = f"{name}[{tn},{fn}]"
                     reports.append(r)
         elif suite == "duality":
             F_list = [scene.functions[fn] for fn in funcs]
             T_list = [scene.distributions[tn] for tn in dists]
             if F_list and T_list:
                 r = verify.check_duality(F_list, T_list, grid,
-                                         tolerance=1e-10 * ts)
+                                         tolerance=1e-10 * ts, order=order)
                 reports.append(r)
         elif suite == "support":
             for tn in dists:
                 r = verify.check_support(scene.distributions[tn],
                                          probe_count=probe_count,
-                                         tolerance=1e-12 * ts)
+                                         tolerance=1e-12 * ts, order=order)
                 r.suite = f"support[{tn}]"
                 reports.append(r)
         elif suite == "localization":
@@ -520,7 +516,7 @@ def run_checks(scene: Scene, suites, tolerance_scale: float = 1.0):
                 for p in points:
                     x = tuple(float(c) for c in p)
                     r = verify.check_localization(scene.distributions[tn], x,
-                                                  tolerance=1e-10 * ts)
+                                                  tolerance=1e-10 * ts, order=order)
                     r.suite = f"localization[{tn},x={x}]"
                     reports.append(r)
         else:
@@ -538,7 +534,7 @@ def _cmd_check(scene: Scene, args) -> tuple:
                 raise SceneParseError(
                     f"unknown suite {s!r}; expected one of {', '.join(SUITES)} or all")
         suites = tuple(wanted)
-    reports = run_checks(scene, suites, tolerance_scale=args.tolerance_scale)
+    reports = run_checks(scene, suites, args.tolerance_scale, args.quad_order)
     payload = {"command": "check", "scene": scene.path,
                "passed": all(r.passed for r in reports),
                "suites": [r.to_json_dict() for r in reports]}
@@ -549,26 +545,38 @@ def _cmd_check(scene: Scene, args) -> tuple:
 # Entry point
 
 
-def _int_at_least(minimum: int):
-    """An argparse type: an integer no smaller than ``minimum``."""
-    def parse(text: str) -> int:
-        if int(text) < minimum:
+def _at_least(minimum: int, kind=int):
+    """An argparse type: a finite ``kind`` (int or float) no smaller than ``minimum``."""
+    def parse(text: str):
+        value = kind(text)
+        if not -math.inf < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        if value < minimum:
             raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
-        return int(text)
-    parse.__name__ = "int"  # argparse names the type when int() fails
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type when kind() fails
     return parse
 
 
+def _multi_index(text: str) -> tuple:
+    """An argparse type: comma-separated nonnegative integers."""
+    return tuple(map(_at_least(0), text.split(",")))
+
+
+_multi_index.__name__ = "multi-index"
+
+
 def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "table"),
-                        default=argparse.SUPPRESS)
-    common.add_argument("--quad-order", type=_int_at_least(2), default=argparse.SUPPRESS,
-                        help="override the global quadrature order (at least 2)")
-    common.add_argument("--grid-density", type=_int_at_least(3), default=argparse.SUPPRESS,
-                        help="override the global grid points per axis (at least 3)")
-    common.add_argument("--tolerance-scale", type=float, default=argparse.SUPPRESS,
-                        help="scale factor applied to check-suite tolerances")
+    # Accepted before and after the command.  A default here would overwrite a
+    # value given before the command, so main supplies the defaults.
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common.add_argument("--format", choices=("json", "table"))
+    common.add_argument("--quad-order", type=_at_least(2),
+                        help="quadrature order per axis (at least 2)")
+    common.add_argument("--grid-density", type=_at_least(3),
+                        help="lattice points per axis of [-1, 1] (at least 3)")
+    common.add_argument("--tolerance-scale", type=_at_least(0, float),
+                        help="scale factor applied to check-suite tolerances (finite, >= 0)")
     parser = argparse.ArgumentParser(
         prog="transdist", parents=[common],
         description="Calculus on compactly supported transversal distributions.")
@@ -590,7 +598,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = scene_cmd("derive", help="derivative of the family x -> T_x")
     p.add_argument("distribution")
-    p.add_argument("--alpha", required=True, help="base multi-index, comma separated")
+    p.add_argument("--alpha", required=True, type=_multi_index,
+                   help="base multi-index, comma separated")
 
     p = scene_cmd("support", help="total and base support boxes")
     p.add_argument("distribution")
@@ -614,7 +623,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = scene_cmd("seminorm", help="evaluate a seminorm on a named function")
     p.add_argument("function")
     p.add_argument("--box", required=True, help="box as lo:hi;lo:hi;...")
-    p.add_argument("--order", required=True, type=int)
+    p.add_argument("--order", required=True, type=_at_least(0))
 
     p = scene_cmd("member", help="LF neighbourhood membership check")
     p.add_argument("profile")
@@ -639,44 +648,30 @@ _COMMANDS = {
 }
 
 
-def run_command(scene: Scene, command: str, args) -> tuple:
-    """Dispatch a parsed command; returns (payload, exit_code, reports)."""
-    if command == "check":
-        args.tolerance_scale = getattr(args, "tolerance_scale", 1.0)
-        payload, reports = _cmd_check(scene, args)
-        code = EXIT_OK if payload["passed"] else EXIT_CHECK_FAILED
-        return payload, code, reports
-    if command not in _COMMANDS:
-        return {"error": f"unknown command {command!r}"}, EXIT_USAGE, []
-    return _COMMANDS[command](scene, args), EXIT_OK, []
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(argv, argparse.Namespace(
+            format="json", quad_order=None, grid_density=None, tolerance_scale=1.0))
     except SystemExit as err:
         return EXIT_USAGE if err.code not in (0, None) else EXIT_OK
     if not args.command:
         parser.print_help()
         return EXIT_USAGE
-    args.format = getattr(args, "format", "json")
-    args.quad_order = getattr(args, "quad_order", None)
-    args.grid_density = getattr(args, "grid_density", None)
-    args.tolerance_scale = getattr(args, "tolerance_scale", 1.0)
-    if args.quad_order is not None:
-        quadrature.set_default_order(args.quad_order)
-    if args.grid_density is not None:
-        topology.set_default_grid_density(args.grid_density)
     try:
         scene = load_scene(args.scene)
-        payload, code, reports = run_command(scene, args.command, args)
+        reports = []
+        if args.command == "check":
+            payload, reports = _cmd_check(scene, args)
+        else:
+            payload = _COMMANDS[args.command](scene, args)
     except SceneError as err:
         print(dumps({"error": str(err)}))
         return err.exit_code
-    except (ExprError, DimensionError) as err:
+    except ExprError as err:  # an unsupported operation, unless more specific
         print(dumps({"error": str(err)}))
-        return EXIT_PARSE if isinstance(err, ExprSyntaxError) else EXIT_DIMENSION
+        return (EXIT_DIMENSION if isinstance(err, DimensionError) else
+                EXIT_PARSE if isinstance(err, ExprSyntaxError) else EXIT_USAGE)
     except Exception as err:  # noqa: BLE001  (internal error contract)
         print(dumps({"error": f"internal error: {err!r}"}))
         return EXIT_INTERNAL
@@ -688,7 +683,7 @@ def main(argv=None) -> int:
         print(_as_table(payload))
     else:
         print(dumps(payload))
-    return code
+    return EXIT_OK if payload.get("passed", True) else EXIT_CHECK_FAILED
 
 
 def _as_table(payload: dict, prefix: str = "") -> str:

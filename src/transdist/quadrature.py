@@ -47,21 +47,6 @@ _VECTOR_MIN = 512
 # cancellation than the passes resolve) to math.fsum.
 _EXTRACT_PASSES = 3
 
-_default_order = DEFAULT_ORDER
-
-
-def default_order() -> int:
-    return _default_order
-
-
-def set_default_order(q: int) -> None:
-    """Override the global default order (used by the --quad-order flag)."""
-    global _default_order
-    if q < 2:
-        raise ValueError("quadrature order must be at least 2")
-    _default_order = int(q)
-
-
 def _legendre_pair(q: int, x, a, b):
     """(P_q(x), P_{q-1}(x)) by the three-term recurrence.
 
@@ -234,8 +219,8 @@ def _cached_rule(box: Box, order: int) -> QuadratureRule:
 
 
 def rule(box: Box, order: int | None = None) -> QuadratureRule:
-    """The shared, read-only rule on a box; None means the default order."""
-    return _cached_rule(box, _default_order if order is None else order)
+    """The shared, read-only rule on a box; None means DEFAULT_ORDER."""
+    return _cached_rule(box, DEFAULT_ORDER if order is None else order)
 
 
 def integrate(f, box: Box, order: int | None = None) -> float:

@@ -17,29 +17,19 @@ import numpy as np
 
 from .distribution import (BaseFunction, PointDistribution, TransversalDistribution,
                            base_support, family_derivative, pair, restrict)
-from .expr import Box, DimensionError, Expr, multi_indices_up_to
+from .expr import Box, DimensionError, Expr, ExprError, multi_indices_up_to
 from .quadrature import tensor_grid
 
 DEFAULT_GRID_DENSITY = 33
 
-_default_density = DEFAULT_GRID_DENSITY
-
-
-def default_grid_density() -> int:
-    return _default_density
-
-
-def set_default_grid_density(n: int) -> None:
-    """Override the global points-per-axis default (--grid-density flag)."""
-    global _default_density
-    if n < 3:
-        raise ValueError("grid density must be at least 3")
-    _default_density = int(n)
+# The most points one lattice may hold: over 100x the largest lattice the
+# benchmark scans (73 x 17 x 33), and 120 MB of 3-d coordinates.
+MAX_LATTICE_POINTS = 5_000_000
 
 
 def lattice_pitch(density: int | None = None) -> float:
-    d = density if density else _default_density
-    return 2.0 / (d - 1)
+    """2/(density-1); None means DEFAULT_GRID_DENSITY."""
+    return 2.0 / ((density or DEFAULT_GRID_DENSITY) - 1)
 
 
 def lattice_axis(lo: float, hi: float, pitch: float) -> np.ndarray:
@@ -56,6 +46,10 @@ def lattice_points(box: Box, density: int | None = None) -> np.ndarray:
     if box.is_empty:
         return np.empty((0, box.dim))
     pitch = lattice_pitch(density)
+    bound = math.prod((hi - lo) / pitch + 1.0 for lo, hi in box.intervals)
+    if not bound <= MAX_LATTICE_POINTS:
+        raise ExprError(f"lattice over {box.intervals} at pitch {pitch:g} "
+                        f"exceeds {MAX_LATTICE_POINTS} points")
     return tensor_grid([lattice_axis(lo, hi, pitch) for lo, hi in box.intervals])
 
 

@@ -96,12 +96,13 @@ def _timed(fn):
 @_timed
 def check_restriction_compat(T: TransversalDistribution, F: Expr, grid,
                              tolerance: float = 1e-10,
-                             restrict_fn=dist.restrict) -> CheckReport:
+                             restrict_fn=dist.restrict,
+                             order: int | None = None) -> CheckReport:
     report = CheckReport("restriction_compat")
-    bf = dist.evaluate(T, F)
+    bf = dist.evaluate(T, F, order)
     worst, witness = 0.0, None
     for x in grid:
-        lhs = dist.pair(restrict_fn(T, x), restrict_function(T.bundle, F, x))
+        lhs = dist.pair(restrict_fn(T, x), restrict_function(T.bundle, F, x), order)
         rhs = bf.value(x)
         err = abs(lhs - rhs)
         if err > worst:
@@ -120,7 +121,8 @@ def _relative_error(lhs: float, rhs: float) -> float:
 
 @_timed
 def check_leibniz(T: TransversalDistribution, F: Expr, alpha_max: int, grid,
-                  tolerance: float = 1e-8, binomial: bool = True) -> CheckReport:
+                  tolerance: float = 1e-8, binomial: bool = True,
+                  order: int | None = None) -> CheckReport:
     """D^alpha of T(F) against the family/function derivative expansion.
 
     With ``binomial=False`` the expansion drops the binomial coefficients
@@ -129,7 +131,7 @@ def check_leibniz(T: TransversalDistribution, F: Expr, alpha_max: int, grid,
     """
     report = CheckReport("leibniz")
     b = T.bundle
-    bf = dist.evaluate(T, F)
+    bf = dist.evaluate(T, F, order)
     family_cache = {}
     for alpha in ex.multi_indices_up_to(b.base_dim, alpha_max):
         direct = bf.derivative(alpha)
@@ -148,7 +150,7 @@ def check_leibniz(T: TransversalDistribution, F: Expr, alpha_max: int, grid,
                 dT = family_cache[beta]
                 dF = F.diff(b.base_alpha_to_total(gamma))
                 rhs += coeff * dist.pair(dist.restrict(dT, x),
-                                         restrict_function(b, dF, x))
+                                         restrict_function(b, dF, x), order)
             err = _relative_error(lhs, rhs)
             if err > worst:
                 worst, witness = err, {"x": tuple(map(float, x)), "alpha": alpha,
@@ -189,7 +191,8 @@ def check_smoothness(T: TransversalDistribution, F: Expr, alpha, grid,
                      h_sequence=(1e-2, 5e-3, 2.5e-3, 1.25e-3),
                      min_order: float = 1.9, terminal_tolerance: float = 1e-5,
                      boundary_margin: float = 0.05,
-                     derivative_scale: float = 1.0) -> CheckReport:
+                     derivative_scale: float = 1.0,
+                     order: int | None = None) -> CheckReport:
     """Central differences of T(F) against its exact derivative.
 
     Points whose symbolic part sits within ``boundary_margin`` of a bump
@@ -198,7 +201,7 @@ def check_smoothness(T: TransversalDistribution, F: Expr, alpha, grid,
     ``derivative_scale`` rescales the exact derivative (sensitivity hook).
     """
     report = CheckReport("smoothness")
-    bf = dist.evaluate(T, F)
+    bf = dist.evaluate(T, F, order)
     alpha = ex.check_multi_index(alpha, T.bundle.base_dim)
     exact_fn = bf.derivative(alpha)
     for x in grid:
@@ -234,7 +237,7 @@ def check_smoothness(T: TransversalDistribution, F: Expr, alpha, grid,
 @_timed
 def check_duality(F_list, T_list, grid, cutoff: Expr | None = None,
                   tolerance: float = 1e-10, probe_grid=None,
-                  pair_scale: float = 1.0) -> CheckReport:
+                  pair_scale: float = 1.0, order: int | None = None) -> CheckReport:
     """Bilinearity, two-sided module linearity, and probe injectivity.
 
     ``pair_scale`` rescales one side of the module-linearity identities
@@ -249,8 +252,8 @@ def check_duality(F_list, T_list, grid, cutoff: Expr | None = None,
 
     worst_add, witness_add = 0.0, None
     for (F1, F2), T in itertools.product(itertools.combinations(F_list, 2), T_list):
-        lhs = dist.hat_pair(ex.add(F1, F2), T)
-        a1, a2 = dist.hat_pair(F1, T), dist.hat_pair(F2, T)
+        lhs = dist.hat_pair(ex.add(F1, F2), T, order)
+        a1, a2 = dist.hat_pair(F1, T, order), dist.hat_pair(F2, T, order)
         for x in grid:
             err = abs(lhs.value(x) - (a1.value(x) + a2.value(x)))
             if err > worst_add:
@@ -259,8 +262,8 @@ def check_duality(F_list, T_list, grid, cutoff: Expr | None = None,
 
     worst, witness = 0.0, None
     for F, (T1, T2) in itertools.product(F_list, itertools.combinations(T_list, 2)):
-        lhs = dist.hat_pair(F, T1 + T2)
-        a1, a2 = dist.hat_pair(F, T1), dist.hat_pair(F, T2)
+        lhs = dist.hat_pair(F, T1 + T2, order)
+        a1, a2 = dist.hat_pair(F, T1, order), dist.hat_pair(F, T2, order)
         for x in grid:
             err = abs(lhs.value(x) - (a1.value(x) + a2.value(x)))
             if err > worst:
@@ -269,9 +272,9 @@ def check_duality(F_list, T_list, grid, cutoff: Expr | None = None,
 
     worst, witness = 0.0, None
     for F, T in itertools.product(F_list, T_list):
-        base = dist.hat_pair(F, T)
-        via_T = dist.hat_pair(F, dist.module_action_base(f, T))
-        via_F = dist.hat_pair(ex.mul(extend_base_function(b, f), F), T)
+        base = dist.hat_pair(F, T, order)
+        via_T = dist.hat_pair(F, dist.module_action_base(f, T), order)
+        via_F = dist.hat_pair(ex.mul(extend_base_function(b, f), F), T, order)
         for x in grid:
             want = pair_scale * f.evaluate(x) * base.value(x)
             e1 = abs(via_T.value(x) - want)
@@ -339,7 +342,7 @@ def _bump_probe(bundle: TrivialBundle, centre, radius: float) -> Expr:
 @_timed
 def check_support(T: TransversalDistribution, probe_count: int = 50,
                   tolerance: float = 1e-12, seed: int = 20240501,
-                  support_fn=total_support) -> CheckReport:
+                  support_fn=total_support, order: int | None = None) -> CheckReport:
     """Probes supported outside the support box must evaluate to zero,
     and the base support must equal the base projection of the total one."""
     report = CheckReport("support")
@@ -351,7 +354,7 @@ def check_support(T: TransversalDistribution, probe_count: int = 50,
     if probe_count:
         for centre in _probe_centres_outside(box, probe_count, rng, radius):
             probe = _bump_probe(b, centre, radius)
-            bf = dist.evaluate(T, probe)
+            bf = dist.evaluate(T, probe, order)
             xs = [centre[:b.base_dim],
                   tuple(0.5 * c for c in centre[:b.base_dim]),
                   (0.0,) * b.base_dim]
@@ -377,7 +380,8 @@ def check_support(T: TransversalDistribution, probe_count: int = 50,
 def check_localization(T: TransversalDistribution, x,
                        tolerance: float = 1e-10,
                        probe_functions=None,
-                       decompose_fn=dist.localize_decompose) -> CheckReport:
+                       decompose_fn=dist.localize_decompose,
+                       order: int | None = None) -> CheckReport:
     """When T_x = 0, the decomposition exists, every factor vanishes at x,
     and the recomposition agrees with T extensionally on probes."""
     report = CheckReport("localization")
@@ -404,8 +408,8 @@ def check_localization(T: TransversalDistribution, x,
     worst, witness = 0.0, None
     grid = [tuple(x), tuple(0.4 + xi for xi in x), tuple(-0.3 + xi for xi in x)]
     for G in probe_functions:
-        bfT = dist.evaluate(T, G)
-        bfR = dist.evaluate(R, G)
+        bfT = dist.evaluate(T, G, order)
+        bfR = dist.evaluate(R, G, order)
         for pt in grid:
             err = abs(bfT.value(pt) - bfR.value(pt))
             if err > worst:
@@ -413,6 +417,6 @@ def check_localization(T: TransversalDistribution, x,
     report.add("recomposition matches T on probes", worst, tolerance, witness)
     vzero = dist.restrict(R, x)
     g_probes = [b.parse_fibre("1"), b.parse_fibre("y0"), b.parse_fibre("y0^2")]
-    worst = max(abs(dist.pair(vzero, g)) for g in g_probes)
+    worst = max(abs(dist.pair(vzero, g, order)) for g in g_probes)
     report.add("recomposed restriction vanishes at x", worst, max(tolerance, 1e-12))
     return report

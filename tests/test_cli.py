@@ -1,10 +1,13 @@
 import json
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
 import pytest
 
 from transdist import cli, quadrature, topology
+from transdist import distribution as dist
 
 
 def scene_path(name: str) -> str:
@@ -20,6 +23,22 @@ def run_cli(capsys, *argv):
 @pytest.fixture
 def dirac_scene():
     return scene_path("dirac_demo.json")
+
+
+@pytest.fixture
+def profile_scene(tmp_path):
+    """The density demo plus a profile whose verdict depends on both settings."""
+    doc = json.loads(open(scene_path("density_demo.json"), encoding="utf-8").read())
+    doc["profiles"] = {"p": {"orders": [0], "epsilons": [0.1], "families": [["1"]]}}
+    path = tmp_path / "density_profile.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def masked(reports):
+    """Check reports as JSON dicts without their wall-clock durations."""
+    return [{k: v for k, v in r.to_json_dict().items() if k != "duration_seconds"}
+            for r in reports]
 
 
 class TestLoadScene:
@@ -109,9 +128,13 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "check", dirac_scene, "--suite", "restriction")
         assert code == 0
 
-    def test_internal_error_is_exit_4(self, capsys, dirac_scene):
+    def test_internal_error_is_exit_4(self, capsys, monkeypatch, dirac_scene):
+        def broken(*args):
+            raise RuntimeError("broken library call")
+
+        monkeypatch.setattr(topology, "seminorm_eval", broken)
         code, out = run_cli(capsys, "seminorm", dirac_scene, "G",
-                            "--box=-1:1;-1:1", "--order", "-2")
+                            "--box=-1:1;-1:1", "--order", "2")
         assert code == 4
         assert "internal error" in json.loads(out)["error"]
 
@@ -122,18 +145,41 @@ class TestExitCodes:
         assert code == 1
         assert json.loads(out)["passed"] is False
 
+    def test_unsupported_operation_is_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "beta.json"
+        p.write_text(json.dumps({
+            "bundle": {"base_dim": 1, "fibre_dim": 1},
+            "operators": {
+                "Kd": [{"type": "dirac_section", "section": ["x0"],
+                        "weight": "bump(x0)", "beta": [1]}],
+                "Ka": [{"type": "dirac_section", "section": ["x0 + 1/2"],
+                        "weight": "bump(x0)"}]},
+        }))
+        code, out = run_cli(capsys, "compose", str(p), "Kd", "Ka")
+        assert code == cli.EXIT_USAGE
+        assert "not supported" in json.loads(out)["error"]
+
+    def test_lattice_over_budget_is_exit_2(self, capsys, dirac_scene):
+        for box in ("--box=0:1e308;0:1", "--box=0:1e4;0:1e4"):
+            code, out = run_cli(capsys, "seminorm", dirac_scene, "G", box,
+                                "--order", "1")
+            assert code == cli.EXIT_USAGE
+            assert "exceeds 5000000 points" in json.loads(out)["error"]
+
+    def test_bad_multi_index_length_stays_exit_6(self, capsys, dirac_scene):
+        code, _ = run_cli(capsys, "derive", dirac_scene, "T", "--alpha", "1,1")
+        assert code == cli.EXIT_DIMENSION
+
 
 class TestInputValidation:
     @pytest.mark.parametrize("flag", ["--quad-order", "--grid-density"])
     @pytest.mark.parametrize("value", ["0", "1", "-4"])
     def test_too_small_flag_is_usage_error(self, capsys, dirac_scene, flag, value):
-        before = (quadrature.default_order(), topology.default_grid_density())
         code = cli.main(["eval", dirac_scene, "T", "F", "--at", "0.5", flag, value])
         captured = capsys.readouterr()
         assert code == cli.EXIT_USAGE
         assert captured.out == ""
         assert f"{flag}: must be at least" in captured.err
-        assert (quadrature.default_order(), topology.default_grid_density()) == before
 
     def test_grid_density_two_is_usage_error(self, capsys, dirac_scene):
         code = cli.main(["eval", dirac_scene, "T", "F", "--at", "0.5",
@@ -142,15 +188,55 @@ class TestInputValidation:
         assert "--grid-density: must be at least 3" in capsys.readouterr().err
 
     def test_smallest_valid_flags_are_used(self, capsys, dirac_scene):
-        before = (quadrature.default_order(), topology.default_grid_density())
-        try:
-            code, out = run_cli(capsys, "eval", dirac_scene, "T", "F", "--at", "0.5",
-                                "--quad-order", "2", "--grid-density", "3")
-            assert code == 0
-            assert (quadrature.default_order(), topology.default_grid_density()) == (2, 3)
-        finally:
-            quadrature.set_default_order(before[0])
-            topology.set_default_grid_density(before[1])
+        density_scene = scene_path("density_demo.json")
+        scene = cli.load_scene(density_scene)
+        bf = dist.evaluate(scene.distribution("Tphi"), scene.function("F"), order=2)
+        code, out = run_cli(capsys, "eval", density_scene, "Tphi", "F", "--at", "0.5",
+                            "--quad-order", "2", "--grid-density", "3")
+        assert code == 0
+        assert json.loads(out)["value"] == bf.value((0.5,))
+        assert bf.value((0.5,)) != dist.evaluate(scene.distribution("Tphi"),
+                                                 scene.function("F")).value((0.5,))
+        p = topology.Seminorm(cli._parse_box("-0.9:0.9;-0.9:0.9"), 0)
+        F = cli.load_scene(dirac_scene).function("F")
+        code, out = run_cli(capsys, "seminorm", dirac_scene, "F",
+                            "--box=-0.9:0.9;-0.9:0.9", "--order", "0",
+                            "--quad-order", "2", "--grid-density", "3")
+        assert code == 0
+        assert json.loads(out)["value"] == topology.seminorm_eval(p, F, 3) == 2.0
+        assert topology.seminorm_eval(p, F) == 2.765625
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-1", "-1e-300"])
+    def test_bad_tolerance_scale_is_usage_error(self, capsys, dirac_scene, value):
+        code = cli.main(["check", dirac_scene, "--suite", "support",
+                         f"--tolerance-scale={value}"])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert "--tolerance-scale: must be" in captured.err
+
+    @pytest.mark.parametrize("argv, message", [
+        (["seminorm", "G", "--box=0:1;0:1", "--order=-1"],
+         "--order: must be at least 0, got -1"),
+        (["seminorm", "G", "--box=0:1;0:1", "--order=x"], "--order: invalid int value"),
+        (["derive", "T", "--alpha=a"], "--alpha: invalid multi-index value: 'a'"),
+        (["derive", "T", "--alpha=-1"], "--alpha: must be at least 0, got -1"),
+        (["derive", "T", "--alpha=1,"], "--alpha: invalid multi-index value"),
+    ])
+    def test_bad_order_or_alpha_is_usage_error(self, capsys, dirac_scene, argv, message):
+        code = cli.main([argv[0], dirac_scene] + argv[1:])
+        captured = capsys.readouterr()
+        assert code == cli.EXIT_USAGE
+        assert captured.out == ""
+        assert message in captured.err
+
+    @pytest.mark.parametrize("box", ["0:nan;0:1", "0:1;-inf:1", "0:1e400;0:1",
+                                     "1:0;0:1", "0:1;0:x"])
+    def test_bad_box_is_parse_error(self, capsys, dirac_scene, box):
+        code, out = run_cli(capsys, "seminorm", dirac_scene, "G", f"--box={box}",
+                            "--order", "1")
+        assert code == cli.EXIT_PARSE
+        assert json.loads(out)["error"].startswith(f"bad box {box!r}")
 
     @pytest.mark.parametrize("point", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_point_is_parse_error(self, capsys, dirac_scene, point):
@@ -267,3 +353,77 @@ class TestCheckCommand:
                             "--suite", "support")
         assert code == 0
         assert "overall: PASS" in out
+
+
+class TestExplicitSettings:
+    """The flags reach every library call that takes an order or a density.
+
+    Each run with a flag must equal a run without it under a moved default,
+    so a call site that drops the value falls back to the unmoved default
+    and fails the comparison.
+    """
+
+    @pytest.mark.parametrize("name", ["density_demo.json", "operator_demo.json"])
+    def test_check_order_reaches_every_call(self, monkeypatch, name):
+        scene = cli.load_scene(scene_path(name))
+        default = masked(cli.run_checks(scene, cli.SUITES))
+        explicit = masked(cli.run_checks(scene, cli.SUITES, order=16))
+        monkeypatch.setattr(quadrature, "DEFAULT_ORDER", 16)
+        assert masked(cli.run_checks(scene, cli.SUITES)) == explicit != default
+
+    @pytest.mark.parametrize("module, constant, flag, argv", [
+        (quadrature, "DEFAULT_ORDER", "--quad-order", ["eval", "density", "Tphi", "F"]),
+        (quadrature, "DEFAULT_ORDER", "--quad-order",
+         ["apply", "operator", "Kphi", "--g", "y0^2"]),
+        (quadrature, "DEFAULT_ORDER", "--quad-order", ["compose", "operator", "Kphi", "Kphi"]),
+        (quadrature, "DEFAULT_ORDER", "--quad-order", ["compose", "operator", "Ka", "Kphi"]),
+        (quadrature, "DEFAULT_ORDER", "--quad-order",
+         ["member", "profile", "p", "--distribution", "Tphi"]),
+        (topology, "DEFAULT_GRID_DENSITY", "--grid-density",
+         ["member", "profile", "p", "--distribution", "Tphi"]),
+        (topology, "DEFAULT_GRID_DENSITY", "--grid-density",
+         ["member", "dirac", "coarse", "--function", "5*x0*bump(x0)"]),
+        (topology, "DEFAULT_GRID_DENSITY", "--grid-density",
+         ["seminorm", "dirac", "F", "--box=-0.9:0.9;-0.9:0.9", "--order", "1"]),
+    ], ids=["eval", "apply", "compose-numeric", "compose-graph", "member-lfB-order",
+            "member-lfB-density", "member-lf", "seminorm"])
+    def test_flag_reaches_every_call(self, capsys, monkeypatch, profile_scene,
+                                     module, constant, flag, argv):
+        scenes = {"profile": profile_scene}
+        scene = scenes.get(argv[1]) or scene_path(f"{argv[1]}_demo.json")
+        argv = [argv[0], scene] + argv[2:]
+
+        def output(*extra):
+            code, out = run_cli(capsys, *argv, *extra)
+            assert code == 0, out
+            return out
+
+        default = output()
+        explicit = output(flag, "5")
+        monkeypatch.setattr(module, constant, 5)
+        assert output() == explicit != default
+
+    def test_flags_before_and_after_the_command_agree(self, capsys):
+        argv = ["eval", scene_path("density_demo.json"), "Tphi", "F", "--at", "0.5"]
+        flags = ["--quad-order", "5", "--format", "table"]
+        before = run_cli(capsys, *flags, *argv)
+        assert before == run_cli(capsys, *argv, *flags) != run_cli(capsys, *argv)
+        assert before[1].startswith("command: eval")
+
+    def test_concurrent_checks_at_different_orders(self):
+        scene = cli.load_scene(scene_path("density_demo.json"))
+        orders = (8, 16, 64)
+
+        def run(order):
+            return masked(cli.run_checks(scene, cli.SUITES, 1.0, order))
+
+        expected = [run(q) for q in orders]
+        assert expected[0] != expected[1] != expected[2]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=3) as pool:
+                got = list(pool.map(run, orders, timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected

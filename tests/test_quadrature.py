@@ -209,17 +209,21 @@ class TestCorrectlyRoundedSum:
 
 
 class TestDefaultOrder:
-    def test_override_and_restore(self):
-        old = qd.default_order()
-        try:
-            qd.set_default_order(48)
-            assert qd.default_order() == 48
-        finally:
-            qd.set_default_order(old)
+    def test_override_and_restore(self, monkeypatch):
+        """None resolves to DEFAULT_ORDER when a rule is asked for, not before."""
+        box = Box.of([(-1, 1)])
+        with monkeypatch.context() as m:
+            m.setattr(qd, "DEFAULT_ORDER", 48)
+            assert qd.rule(box).order == 48
+        assert qd.rule(box).order == qd.DEFAULT_ORDER == 64
 
     def test_invalid_order_rejected(self):
-        with pytest.raises(ValueError):
-            qd.set_default_order(1)
+        box = Box.of([(-1, 1)])
+        for order in (1, 0, -3):
+            with pytest.raises(ValueError, match="at least 2"):
+                qd.rule(box, order)
+            with pytest.raises(ValueError, match="at least 2"):
+                qd.integrate(ex.parse("x0", 1), box, order)
 
 
 class TestSharedRule:
@@ -231,8 +235,8 @@ class TestSharedRule:
 
     def test_none_means_the_default_order(self):
         box = Box.of([(-1, 1)])
-        assert qd.rule(box) is qd.rule(box, qd.default_order())
-        assert qd.rule(box).order == qd.default_order()
+        assert qd.rule(box) is qd.rule(box, qd.DEFAULT_ORDER)
+        assert qd.rule(box).order == qd.DEFAULT_ORDER
 
     def test_arrays_are_read_only(self):
         r = qd.rule(Box.of([(0, 1), (0, 2)]), 8)

@@ -2,8 +2,10 @@
 
 Every fibre integral goes through ``quadrature.integrate`` (or, for the
 composed-kernel matrix product, ``quadrature.rule``), so quadrature rules
-are built, and the default order is read, in ``quadrature.py`` alone; and
-every tensor grid comes from ``quadrature.tensor_grid``.
+are built in ``quadrature.py`` alone; every tensor grid comes from
+``quadrature.tensor_grid``.  The default quadrature order and grid density
+are constants, each read in the one function that resolves ``None``, and
+no module rebinds a global: settings travel as arguments.
 """
 
 import ast
@@ -14,17 +16,19 @@ import transdist
 PACKAGE = Path(transdist.__file__).parent
 
 
-def calls_of(name: str):
-    """(module file, enclosing function) of every call of ``name`` in the package."""
+def _name(node):
+    return node.attr if isinstance(node, ast.Attribute) else getattr(node, "id", None)
+
+
+def nodes_where(match):
+    """(module file, enclosing function) of every package AST node ``match`` accepts."""
     found = []
 
     def visit(node, module, scope):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             scope = node.name
-        if isinstance(node, ast.Call):
-            f = node.func
-            if (f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)) == name:
-                found.append((module, scope))
+        if match(node):
+            found.append((module, scope))
         for child in ast.iter_child_nodes(node):
             visit(child, module, scope)
 
@@ -33,10 +37,20 @@ def calls_of(name: str):
     return found
 
 
+def calls_of(name: str):
+    return nodes_where(lambda n: isinstance(n, ast.Call) and _name(n.func) == name)
+
+
+def reads_of(name: str):
+    return nodes_where(lambda n: isinstance(getattr(n, "ctx", None), ast.Load)
+                       and _name(n) == name)
+
+
 def test_package_sources_are_found():
     assert {"quadrature.py", "distribution.py", "operators.py"} <= {
         p.name for p in PACKAGE.glob("*.py")}
     assert calls_of("integrate")
+    assert reads_of("DEFAULT_ORDER")
 
 
 def test_rules_are_built_only_in_quadrature():
@@ -44,7 +58,37 @@ def test_rules_are_built_only_in_quadrature():
 
 
 def test_default_order_is_read_only_in_quadrature():
-    assert {module for module, _ in calls_of("default_order")} <= {"quadrature.py"}
+    assert reads_of("DEFAULT_ORDER") == [("quadrature.py", "rule")]
+    assert reads_of("DEFAULT_GRID_DENSITY") == [("topology.py", "lattice_pitch")]
+
+
+def test_no_module_rebinds_a_global():
+    assert nodes_where(lambda n: isinstance(n, ast.Global)) == []
+
+
+# Library calls that take a quadrature order or a grid density.
+SETTING_TAKERS = {"evaluate", "hat_pair", "pair", "apply", "compose", "seminorm_eval",
+                  "lf_membership", "lfB_membership", "check_restriction_compat",
+                  "check_leibniz", "check_smoothness", "check_duality", "check_support",
+                  "check_localization"}
+
+
+def test_cli_and_verify_pass_their_settings_on():
+    """Outputs cannot show every dropped order: a probe outside the support
+    integrates to exactly 0 at any order.  So the source is checked too."""
+    def takes_setting(n):
+        return (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and _name(n.func.value) in {"dist", "ops", "topology", "verify"}
+                and n.func.attr in SETTING_TAKERS)
+
+    def passes_setting(n):
+        passed = n.args + [k.value for k in n.keywords]
+        return any(_name(a) in {"order", "quad_order", "grid_density"} for a in passed)
+
+    takers = [hit for hit in nodes_where(takes_setting) if hit[0] in ("cli.py", "verify.py")]
+    assert {module for module, _ in takers} == {"cli.py", "verify.py"}
+    assert [hit for hit in nodes_where(lambda n: takes_setting(n) and not passes_setting(n))
+            if hit[0] in ("cli.py", "verify.py")] == []
 
 
 def test_one_tensor_grid_helper():

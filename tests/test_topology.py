@@ -48,12 +48,24 @@ class TestSeminorm:
         assert all(round(v / pitch) in outer_set for v in inner[:, 0])
 
     def test_grid_density_override(self):
-        old = tp.default_grid_density()
-        try:
-            tp.set_default_grid_density(65)
-            assert len(tp.lattice_points(Box.of([(-1, 1)]))) == 65
-        finally:
-            tp.set_default_grid_density(old)
+        box = Box.of([(-1, 1)])
+        assert len(tp.lattice_points(box, 65)) == 65
+        assert len(tp.lattice_points(box)) == tp.DEFAULT_GRID_DENSITY == 33
+        p, F = tp.Seminorm(box, 0), ex.parse("bump(x0 - 1/4)", 1)
+        # the lattice {-1, -1/2, 0, 1/2, 1} misses the peak at 1/4; pitch 1/16 hits it
+        assert tp.seminorm_eval(p, F, density=5) == pytest.approx(math.exp(-16 / 15),
+                                                                  rel=1e-15)
+        assert tp.seminorm_eval(p, F) == pytest.approx(math.exp(-1), rel=1e-15)
+
+    def test_lattice_over_budget_is_rejected_before_allocating(self):
+        assert tp.MAX_LATTICE_POINTS >= 100 * 73 * 17 * 33
+        for box in (Box.of([(0, 1e308), (0, 1)]), Box.of([(0, 1e4), (0, 1e4)]),
+                    Box.of([(-math.inf, 0)]), Box.of([(0, 1)] * 6)):
+            with pytest.raises(ex.ExprError, match="exceeds"):
+                tp.lattice_points(box)
+        with pytest.raises(ex.ExprError, match="exceeds"):
+            tp.seminorm_eval(tp.Seminorm(Box.of([(0, 1e308), (0, 1)]), 1),
+                             ex.parse("x0 + x1", 2))
 
 
 @settings(max_examples=25, deadline=None)
