@@ -53,12 +53,14 @@ class TrivialBundle:
         """Function on a fibre (y variables only, ambient k)."""
         return expr.parse(text, self.fibre_dim, base_dim=0)
 
-    def join(self, x, Z: np.ndarray) -> np.ndarray:
-        """Total-space points (x, z) for one base point x and fibre points Z (N, k)."""
-        pts = np.empty((Z.shape[0], self.total_dim))
-        pts[:, :self.base_dim] = np.asarray(x, dtype=float)
-        pts[:, self.base_dim:] = Z
-        return pts
+    def join(self, X, Z: np.ndarray) -> np.ndarray:
+        """Total-space points (x, z) for each x in X, one base point or an
+        (M, l) block, and each z in Z (N, k): M * N rows, x-major."""
+        X = np.asarray(X, dtype=float).reshape(-1, self.base_dim)
+        pts = np.empty((X.shape[0], Z.shape[0], self.total_dim))
+        pts[:, :, :self.base_dim] = X[:, None, :]
+        pts[:, :, self.base_dim:] = Z
+        return pts.reshape(-1, self.total_dim)
 
     # -- multi-index embeddings -----------------------------------------
 
@@ -69,9 +71,6 @@ class TrivialBundle:
     def fibre_beta_to_total(self, beta):
         beta = expr.check_multi_index(beta, self.fibre_dim)
         return (0,) * self.base_dim + beta
-
-    def zero_base_alpha(self):
-        return (0,) * self.base_dim
 
     def zero_fibre_beta(self):
         return (0,) * self.fibre_dim
@@ -96,9 +95,6 @@ class Section:
 
     def value(self, x) -> tuple:
         return tuple(c.evaluate(x) for c in self.components)
-
-    def graph_point(self, x) -> tuple:
-        return tuple(x) + self.value(x)
 
 
 def section_from_strings(bundle: TrivialBundle, texts, domain: Box | None = None) -> Section:

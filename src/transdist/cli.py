@@ -572,7 +572,8 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--format", choices=("json", "table"))
     common.add_argument("--quad-order", type=_at_least(2),
-                        help="quadrature order per axis (at least 2)")
+                        help="quadrature order per axis (at least 2; a rule over "
+                             "quadrature.MAX_ORDER or MAX_RULE_POINTS exits 2)")
     common.add_argument("--grid-density", type=_at_least(3),
                         help="lattice points per axis of [-1, 1] (at least 3)")
     common.add_argument("--tolerance-scale", type=_at_least(0, float),

@@ -78,10 +78,6 @@ def check_multi_index(alpha, dim: int) -> MultiIndex:
     return alpha
 
 
-def add_multi_indices(alpha, beta) -> MultiIndex:
-    return tuple(a + b for a, b in zip(alpha, beta))
-
-
 def multi_indices_below(beta) -> list:
     """All gamma <= beta componentwise, lexicographically (first slot slowest)."""
     return list(itertools.product(*(range(b + 1) for b in beta)))

@@ -18,6 +18,13 @@ Term-by-term composition rules:
   quadrature-backed numeric kernel; one further composition with such a
   kernel is allowed, after which composition is rejected.
 
+Density and numeric kernels are evaluated over whole pair grids:
+``pair_values(term, Y, Z)`` gives psi(y_i, z_j) for base points Y and fibre
+points Z in one ``eval_array`` pass of at most ``PAIR_BLOCK`` joined rows;
+a single base point is the case of one row.  A numeric kernel evaluates its
+inner factor once for all of Y and contracts row by row, so its values do
+not depend on how many base points are asked for at once.
+
 Dirac terms carrying fibre derivatives (beta != 0) are applied but never
 composed; the jet expansion that composition would need is out of scope.
 """
@@ -38,6 +45,10 @@ from .distribution import (BaseFunction, DensityTerm, DiracSectionTerm, NumericP
 from .expr import Box, DimensionError, Expr, ExprError
 
 MAX_NUMERIC_DEPTH = 2
+# Joined (y, z) rows per eval_array pass of a density kernel: 65,536 rows of
+# a 2+2 bundle are 2 MB, where a whole 2-d order-64 pair grid (4096 x 4096
+# rows) would take 0.5 GB.
+PAIR_BLOCK = 65_536
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,10 +59,21 @@ class NumericKernelTerm:
     base_box: Box
     fibre_box: Box
     depth: int
-    values_fn: object  # callable (x, Z: (N, l)) -> (N,) kernel values
+    values_fn: object  # callable (Y: (M, l), Z: (N, l)) -> (M, N) kernel values
 
     def values(self, x, Z: np.ndarray) -> np.ndarray:
-        return self.values_fn(tuple(float(c) for c in x), np.asarray(Z, dtype=float))
+        return pair_values(self, np.asarray([x], dtype=float), np.asarray(Z, dtype=float))[0]
+
+
+def pair_values(term, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """Kernel values psi(y_i, z_j) of a density or numeric term, shape (M, N)."""
+    if isinstance(term, NumericKernelTerm):
+        return term.values_fn(Y, Z)
+    n = Z.shape[0]
+    step = max(PAIR_BLOCK // max(n, 1), 1)
+    return np.concatenate([
+        term.phi.eval_array(term.bundle.join(Y[i:i + step], Z)).reshape(-1, n)
+        for i in range(0, Y.shape[0], step)])
 
 
 def _classify(term) -> str:
@@ -127,26 +149,25 @@ def apply_to_values(K: KernelOperator, fn, fn_support: Box,
     b = K.bundle
     if any(k == "dirac_derivative" for k in K.kinds):
         raise ExprError("pointwise application needs derivative-free terms")
-    # Dirac terms as None; density and numeric terms as (kernel values, fibre box)
-    fibre_parts = [None if isinstance(t, DiracSectionTerm) else
-                   (_values_fn(t, b), _term_boxes(t, b)[1].intersect(fn_support))
-                   for t in K.terms]
+    # Dirac terms as None; density and numeric terms as their fibre box
+    fibre_boxes = [None if isinstance(t, DiracSectionTerm) else
+                   _term_boxes(t, b)[1].intersect(fn_support) for t in K.terms]
 
     def fn_values(Z):
         return np.array([fn(tuple(z)) for z in Z])
 
     def value(x):
         x = tuple(float(c) for c in x)
+        X = np.asarray([x])
         total = 0.0
-        for term, part in zip(K.terms, fibre_parts):
-            if part is None:
+        for term, box in zip(K.terms, fibre_boxes):
+            if box is None:
                 w = term.weight.evaluate(x)
                 if w != 0.0:
                     total += w * fn(term.section.value(x))
             else:
-                kernel, box = part
-                total += quadrature.integrate(lambda Z: kernel(x, Z) * fn_values(Z),
-                                              box, order)
+                total += quadrature.integrate(
+                    lambda Z: pair_values(term, X, Z)[0] * fn_values(Z), box, order)
         return total
 
     return value
@@ -276,26 +297,20 @@ def _term_boxes(term, b: TrivialBundle):
     return term.base_box, term.fibre_box
 
 
-def _values_fn(term, b: TrivialBundle):
-    """Pointwise kernel values of a density or numeric term."""
-    if isinstance(term, NumericKernelTerm):
-        return term.values
-    return lambda x, Z: term.phi.eval_array(b.join(x, Z))
-
-
 def _compose_numeric(t1, t2, b: TrivialBundle, order):
     depth1 = t1.depth if isinstance(t1, NumericKernelTerm) else 0
     depth2 = t2.depth if isinstance(t2, NumericKernelTerm) else 0
     if isinstance(t1, DiracSectionTerm):
         # f1(x) * psi2(sigma1(x), z): reindex, no extra quadrature level
         section, weight = t1.section, t1.weight
-        v2 = _values_fn(t2, b)
 
-        def fn(x, Z, _v2=v2, _section=section, _weight=weight):
-            w = _weight.evaluate(x)
-            if w == 0.0:
-                return np.zeros(Z.shape[0])
-            return w * _v2(_section.value(x), Z)
+        def fn(Y, Z, _t2=t2, _section=section, _weight=weight):
+            out = np.zeros((Y.shape[0], Z.shape[0]))
+            for i, x in enumerate(Y.tolist()):
+                w = _weight.evaluate(x)
+                if w != 0.0:
+                    out[i] = w * pair_values(_t2, np.asarray([_section.value(x)]), Z)[0]
+            return out
 
         base1, _ = _term_boxes(t1, b)
         _, fibre2 = _term_boxes(t2, b)
@@ -304,13 +319,12 @@ def _compose_numeric(t1, t2, b: TrivialBundle, order):
         inverse, jac = _invert_affine_section(t2.section)
         f2_fibre = t2.weight.remap({s: s for s in t2.weight.free_slots}, b.fibre_dim)
         scale = 1.0 / float(jac)
-        v1 = _values_fn(t1, b)
 
-        def fn(x, Z, _v1=v1, _inv=inverse, _f2=f2_fibre, _scale=scale):
+        def fn(Y, Z, _t1=t1, _inv=inverse, _f2=f2_fibre, _scale=scale):
             S = np.stack([np.asarray([c.evaluate(z) for z in Z])
                           for c in _inv], axis=-1)
             w = np.array([_f2.evaluate(s) for s in S])
-            return _scale * w * _v1(x, S)
+            return _scale * w * pair_values(_t1, Y, S)
 
         base1, fibre1 = _term_boxes(t1, b)
         pre_image = t2.weight.support_box().intersect(fibre1)
@@ -328,13 +342,15 @@ def _compose_numeric(t1, t2, b: TrivialBundle, order):
     mid_box = fibre1.intersect(base2)
     base1, _ = _term_boxes(t1, b)
     if mid_box.volume() == 0.0:  # empty or degenerate
-        return NumericKernelTerm(b, base1, fibre2, depth, lambda x, Z: np.zeros(Z.shape[0]))
+        return NumericKernelTerm(b, base1, fibre2, depth,
+                                 lambda Y, Z: np.zeros((Y.shape[0], Z.shape[0])))
     rule = quadrature.rule(mid_box, order)
-    v1, v2 = _values_fn(t1, b), _values_fn(t2, b)
 
-    def fn(x, Z, _v1=v1, _v2=v2, _rule=rule):
-        left = _v1(x, _rule.points)  # psi1(x, y_i)
-        right = np.stack([_v2(tuple(y), Z) for y in _rule.points])  # psi2(y_i, z_j)
-        return (_rule.weights * left) @ right
+    def fn(Y, Z, _t1=t1, _t2=t2, _rule=rule):
+        left = pair_values(_t1, Y, _rule.points)  # psi1(x, y_i), one row per x
+        right = pair_values(_t2, _rule.points, Z)  # psi2(y_i, z_j), once for all x
+        # one vector-matrix product per row: a matrix-matrix product may
+        # accumulate in another order
+        return np.stack([(_rule.weights * row) @ right for row in left])
 
     return NumericKernelTerm(b, base1, fibre2, depth, fn)

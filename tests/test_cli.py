@@ -166,6 +166,14 @@ class TestExitCodes:
             assert code == cli.EXIT_USAGE
             assert "exceeds 5000000 points" in json.loads(out)["error"]
 
+    def test_quadrature_over_budget_is_exit_2(self, capsys):
+        scene = scene_path("density_demo.json")
+        for order in ("100000", str(quadrature.MAX_ORDER + 1)):
+            code, out = run_cli(capsys, "eval", scene, "Tphi", "F", "--at", "0",
+                                "--quad-order", order)
+            assert code == cli.EXIT_USAGE
+            assert "over the budget" in json.loads(out)["error"]
+
     def test_bad_multi_index_length_stays_exit_6(self, capsys, dirac_scene):
         code, _ = run_cli(capsys, "derive", dirac_scene, "T", "--alpha", "1,1")
         assert code == cli.EXIT_DIMENSION

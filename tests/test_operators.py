@@ -35,6 +35,12 @@ def K_density(pair_bundle):
                              pair_bundle.parse_total("bump(x0)*bump(y0)"))
 
 
+@pytest.fixture
+def K_psi(pair_bundle):
+    return op.density_kernel(pair_bundle,
+                             pair_bundle.parse_total("bump(x0/2)*bump(y0)*(2 + y0/3)"))
+
+
 def crosscheck_composition(K1, K2, g, xs=PROBE_XS, tol=1e-8):
     K = op.compose(K1, K2)
     lhs = op.apply(K, g)
@@ -109,6 +115,16 @@ class TestCompose:
             err, _ = crosscheck_composition(K1, K2, g)
             assert err < 1e-8, label
 
+    def test_two_sided_contract_with_numeric_inner_kernels(self, pair_bundle, K_density,
+                                                           K_psi):
+        g = pair_bundle.parse_fibre("y0^2 + 1")
+        K_dd = op.compose(K_density, K_psi)
+        for K1, K2, label in ((K_density, K_dd, "density,numeric"),
+                              (K_dd, K_dd, "numeric,numeric")):
+            err, K = crosscheck_composition(K1, K2, g)
+            assert err < 1e-8, label
+            assert K.terms[0].depth == 2, label
+
     def test_density_density_pointwise_value(self, pair_bundle, K_density):
         K = op.compose(K_density, K_density)
         val = K.terms[0].values((0.0,), np.array([[0.0]]))[0]
@@ -175,6 +191,56 @@ class TestCompose:
         K_ddd = op.compose(K_dd, K_density)
         with pytest.raises(ExprError, match="depth"):
             op.compose(K_ddd, K_density)
+
+
+def per_row_reference(bundle, phi, Y, Z):
+    """Density kernel values one base point at a time, as before pair grids."""
+    return np.stack([phi.eval_array(bundle.join(y, Z)) for y in Y])
+
+
+def low_order_grid(dim, order):
+    return qd.rule(Box.of([(-1.1, 1.1)] * dim), order).points
+
+
+PAIR_DENSITIES = {
+    (1, 1): "bump(x0)*bump(y0)*(1 + x0*y0/3 + sin(x0 - y0)*exp(y0/2))",
+    (2, 2): "bump(x0)*bump(x1)*bump(y0)*bump(y1)*(exp(x0*y1) + cos(x1 + y0)*x0)",
+}
+
+
+class TestPairValues:
+    """Pair values over a whole (y, z) grid equal the per-row values bit for bit."""
+
+    @pytest.mark.parametrize("dims", sorted(PAIR_DENSITIES))
+    def test_density_matches_per_row_reference(self, dims):
+        b = bd.TrivialBundle(*dims)
+        term = op.DensityTerm(b, b.parse_total(PAIR_DENSITIES[dims]))
+        Y, Z = low_order_grid(dims[0], 5), low_order_grid(dims[1], 6)
+        got = op.pair_values(term, Y, Z)
+        assert got.shape == (len(Y), len(Z))
+        assert (got == per_row_reference(b, term.phi, Y, Z)).all()
+        assert (op.pair_values(term, Y[2:3], Z)[0] == got[2]).all()
+
+    @pytest.mark.parametrize("block", [1, 7, 100, 36 * 25 - 1])
+    def test_blocks_smaller_than_the_pair_grid(self, monkeypatch, block):
+        b = bd.TrivialBundle(2, 2)
+        term = op.DensityTerm(b, b.parse_total(PAIR_DENSITIES[(2, 2)]))
+        Y, Z = low_order_grid(2, 5), low_order_grid(2, 6)  # 25 x 36 pairs
+        monkeypatch.setattr(op, "PAIR_BLOCK", block)
+        got = op.pair_values(term, Y, Z)
+        assert got.shape == (25, 36)
+        assert (got == per_row_reference(b, term.phi, Y, Z)).all()
+
+    def test_numeric_kernels_match_their_pointwise_values(self, pair_bundle, K_density,
+                                                          K_psi, K_shift_a):
+        K_dd = op.compose(K_density, K_psi, order=12)
+        Y, Z = low_order_grid(1, 7), low_order_grid(1, 9)
+        for K in (K_dd, op.compose(K_density, K_dd, order=12),
+                  op.compose(K_dd, K_dd, order=12), op.compose(K_shift_a, K_dd),
+                  op.compose(K_dd, K_shift_a)):
+            term = K.terms[0]
+            got = op.pair_values(term, Y, Z)
+            assert (got == np.stack([term.values(tuple(y), Z) for y in Y])).all()
 
 
 class TestOperatorCorrespondence:

@@ -226,6 +226,28 @@ class TestDefaultOrder:
                 qd.integrate(ex.parse("x0", 1), box, order)
 
 
+class TestRuleBudget:
+    def test_over_budget_rules_are_refused_before_building(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an over-budget rule reached the builder")
+
+        monkeypatch.setattr(qd, "_gauss_nodes", refuse)
+        monkeypatch.setattr(qd, "QuadratureRule", refuse)
+        # orders over MAX_ORDER, then point counts over MAX_RULE_POINTS
+        for dim, order in ((1, qd.MAX_ORDER + 1), (1, 100_000), (2, 725), (3, 81)):
+            box = Box.of([(-1, 1)] * dim)
+            with pytest.raises(ex.ExprError, match="over the budget"):
+                qd.rule(box, order)
+            with pytest.raises(ex.ExprError, match="over the budget"):
+                qd.integrate(lambda pts: np.ones(len(pts)), box, order)
+
+    def test_budget_admits_the_largest_planned_rules(self):
+        assert qd.MAX_ORDER >= 2 * qd.DEFAULT_ORDER
+        assert 724 ** 2 <= qd.MAX_RULE_POINTS  # 2-d fibres up to order 724
+        assert 64 ** 3 <= qd.MAX_RULE_POINTS  # a 3-d fibre at the default order
+        assert len(qd.rule(Box.of([(-1, 1)]), qd.MAX_ORDER).points) == qd.MAX_ORDER
+
+
 class TestSharedRule:
     def test_equal_boxes_and_orders_give_the_same_rule(self):
         r = qd.rule(Box.of([(0, 1), (-1, 2)]), 12)

@@ -3,7 +3,8 @@
 Every fibre integral goes through ``quadrature.integrate`` (or, for the
 composed-kernel matrix product, ``quadrature.rule``), so quadrature rules
 are built in ``quadrature.py`` alone; every tensor grid comes from
-``quadrature.tensor_grid``.  The default quadrature order and grid density
+``quadrature.tensor_grid``, and no loop in ``operators.py`` visits a rule's
+nodes one by one.  The default quadrature order and grid density
 are constants, each read in the one function that resolves ``None``, and
 no module rebinds a global: settings travel as arguments.
 """
@@ -89,6 +90,20 @@ def test_cli_and_verify_pass_their_settings_on():
     assert {module for module, _ in takers} == {"cli.py", "verify.py"}
     assert [hit for hit in nodes_where(lambda n: takes_setting(n) and not passes_setting(n))
             if hit[0] in ("cli.py", "verify.py")] == []
+
+
+def test_no_loop_in_operators_runs_over_rule_nodes():
+    """Kernels take every quadrature node in one pair-grid pass (see
+    ``operators.pair_values``), never one node at a time."""
+    def loops_over_points(n):
+        return (isinstance(n, (ast.For, ast.comprehension))
+                and any(_name(sub) == "points" for sub in ast.walk(n.iter)))
+
+    def in_operators(match):
+        return [hit for hit in nodes_where(match) if hit[0] == "operators.py"]
+
+    assert in_operators(lambda n: isinstance(n, ast.comprehension))  # loops are seen
+    assert in_operators(loops_over_points) == []
 
 
 def test_one_tensor_grid_helper():
