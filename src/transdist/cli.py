@@ -22,6 +22,8 @@ import sys
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from . import distribution as dist
 from . import expr as ex
 from . import operators as ops
@@ -344,16 +346,24 @@ def _parse_box(text: str):
 # Commands
 
 
+def _finite(value: float, x) -> float:
+    """A value to print; NaN or an infinity, which JSON cannot hold, is an error."""
+    if not math.isfinite(value):
+        raise ExprError(f"value {value!r} at base point {tuple(x)} is not finite")
+    return value
+
+
 def _grid_values(scene: Scene, bf) -> list:
-    return [{"x": list(x), "value": bf.value(x)}
-            for x in _default_base_grid(scene.bundle, scene.checks)]
+    grid = _default_base_grid(scene.bundle, scene.checks)
+    values = bf.values(np.array(grid, dtype=float).reshape(-1, scene.bundle.base_dim))
+    return [{"x": list(x), "value": _finite(v, x)} for x, v in zip(grid, values.tolist())]
 
 
 def _values(scene: Scene, args, bf, payload: dict) -> dict:
     """The payload plus bf at the --at point, or on the scene's default grid."""
     if args.at:
         x = _parse_point(args.at, scene.bundle.base_dim)
-        return {**payload, "x": list(x), "value": bf.value(x)}
+        return {**payload, "x": list(x), "value": _finite(bf.value(x), x)}
     return {**payload, "values": _grid_values(scene, bf)}
 
 

@@ -165,6 +165,43 @@ def pair(v: PointDistribution, g: Expr, order: int | None = None) -> float:
     return total
 
 
+def pair_restrictions(T: TransversalDistribution, X, members,
+                      order: int | None = None) -> np.ndarray:
+    """``pair(restrict(T, x), g, order)`` for every row x of an (M, l) array
+    and every fibre function g in ``members``, shape (len(members), M).
+
+    Dirac terms go as array passes over the rows: the weight, then the
+    section components and each member's fibre derivative at the rows whose
+    weight is not zero (``pair`` skips zero coefficients).  Density terms
+    are restricted and paired point by point and added after the atoms, as
+    ``pair`` adds its density part, so every entry equals the pointwise
+    pairing bit for bit.
+    """
+    b = T.bundle
+    X = np.asarray(X, dtype=float)
+    out = np.zeros((len(members), X.shape[0]))
+    densities = []
+    for term in T.terms:
+        if isinstance(term, DensityTerm):
+            densities.append(term)
+            continue
+        w = term.weight.eval_array(X)
+        live = np.flatnonzero(w != 0.0)
+        if live.size == 0:
+            continue
+        w, at = w[live], X[live]
+        S = np.stack([c.eval_array(at) for c in term.section.components], axis=-1)
+        for j, g in enumerate(members):
+            out[j, live] += w * g.diff(term.beta).eval_array(S)
+    if densities:
+        T_density = TransversalDistribution(b, tuple(densities))
+        for i, x in enumerate(X.tolist()):
+            v = restrict(T_density, x)
+            for j, g in enumerate(members):
+                out[j, i] += pair(v, g, order)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # The smooth compactly supported base function T(F)
 
@@ -175,10 +212,12 @@ class QuadPart:
     integrand: Expr  # total-space function with bounded support
     fibre_box: Box  # fixed fibre integration box
 
-    def value(self, x, order) -> float:
-        return quadrature.integrate(
-            lambda Z: self.integrand.eval_array(self.bundle.join(x, Z)),
-            self.fibre_box, order)
+    def values(self, X: np.ndarray, order) -> np.ndarray:
+        """The fibre integral at each row of an (M, l) array of base points."""
+        return quadrature.integrate_rows(
+            lambda i, j, Z: self.integrand.eval_array(
+                self.bundle.join(X[i:j], Z)).reshape(j - i, -1),
+            self.fibre_box, X.shape[0], order)
 
     def diff_base(self, alpha) -> "QuadPart":
         total_alpha = self.bundle.base_alpha_to_total(alpha)
@@ -189,14 +228,16 @@ class QuadPart:
 class NumericPart:
     """A numeric kernel term (see operators) applied to a fibre function g."""
 
-    term: object  # NumericKernelTerm: values(x, Z) -> kernel values at (x, Z)
+    term: object  # NumericKernelTerm: values_fn(X, Z) -> kernel values, (M, N)
     g: Expr  # fibre function
     box: Box  # fibre integration box: the term's fibre box within g's support
     support_box: Box  # base box outside which the value vanishes
 
-    def value(self, x, order) -> float:
-        return quadrature.integrate(
-            lambda Z: self.term.values(x, Z) * self.g.eval_array(Z), self.box, order)
+    def values(self, X: np.ndarray, order) -> np.ndarray:
+        """The integral against g at each row of an (M, l) array of base points."""
+        return quadrature.integrate_rows(
+            lambda i, j, Z: self.term.values_fn(X[i:j], Z) * self.g.eval_array(Z),
+            self.box, X.shape[0], order)
 
 
 @dataclass(frozen=True)
@@ -205,7 +246,9 @@ class BaseFunction:
 
     Sum of an exact symbolic part, quadrature parts with differentiation
     under the integral sign, and (for composed numeric kernels) opaque
-    numeric parts that support pointwise evaluation only.
+    numeric parts that support evaluation only.  ``values(X)`` evaluates
+    at many base points in array passes, and ``value(x)`` is its one-row
+    case: the two agree bit for bit.
     """
 
     bundle: TrivialBundle
@@ -223,8 +266,27 @@ class BaseFunction:
             raise DimensionError("base point dimension mismatched with bundle")
         x = tuple(float(c) for c in x)
         total = self.symbolic.evaluate(x) if self.symbolic is not None else 0.0
+        parts = self.quad_parts + self.numeric_parts
+        if parts:
+            X = np.array([x])
+            for part in parts:
+                total += float(part.values(X, self.order)[0])
+        return total
+
+    def values(self, X) -> np.ndarray:
+        """The value at each row of an (M, l) array of base points.
+
+        One ``eval_array`` for the symbolic part and one joined pass per
+        block of base points for each quadrature or numeric part; each entry
+        equals ``value`` at its row, bit for bit.
+        """
+        X = np.asarray(X, dtype=float)
+        if X.ndim != 2 or X.shape[1] != self.bundle.base_dim:
+            raise DimensionError(f"expected base points of shape (M, {self.bundle.base_dim})")
+        total = (self.symbolic.eval_array(X) if self.symbolic is not None
+                 else np.zeros(X.shape[0]))
         for part in self.quad_parts + self.numeric_parts:
-            total += part.value(x, self.order)
+            total = total + part.values(X, self.order)
         return total
 
     def __call__(self, x) -> float:

@@ -30,6 +30,17 @@ not depend on how much is shared.  The memos hold only values that are pure
 functions of their node and die with it; there is no intern table, so
 structurally equal nodes built separately stay distinct objects.
 
+Scalar evaluation is the one-row case of array evaluation, bit for bit:
+``e.evaluate(p)`` equals every row of ``e.eval_array`` that holds p.  Both
+paths apply the same IEEE operations per node: exp, sin and cos come from
+numpy's ufuncs on floats and arrays alike, an integer power is one
+multiplication ladder, and a sum of three or more terms is correctly
+rounded (``math.fsum``'s value) on both, through ``quadrature.fsum_list``
+and its row-wise form ``quadrature.row_fsum``.  A two-term sum is one IEEE
+addition, which is already correctly rounded.  Where fsum would raise
+(inf + -inf, or an overflow), both take the IEEE sum, so a sum is NaN or
+infinite there rather than an error.
+
 Expression equality is structural only in the trivial sense (identical
 trees compare equal); semantic equality is always tested extensionally on
 grids, since simplification beyond constant folding is out of scope.
@@ -44,6 +55,8 @@ from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
+
+from . import quadrature
 
 MultiIndex = tuple  # tuple[int, ...], one derivative order per coordinate
 
@@ -570,13 +583,14 @@ class Sum(Expr):
     terms: tuple
 
     def _eval(self, point, vals, args):
-        return math.fsum([vals[i] for i in args])
+        if len(args) == 2:
+            return 0.0 + vals[args[0]] + vals[args[1]]
+        return quadrature.fsum_list([vals[i] for i in args])
 
     def _eval_arr(self, pts, vals, args):
-        acc = np.zeros(pts.shape[0])
-        for i in args:
-            acc = acc + vals[i]
-        return acc
+        if len(args) == 2:
+            return 0.0 + vals[args[0]] + vals[args[1]]
+        return quadrature.row_fsum([vals[i] for i in args])
 
     def _diff1(self, slot):
         return add(*(t.diff1(slot) for t in self.terms))
@@ -672,15 +686,10 @@ class IntPow(Expr):
     exponent: int
 
     def _eval(self, point, vals, args):
-        v = vals[args[0]]
-        try:
-            return v ** self.exponent
-        except OverflowError:
-            sign = -1.0 if (v < 0 and self.exponent % 2 == 1) else 1.0
-            return sign * _INF
+        return _power(vals[args[0]], self.exponent)
 
     def _eval_arr(self, pts, vals, args):
-        return vals[args[0]] ** self.exponent
+        return _power(vals[args[0]], self.exponent)
 
     def _diff1(self, slot):
         n = self.exponent
@@ -708,16 +717,31 @@ class IntPow(Expr):
         return f"{self.base._text(3)}^{self.exponent}"
 
 
+def _power(v, n: int):
+    """v**n by binary powering: the same multiplications on a float or an array."""
+    out = None
+    while True:
+        if n & 1:
+            out = v if out is None else out * v
+        n >>= 1
+        if not n:
+            return out
+        v = v * v
+
+
 class _Unary(Expr):
-    _fn = None
-    _np_fn = None
+    _np_fn = None  # a numpy ufunc, applied to floats and arrays alike
     _name = ""
 
     def _eval(self, point, vals, args):
-        return type(self)._fn(vals[args[0]])
+        u = vals[args[0]]
+        if abs(u) < 709.0:  # nothing overflows, nothing is invalid
+            return float(type(self)._np_fn(u))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(type(self)._np_fn(u))
 
     def _eval_arr(self, pts, vals, args):
-        with np.errstate(over="ignore"):
+        with np.errstate(over="ignore", invalid="ignore"):
             return type(self)._np_fn(vals[args[0]])
 
     def _rebuild(self, args):
@@ -730,15 +754,16 @@ class _Unary(Expr):
         return f"{self._name}({self.arg._text(0)})"
 
 
-def _exp_saturating(u: float) -> float:
-    # mathematically finite; saturate instead of raising on float overflow
-    return math.exp(u) if u < 709.0 else _INF
+def _exp_or_inf(u: float) -> float:
+    try:
+        return math.exp(u)
+    except OverflowError:
+        return _INF
 
 
 @dataclass(frozen=True)
 class Exp(_Unary):
     arg: Expr
-    _fn = _exp_saturating
     _np_fn = np.exp
     _name = "exp"
 
@@ -747,14 +772,12 @@ class Exp(_Unary):
 
     def _interval(self, box, memo):
         a, b = self.arg._iv(box, memo)
-        return _round_out(math.exp(a) if a > -_INF else 0.0,
-                          math.exp(min(b, 709.0)) if b < _INF else _INF)
+        return _round_out(_exp_or_inf(a), _exp_or_inf(b))
 
 
 @dataclass(frozen=True)
 class Sin(_Unary):
     arg: Expr
-    _fn = math.sin
     _np_fn = np.sin
     _name = "sin"
 
@@ -768,7 +791,6 @@ class Sin(_Unary):
 @dataclass(frozen=True)
 class Cos(_Unary):
     arg: Expr
-    _fn = math.cos
     _np_fn = np.cos
     _name = "cos"
 
@@ -796,14 +818,14 @@ class BumpRat(Expr):
         if abs(u) >= 1.0:
             return 0.0
         s = 1.0 - u * u
-        r = math.exp(-1.0 / s)
+        r = float(np.exp(-1.0 / s))
         for _ in range(self.pole_order):
             r /= s
         return r * _poly_eval_float(self._coeffs_float, u)
 
     def _eval_arr(self, pts, vals, args):
         u = vals[args[0]]
-        inside = np.abs(u) < 1.0
+        inside = ~(np.abs(u) >= 1.0)  # a NaN argument stays NaN, as on floats
         s = np.where(inside, 1.0 - u * u, 1.0)
         r = np.exp(-1.0 / s)
         for _ in range(self.pole_order):

@@ -20,10 +20,10 @@ Term-by-term composition rules:
 
 Density and numeric kernels are evaluated over whole pair grids:
 ``pair_values(term, Y, Z)`` gives psi(y_i, z_j) for base points Y and fibre
-points Z in one ``eval_array`` pass of at most ``PAIR_BLOCK`` joined rows;
-a single base point is the case of one row.  A numeric kernel evaluates its
-inner factor once for all of Y and contracts row by row, so its values do
-not depend on how many base points are asked for at once.
+points Z in ``eval_array`` passes of at most ``quadrature.PAIR_BLOCK``
+joined rows; a single base point is the case of one row.  A numeric kernel
+evaluates its inner factor once for all of Y and contracts row by row, so
+its values do not depend on how many base points are asked for at once.
 
 Dirac terms carrying fibre derivatives (beta != 0) are applied but never
 composed; the jet expansion that composition would need is out of scope.
@@ -45,10 +45,6 @@ from .distribution import (BaseFunction, DensityTerm, DiracSectionTerm, NumericP
 from .expr import Box, DimensionError, Expr, ExprError
 
 MAX_NUMERIC_DEPTH = 2
-# Joined (y, z) rows per eval_array pass of a density kernel: 65,536 rows of
-# a 2+2 bundle are 2 MB, where a whole 2-d order-64 pair grid (4096 x 4096
-# rows) would take 0.5 GB.
-PAIR_BLOCK = 65_536
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,7 +66,7 @@ def pair_values(term, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
     if isinstance(term, NumericKernelTerm):
         return term.values_fn(Y, Z)
     n = Z.shape[0]
-    step = max(PAIR_BLOCK // max(n, 1), 1)
+    step = max(quadrature.PAIR_BLOCK // max(n, 1), 1)
     return np.concatenate([
         term.phi.eval_array(term.bundle.join(Y[i:i + step], Z)).reshape(-1, n)
         for i in range(0, Y.shape[0], step)])

@@ -13,6 +13,11 @@ not depend on a BLAS kernel's order of accumulation.  A quadrature result
 is therefore a function of the integrand values alone.  Those values are
 not covered: numpy's vectorized elementary functions (``exp``, ``sin``, ...)
 may differ in the last ulp between builds and CPUs.
+
+The module also holds the sums that expression evaluation shares between
+its scalar and array paths: ``fsum_list`` for one list of terms and
+``row_fsum``, its vectorized row-wise form, so that a ``Sum`` node gives
+the same float on either path.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .expr import Box, Expr, ExprError
+from . import expr
 
 DEFAULT_ORDER = 64
 # The rule budget, checked before a rule is built.  _gauss_nodes costs about
@@ -52,6 +57,13 @@ _VECTOR_MIN = 512
 # Extraction passes before fsum hands a hard case (a near tie, or more
 # cancellation than the passes resolve) to math.fsum.
 _EXTRACT_PASSES = 3
+# Rows per pass of row_fsum: its temporaries stay a few arrays of 32 kB.
+_ROW_BLOCK = 4096
+# Rows per pass wherever many base points share one fibre grid: a pass
+# evaluates at most this many joined (x, z) rows, 2 MB of 2+2 points, where
+# a whole 2-d order-64 pair grid (4096 x 4096 rows) would take 0.5 GB.
+PAIR_BLOCK = 65_536
+
 
 def _legendre_pair(q: int, x, a, b):
     """(P_q(x), P_{q-1}(x)) by the three-term recurrence.
@@ -178,6 +190,69 @@ def fsum(p: np.ndarray) -> float:
     return math.fsum(p.tolist())
 
 
+def fsum_list(values: list) -> float:
+    """``math.fsum(values)``, an exact zero as +0.0; where math.fsum raises
+    (inf + -inf, or an intermediate overflow), the IEEE sum taken left to
+    right from 0.0 instead: NaN, or the infinity it overflows to."""
+    try:
+        return math.fsum(values) + 0.0
+    except (ValueError, OverflowError):
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+
+
+def _two_sum_cascade(cols):
+    """The left-to-right float sum of the columns and the exact rounding
+    error of each addition (Knuth's TwoSum): the float sum plus every error
+    is the exact sum of the row, barring overflow."""
+    s, errors = cols[0], []
+    for c in cols[1:]:
+        t = s + c
+        z = t - s
+        errors.append((s - (t - z)) + (c - z))
+        s = t
+    return s, errors
+
+
+def row_fsum(cols) -> np.ndarray:
+    """``fsum_list`` of every row of two or more equal-length 1-d columns.
+
+    Cascaded TwoSum (Ogita, Rump & Oishi, "Accurate sum and dot product",
+    SIAM J. Sci. Comput. 26(6), 2005) splits each row's exact sum into its
+    float sum s and the exact errors e_j; a second cascade splits those into
+    their float sum t and exact errors f_j.  Where every f_j is zero, s + t
+    is the exact sum, so its one rounding is the correctly rounded total,
+    ties included.  Elsewhere the exact sum lies within sum |f_j| of s + t,
+    and a row is certified when both ends of that bracket, widened outward
+    by an ulp, round to the same float, as rounding is monotone.  The rows
+    left (near ties, and every row with an inf, a NaN or an overflow) get
+    ``fsum_list``.  Rows go in blocks of ``_ROW_BLOCK``.
+    """
+    n, k = cols[0].shape[0], len(cols)
+    out = np.empty(n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo in range(0, n, _ROW_BLOCK):
+            block = [c[lo:lo + _ROW_BLOCK] for c in cols]
+            s, errors = _two_sum_cascade(block)
+            t, errors2 = _two_sum_cascade(errors)
+            total = s + t
+            spread = sum((np.abs(f) for f in errors2), np.zeros_like(s))
+            # bracket only the rows whose second errors do not vanish
+            hard = np.flatnonzero((spread != 0.0) | ~np.isfinite(total))
+            if hard.size:
+                width = spread[hard] * (1.0 + k * 2.0 ** -50) + k * 5e-324
+                down = s[hard] + np.nextafter(t[hard] - width, -math.inf)
+                up = s[hard] + np.nextafter(t[hard] + width, math.inf)
+                certified = (down == up) & np.isfinite(down)
+                total[hard[certified]] = down[certified]
+                for i in hard[~certified].tolist():
+                    total[i] = fsum_list([c[i] for c in block])
+            out[lo:lo + _ROW_BLOCK] = total + 0.0
+    return out
+
+
 def tensor_grid(axes) -> np.ndarray:
     """Every point of the product of 1-d coordinate arrays, last axis fastest."""
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -190,7 +265,7 @@ class QuadratureRule:
     The arrays are read-only, so callers can share one rule (see ``rule``).
     """
 
-    def __init__(self, box: Box, order: int):
+    def __init__(self, box: expr.Box, order: int):
         if order < 2:
             raise ValueError("quadrature order must be at least 2")
         if box.is_empty or not box.is_bounded:
@@ -220,32 +295,51 @@ class QuadratureRule:
 # base function is evaluated point by point.  A 3-d fibre rule at order 64
 # holds about 8 MB, so the cache keeps only the most recent few.
 @lru_cache(maxsize=8)
-def _cached_rule(box: Box, order: int) -> QuadratureRule:
+def _cached_rule(box: expr.Box, order: int) -> QuadratureRule:
     return QuadratureRule(box, order)
 
 
-def rule(box: Box, order: int | None = None) -> QuadratureRule:
+def rule(box: expr.Box, order: int | None = None) -> QuadratureRule:
     """The shared, read-only rule on a box; None means DEFAULT_ORDER.
 
     An over-budget order or point count raises ExprError before any build.
     """
     order = DEFAULT_ORDER if order is None else order
     if order > MAX_ORDER:
-        raise ExprError(f"quadrature order {order} is over the budget of {MAX_ORDER}")
+        raise expr.ExprError(f"quadrature order {order} is over the budget of {MAX_ORDER}")
     if order ** box.dim > MAX_RULE_POINTS:
-        raise ExprError(f"{order}^{box.dim} quadrature points are over the budget "
+        raise expr.ExprError(f"{order}^{box.dim} quadrature points are over the budget "
                         f"of {MAX_RULE_POINTS}")
     return _cached_rule(box, order)
 
 
-def integrate(f, box: Box, order: int | None = None) -> float:
+def integrate(f, box: expr.Box, order: int | None = None) -> float:
     """Integrate an Expr or callable over a box.
 
     Degenerate and empty boxes integrate to 0 by convention.  Callables
     must accept an (N, dim) array of points and return N values.
     """
+    fn = f.eval_array if isinstance(f, expr.Expr) else f
+    return float(integrate_rows(lambda i, j, pts: np.asarray(fn(pts), dtype=float)[None],
+                                box, 1, order)[0])
+
+
+def integrate_rows(values_fn, box: expr.Box, count: int,
+                   order: int | None = None) -> np.ndarray:
+    """The integrals over one box of ``count`` integrands at once.
+
+    ``values_fn(i, j, points)`` returns integrands i..j-1 at the rule's
+    points, one row each; it is called on consecutive blocks of at most
+    ``PAIR_BLOCK`` values in all.  Each row is summed by ``integrate_values``,
+    so every integral equals that of its integrand alone, bit for bit.
+    Degenerate and empty boxes give zeros.
+    """
+    out = np.zeros(count)
     if box.volume() == 0.0:
-        return 0.0
+        return out
     r = rule(box, order)
-    values = f.eval_array(r.points) if isinstance(f, Expr) else f(r.points)
-    return r.integrate_values(np.asarray(values, dtype=float))
+    step = max(PAIR_BLOCK // r.points.shape[0], 1)
+    for i in range(0, count, step):
+        j = min(i + step, count)
+        out[i:j] = [r.integrate_values(v) for v in values_fn(i, j, r.points)]
+    return out

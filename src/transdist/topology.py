@@ -6,6 +6,16 @@ the monotonicity of the seminorms in (K, m) holds as implemented, not
 just in the limit.  Grid suprema are lower bounds of the true suprema;
 failed membership checks come with an exact witness (point, multi-index,
 shell index).
+
+Every scan is an array pass: each (shell, multi-index) pair evaluates its
+lattice points in blocks of at most ``quadrature.PAIR_BLOCK`` rows through
+``eval_array``, ``BaseFunction.values`` or ``pair_restrictions``, which
+equal the pointwise values bit for bit.  Points are visited in the order of
+a per-point scan, which stops at the first point that fails, so verdicts
+and witnesses are those of that scan, and a rejection evaluates no block
+after its first failing one.  A NaN at a lattice point is an error
+(``ExprError``, naming the point and the multi-index), never a skipped
+value or a rejection.
 """
 
 from __future__ import annotations
@@ -15,8 +25,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import quadrature
 from .distribution import (BaseFunction, PointDistribution, TransversalDistribution,
-                           base_support, family_derivative, pair, restrict)
+                           base_support, family_derivative, pair, pair_restrictions)
 from .expr import Box, DimensionError, Expr, ExprError, multi_indices_up_to
 from .quadrature import tensor_grid
 
@@ -78,9 +89,16 @@ def seminorm_eval(p: Seminorm, F: Expr, density: int | None = None) -> float:
     for alpha in multi_indices_up_to(F.dim, p.order):
         vals = np.abs(F.diff(alpha).eval_array(pts))
         m = float(vals.max(initial=0.0))
+        if math.isnan(m):  # max propagates a NaN
+            _raise_nan(pts[np.isnan(vals)][0], alpha, "seminorm")
         if m > best:
             best = m
     return best
+
+
+def _raise_nan(point, alpha, what: str):
+    raise ExprError(f"{what}: NaN at lattice point {tuple(point.tolist())} "
+                    f"for multi-index {alpha}")
 
 
 @dataclass(frozen=True)
@@ -105,6 +123,8 @@ def pB_eval(B: BoundedFamily, v: PointDistribution, order: int | None = None) ->
     best = 0.0
     for g in B.members:
         val = abs(pair(v, g, order))
+        if math.isnan(val):
+            raise ExprError(f"pairing with family member {g} is NaN")
         if val > best:
             best = val
     return best
@@ -167,6 +187,26 @@ def _shell_points(profile: LFProfile, n: int, supp: Box,
     return pts
 
 
+def _blocks(pts: np.ndarray):
+    """Consecutive row blocks of at most PAIR_BLOCK lattice points."""
+    return (pts[i:i + quadrature.PAIR_BLOCK]
+            for i in range(0, pts.shape[0], quadrature.PAIR_BLOCK))
+
+
+def _first_failure(block: np.ndarray, vals: np.ndarray, eps: float, n: int,
+                   alpha, what: str) -> MembershipResult | None:
+    """The rejection at the first row whose |value| is not below eps, if any."""
+    bad = np.flatnonzero(~(np.abs(vals) < eps))
+    if bad.size == 0:
+        return None
+    i = bad[0]
+    if np.isnan(vals[i]):
+        _raise_nan(block[i], alpha, what)
+    return MembershipResult(False, {
+        "shell": n, "point": tuple(block[i].tolist()),
+        "alpha": alpha, "value": float(vals[i]), "epsilon": eps})
+
+
 def lf_membership(profile: LFProfile, f: BaseFunction,
                   density: int | None = None) -> MembershipResult:
     """Grid-certified membership of f in the LF neighbourhood V_{m, e}."""
@@ -182,12 +222,11 @@ def lf_membership(profile: LFProfile, f: BaseFunction,
         eps = profile.epsilons[n - 1]
         for alpha in multi_indices_up_to(profile.base_dim, profile.orders[n - 1]):
             df = f.derivative(alpha)
-            for pt in pts:
-                val = df.value(tuple(pt))
-                if not abs(val) < eps:
-                    return MembershipResult(False, {
-                        "shell": n, "point": tuple(float(c) for c in pt),
-                        "alpha": alpha, "value": val, "epsilon": eps})
+            for block in _blocks(pts):
+                rejected = _first_failure(block, df.values(block), eps, n, alpha,
+                                          "lf_membership")
+                if rejected is not None:
+                    return rejected
     return MembershipResult(True)
 
 
@@ -198,7 +237,9 @@ def lfB_membership(profile: LFProfile, families, u: TransversalDistribution,
 
     ``families`` lists one BoundedFamily per shell (n-th entry used on the
     n-th shell); derivatives of the family are formed with
-    family_derivative and restricted pointwise.
+    family_derivative, restricted at the lattice points and paired with the
+    family in array passes (``pair_restrictions``).  The value at a point
+    is ``pB_eval`` of the restriction there.
     """
     families = tuple(families)
     if len(families) < profile.depth:
@@ -217,10 +258,10 @@ def lfB_membership(profile: LFProfile, families, u: TransversalDistribution,
             if alpha not in derivatives:
                 derivatives[alpha] = family_derivative(u, alpha)
             du = derivatives[alpha]
-            for pt in pts:
-                val = pB_eval(B, restrict(du, tuple(pt)), order)
-                if not val < eps:
-                    return MembershipResult(False, {
-                        "shell": n, "point": tuple(float(c) for c in pt),
-                        "alpha": alpha, "value": val, "epsilon": eps})
+            for block in _blocks(pts):
+                pairings = pair_restrictions(du, block, B.members, order)
+                vals = np.abs(pairings).max(axis=0)  # pB_eval's; NaN if any pairing is
+                rejected = _first_failure(block, vals, eps, n, alpha, "lfB_membership")
+                if rejected is not None:
+                    return rejected
     return MembershipResult(True)

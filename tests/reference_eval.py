@@ -2,8 +2,11 @@
 
 They walk an expression as a tree, with no memo and no evaluation plan,
 applying per node the float operations the library documents, in the same
-order.  The differential tests require the library's DAG evaluation to
-reproduce these values bit for bit.
+order: numpy's ufuncs for the elementary functions, right-to-left binary
+powering for integer powers, and for a sum ``math.fsum``'s value (the IEEE
+sum, left to right from 0.0, where math.fsum raises), taken one row at a
+time on arrays.  The differential tests require the library's DAG
+evaluation to reproduce these values bit for bit.
 """
 
 import math
@@ -11,6 +14,31 @@ import math
 import numpy as np
 
 from transdist import expr as ex
+
+_UFUNCS = {ex.Exp: np.exp, ex.Sin: np.sin, ex.Cos: np.cos}
+
+
+def sum_of(values) -> float:
+    """math.fsum's value, or where it raises the IEEE sum from 0.0."""
+    try:
+        return math.fsum(values) + 0.0
+    except (ValueError, OverflowError):
+        total = 0.0
+        for v in values:
+            total = total + v
+        return total
+
+
+def power(v, n: int):
+    """The product, lowest bit first, of v^(2^i) over the set bits i of n."""
+    squares = [v]
+    while len(squares) < n.bit_length():
+        squares.append(squares[-1] * squares[-1])
+    picked = [sq for i, sq in enumerate(squares) if n >> i & 1]
+    acc = picked[0]
+    for sq in picked[1:]:
+        acc = acc * sq
+    return acc
 
 
 def ref_eval(e, point) -> float:
@@ -22,7 +50,7 @@ def ref_eval(e, point) -> float:
     if isinstance(e, ex.Var):
         return point[e.slot]
     if isinstance(e, ex.Sum):
-        return math.fsum(ref_eval(t, point) for t in e.terms)
+        return sum_of([ref_eval(t, point) for t in e.terms])
     if isinstance(e, ex.Product):
         vals = [ref_eval(f, point) for f in e.factors]
         if any(v == 0.0 for v in vals):
@@ -32,24 +60,16 @@ def ref_eval(e, point) -> float:
             acc *= v
         return acc
     if isinstance(e, ex.IntPow):
-        v = ref_eval(e.base, point)
-        try:
-            return v ** e.exponent
-        except OverflowError:
-            return (-1.0 if v < 0 and e.exponent % 2 == 1 else 1.0) * math.inf
-    if isinstance(e, ex.Exp):
-        u = ref_eval(e.arg, point)
-        return math.exp(u) if u < 709.0 else math.inf
-    if isinstance(e, ex.Sin):
-        return math.sin(ref_eval(e.arg, point))
-    if isinstance(e, ex.Cos):
-        return math.cos(ref_eval(e.arg, point))
+        return power(ref_eval(e.base, point), e.exponent)
+    if type(e) in _UFUNCS:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return float(_UFUNCS[type(e)](ref_eval(e.arg, point)))
     if isinstance(e, ex.BumpRat):
         u = ref_eval(e.arg, point)
         if abs(u) >= 1.0:
             return 0.0
         s = 1.0 - u * u
-        r = math.exp(-1.0 / s)
+        r = float(np.exp(-1.0 / s))
         for _ in range(e.pole_order):
             r /= s
         p = 0.0
@@ -69,10 +89,8 @@ def ref_eval_array(e, pts: np.ndarray) -> np.ndarray:
     if isinstance(e, ex.Var):
         return pts[:, e.slot]
     if isinstance(e, ex.Sum):
-        acc = np.zeros(n)
-        for t in e.terms:
-            acc = acc + ref_eval_array(t, pts)
-        return acc
+        cols = [ref_eval_array(t, pts) for t in e.terms]
+        return np.array([sum_of([c[i] for c in cols]) for i in range(n)], dtype=float)
     if isinstance(e, ex.Product):
         vals = [ref_eval_array(f, pts) for f in e.factors]
         with np.errstate(invalid="ignore", over="ignore"):
@@ -85,15 +103,15 @@ def ref_eval_array(e, pts: np.ndarray) -> np.ndarray:
         acc[zero] = 0.0
         return acc
     if isinstance(e, ex.IntPow):
-        return ref_eval_array(e.base, pts) ** e.exponent
-    if isinstance(e, (ex.Exp, ex.Sin, ex.Cos)):
-        fn = {ex.Exp: np.exp, ex.Sin: np.sin, ex.Cos: np.cos}[type(e)]
-        with np.errstate(over="ignore"):
-            return fn(ref_eval_array(e.arg, pts))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return power(ref_eval_array(e.base, pts), e.exponent)
+    if type(e) in _UFUNCS:
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _UFUNCS[type(e)](ref_eval_array(e.arg, pts))
     if isinstance(e, ex.BumpRat):
         u = ref_eval_array(e.arg, pts)
-        inside = np.abs(u) < 1.0
-        s = np.where(inside, 1.0 - u * u, 1.0)
+        outside = np.abs(u) >= 1.0  # NaN is not outside: it stays NaN
+        s = np.where(outside, 1.0, 1.0 - u * u)
         r = np.exp(-1.0 / s)
         for _ in range(e.pole_order):
             r = r / s
@@ -101,6 +119,6 @@ def ref_eval_array(e, pts: np.ndarray) -> np.ndarray:
         for c in reversed(e.coeffs):
             p = p * u + float(c)
         out = r * p
-        out[~inside] = 0.0
+        out[outside] = 0.0
         return out
     raise TypeError(f"unknown node {type(e).__name__}")

@@ -4,6 +4,7 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from transdist import cli, quadrature, topology
@@ -179,6 +180,61 @@ class TestExitCodes:
         assert code == cli.EXIT_DIMENSION
 
 
+OVERFLOW_NAN = "1 + exp(exp(exp({v}))) - exp(exp(exp({v})))"  # NaN once exp overflows
+
+
+@pytest.fixture
+def nan_scene(tmp_path):
+    """A 1+1 scene whose values are NaN where exp(exp(exp(t))) overflows, t > 1.88."""
+    g = OVERFLOW_NAN.format(v="y0")
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps({
+        "bundle": {"base_dim": 1, "fibre_dim": 1},
+        "functions": {"W": f"(x0+4)*bump(y0)*({OVERFLOW_NAN.format(v='x0')})",
+                      "G": f"bump(x0/2)*{OVERFLOW_NAN.format(v='10*y0')}"},
+        "sections": {"diag": ["x0"]},
+        "distributions": {"T": [{"type": "dirac_section", "section": "diag",
+                                 "weight": "bump(x0/4)"}]},
+        "profiles": {"P": {"orders": [0, 0, 0], "epsilons": [100, 50, 25],
+                           "families": [[g]] * 3}},
+    }))
+    return str(path)
+
+
+class TestNonFiniteValues:
+    """A NaN at a lattice point is a usage error; an annihilated one is not."""
+
+    def test_seminorm_over_a_nan_is_exit_2(self, capsys, nan_scene):
+        code, out = run_cli(capsys, "seminorm", nan_scene, "W", "--box=-4:4;-1:1",
+                            "--order", "0")
+        assert code == cli.EXIT_USAGE
+        assert json.loads(out)["error"] == (
+            "seminorm: NaN at lattice point (1.9375, -0.9375) for multi-index (0, 0)")
+
+    def test_zero_factor_annihilates_an_overflowed_sum(self, capsys, nan_scene):
+        # bump(y0) = 0 on the section point y0 = 3, beside inf - inf
+        code, out = run_cli(capsys, "eval", nan_scene, "T", "W", "--at", "3")
+        assert code == cli.EXIT_OK
+        assert json.loads(out)["value"] == 0
+
+    @pytest.mark.parametrize("argv", [["--at", "3"], []])
+    def test_a_nan_value_is_exit_2(self, capsys, nan_scene, argv):
+        code, out = run_cli(capsys, "eval", nan_scene, "T", "G", *argv)
+        assert code == cli.EXIT_USAGE
+        where = "(3.0,)" if argv else "(0.3,)"  # the default grid's first NaN
+        assert json.loads(out)["error"] == f"value nan at base point {where} is not finite"
+
+    @pytest.mark.parametrize("which, what", [
+        (["--distribution", "T"], "lfB_membership"),
+        (["--function", f"bump(x0/3)*({OVERFLOW_NAN.format(v='x0')})"], "lf_membership"),
+    ])
+    def test_member_over_a_nan_is_exit_2(self, capsys, nan_scene, which, what):
+        code, out = run_cli(capsys, "member", nan_scene, "P", *which)
+        assert code == cli.EXIT_USAGE
+        assert json.loads(out)["error"] == (
+            f"{what}: NaN at lattice point (1.9375,) for multi-index (0,)")
+
+
 class TestInputValidation:
     @pytest.mark.parametrize("flag", ["--quad-order", "--grid-density"])
     @pytest.mark.parametrize("value", ["0", "1", "-4"])
@@ -297,6 +353,21 @@ class TestCommands:
         payload = json.loads(out)
         assert code == 0
         assert payload["kinds"] == ["dirac"]
+
+    @pytest.mark.parametrize("argv", [
+        ["eval", "dirac_demo.json", "Td", "H"], ["eval", "density_demo.json", "Tmixed", "G"],
+        ["apply", "operator_demo.json", "Kphi", "--g", "y0^2"],
+        ["compose", "operator_demo.json", "Kphi", "Kphi"],
+        ["compose", "operator_demo.json", "Ka", "Kphi"]])
+    def test_grids_print_the_pointwise_values(self, capsys, monkeypatch, argv):
+        """A grid is one BaseFunction.values pass, printed byte for byte as the
+        pointwise values would be."""
+        argv = [argv[0], scene_path(argv[1])] + argv[2:]
+        code, batched = run_cli(capsys, *argv)
+        monkeypatch.setattr(dist.BaseFunction, "values", lambda bf, X: np.array([
+            bf.value(tuple(x)) for x in X]))
+        assert (code, batched) == run_cli(capsys, *argv)
+        assert code == 0 and '"values"' in batched
 
     def test_seminorm(self, capsys, dirac_scene):
         code, out = run_cli(capsys, "seminorm", dirac_scene, "G",

@@ -7,6 +7,8 @@ from conftest import fd_derivative, random_polynomial
 from transdist import bundle as bd
 from transdist import distribution as dist
 from transdist import expr as ex
+from transdist import operators as op
+from transdist import quadrature as qd
 from transdist.expr import Box, ExprError
 from transdist.quadrature import BUMP_INTEGRAL
 
@@ -526,3 +528,76 @@ class TestConstruction:
                                  "bump(x0)*bump(x1)*bump(y0)"))
         with pytest.raises(ex.DimensionError):
             T_dirac + other
+
+
+def same_floats(got, want) -> bool:
+    """Equal lists of floats, bit for bit, a NaN matching a NaN."""
+    return len(got) == len(want) and all(
+        (math.isnan(a) and math.isnan(b))
+        or (a == b and math.copysign(1, a) == math.copysign(1, b))
+        for a, b in zip(got, want))
+
+
+class TestBaseFunctionValues:
+    """values(X) is value(x) at every row, bit for bit, whatever the block size."""
+
+    @pytest.fixture
+    def base_functions(self, plane_bundle):
+        b = plane_bundle
+        env = "bump(4*x0/9)*bump(2*x1)"
+        s = bd.section_from_strings(b, ["x0/3 + x1/2"])
+        T_dirac = dist.dirac_section(s, b.parse_base(f"{env}/3"), (1,))
+        T_density = dist.density(b, b.parse_total(f"{env}*bump(y0)*(1 + x0*y0/5)"))
+        F = b.parse_total("exp(x0*y0/7)*cos(y0) + y0^2 + x1")
+        pair = bd.TrivialBundle(1, 1)
+        K = op.density_kernel(pair, pair.parse_total("bump(x0)*bump(y0)*(1 + x0*y0/3)"))
+        numeric = op.apply(op.compose(K, K, order=12), pair.parse_fibre("y0^2 + 1"), order=12)
+        return {
+            "symbolic": dist.evaluate(T_dirac, F),
+            "density": dist.evaluate(T_density, F, order=16),
+            "numeric": numeric,
+            "mixed": dist.evaluate(T_dirac + T_density, F, order=16).derivative((1, 0)),
+        }
+
+    @pytest.mark.parametrize("kind", ["symbolic", "density", "numeric", "mixed"])
+    @pytest.mark.parametrize("block", [None, 1, 7, 100])  # 100: no divisor of 16 or 12^2
+    def test_values_are_the_pointwise_values(self, monkeypatch, base_functions, kind, block):
+        bf = base_functions[kind]
+        l = bf.bundle.base_dim
+        X = np.linspace(-2.0, 2.0, 25 * l).reshape(-1, l) * (1 if l == 2 else 0.6)
+        want = [bf.value(tuple(x)) for x in X]
+        if block is not None:
+            monkeypatch.setattr(qd, "PAIR_BLOCK", block)
+        got = bf.values(X)
+        assert got.shape == (len(X),)
+        assert same_floats(got.tolist(), want)
+        assert any(want) and not all(want)  # inside and outside the support
+
+    def test_values_reject_a_wrong_shape(self, base_functions):
+        bf = base_functions["symbolic"]
+        with pytest.raises(ex.DimensionError):
+            bf.values(np.zeros((3, 3)))
+        assert bf.values(np.zeros((0, 2))).shape == (0,)
+
+
+class TestPairRestrictions:
+    """pair_restrictions(T, X, gs) is the pointwise pair(restrict(T, x), g)."""
+
+    @pytest.mark.parametrize("block", [None, 1, 7])
+    def test_matches_pointwise_pairs(self, monkeypatch, plane_bundle, block):
+        b = plane_bundle
+        s = bd.section_from_strings(b, ["x0/3 + x1/2"])
+        T = (dist.dirac_section(s, b.parse_base("bump(x0/2)*bump(x1)"), (0,))
+             + dist.dirac_section(s, b.parse_base("x1*bump(x0)*bump(x1/2)"), (2,))
+             + dist.density(b, b.parse_total("bump(x0)*bump(x1)*bump(y0)*y0")))
+        T = dist.family_derivative(T, (1, 1))
+        gs = [b.parse_fibre(t) for t in ("1", "y0^3/6", "exp(y0)*bump(y0/2)")]
+        X = np.stack(np.meshgrid(np.linspace(-2.5, 2.5, 9), np.linspace(-1.5, 1.5, 5),
+                                 indexing="ij"), axis=-1).reshape(-1, 2)
+        want = [[dist.pair(dist.restrict(T, tuple(x)), g, 12) for x in X] for g in gs]
+        if block is not None:
+            monkeypatch.setattr(qd, "PAIR_BLOCK", block)
+        got = dist.pair_restrictions(T, X, gs, 12)
+        assert got.shape == (3, len(X))
+        assert all(same_floats(row.tolist(), w) for row, w in zip(got, want))
+        assert np.count_nonzero(got) and not np.all(got)

@@ -143,6 +143,19 @@ class TestEvaluate:
         assert e.evaluate((40.0,)) == 0.0
         assert e.eval_array(np.array([[40.0], [0.0]]))[0] == 0.0
 
+    def test_exp_is_finite_up_to_its_overflow(self):
+        e = ex.parse("exp(x0)", 1)
+        assert e.evaluate((709.5,)) == float(np.exp(709.5)) == 1.3549863193146328e308
+        assert e.evaluate((710.0,)) == math.inf
+        assert e.eval_array(np.array([[709.5], [710.0]])).tolist() == [
+            1.3549863193146328e308, math.inf]
+
+    def test_sum_of_opposite_infinities_is_nan_on_both_paths(self):
+        e = ex.parse("1 + exp(exp(x0)) - exp(exp(x0))", 1)
+        assert e.evaluate((2.0,)) == 1.0
+        assert math.isnan(e.evaluate((7.0,)))  # exp(exp(7)) overflows
+        assert np.isnan(e.eval_array(np.array([[2.0], [7.0]]))).tolist() == [False, True]
+
     def test_eval_array_matches_scalar(self):
         e = ex.parse("bump(x0)*sin(y0) + x0^2", 2, base_dim=1)
         pts = grid_points(Box.of([(-2, 2), (-2, 2)]), 9)

@@ -226,7 +226,7 @@ class TestPairValues:
         b = bd.TrivialBundle(2, 2)
         term = op.DensityTerm(b, b.parse_total(PAIR_DENSITIES[(2, 2)]))
         Y, Z = low_order_grid(2, 5), low_order_grid(2, 6)  # 25 x 36 pairs
-        monkeypatch.setattr(op, "PAIR_BLOCK", block)
+        monkeypatch.setattr(qd, "PAIR_BLOCK", block)
         got = op.pair_values(term, Y, Z)
         assert got.shape == (25, 36)
         assert (got == per_row_reference(b, term.phi, Y, Z)).all()

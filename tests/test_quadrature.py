@@ -208,6 +208,88 @@ class TestCorrectlyRoundedSum:
         assert math.isnan(qd.fsum(np.array([1.0, math.nan] * 300)))
 
 
+def same_or_nan(a: float, b: float) -> bool:
+    return same_float(a, b) or (math.isnan(a) and math.isnan(b))
+
+
+def rows_of(cols):
+    return [[float(c[i]) for c in cols] for i in range(len(cols[0]))]
+
+
+def math_fsum_or_ieee(row):
+    """math.fsum's value, or where it raises the IEEE sum from 0.0."""
+    try:
+        return math.fsum(row) + 0.0
+    except (ValueError, OverflowError):
+        total = 0.0
+        for v in row:
+            total += v
+        return total
+
+
+HALF_ULP = 2.0 ** -53  # of 1.0
+
+
+class TestRowFsum:
+    """row_fsum gives each row math.fsum's value, on the certified path or not."""
+
+    def check(self, cols, block=None):
+        cols = [np.asarray(c, dtype=float) for c in cols]
+        with pytest.MonkeyPatch.context() as m:
+            if block is not None:
+                m.setattr(qd, "_ROW_BLOCK", block)
+            got = qd.row_fsum(cols).tolist()
+        want = [math_fsum_or_ieee(row) for row in rows_of(cols)]
+        bad = [(row, g, w) for row, g, w in zip(rows_of(cols), got, want)
+               if not same_or_nan(g, w)]
+        assert bad == []
+        assert all(same_or_nan(qd.fsum_list(row), g) for row, g in zip(rows_of(cols), got))
+
+    def test_exact_ties(self):
+        # 1 + 2^-53 is a tie; the third term keeps it, breaks it up or down
+        one = [1.0, 1.0, -1.0, 3.0, 1.0, 1.0]
+        half = [HALF_ULP, HALF_ULP, -HALF_ULP, 3 * HALF_ULP, HALF_ULP, -HALF_ULP]
+        third = [0.0, 2.0 ** -106, -(2.0 ** -106), 0.0, -(2.0 ** -106), 2.0 ** -200]
+        self.check([one, half, third])
+        self.check([third, half, one])
+        assert qd.row_fsum([np.array(c) for c in (one, half, third)]).tolist()[:3] == [
+            1.0, 1.0 + 2 * HALF_ULP, -1.0 - 2 * HALF_ULP]
+
+    def test_cancellation(self):
+        rng = np.random.default_rng(5)
+        a, b = rng.standard_normal(500), rng.standard_normal(500) * 1e-12
+        self.check([a, b, -a])
+        self.check([a, 1e16 * a, b, -1e16 * a, -a])
+        self.check([a, -a, np.zeros(500)])
+        self.check([np.full(3, -0.0)] * 3)  # an exact zero is +0.0, as fsum's
+
+    @settings(max_examples=60, deadline=None)
+    @given(k=st.integers(2, 7), n=st.integers(1, 40), block=st.integers(1, 9),
+           seed=st.integers(0, 2 ** 32 - 1), spread=st.integers(0, 1000),
+           cancel=st.floats(0.0, 1.0))
+    def test_mixed_magnitudes(self, k, n, block, seed, spread, cancel):
+        flat = wide_array(n * k, seed, spread, cancel)
+        self.check(list(flat.reshape(k, n)), block)
+
+    def test_non_finite_values(self):
+        inf, nan, big = math.inf, math.nan, 1e308
+        cols = [[inf, inf, nan, big, big, -big, 1.0, inf],
+                [1.0, -inf, 1.0, big, -big, -big, inf, 2.0],
+                [-inf, 3.0, 1.0, -big, 1.0, big, -1.0, -2.0]]
+        self.check(cols)
+        got = qd.row_fsum([np.array(c) for c in cols]).tolist()
+        # fsum raises on rows 0 and 1 (inf + -inf), 3 and 5 (intermediate
+        # overflow): the IEEE sums are NaN, NaN, inf and -inf
+        assert math.isnan(got[0]) and math.isnan(got[1]) and math.isnan(got[2])
+        assert got[3:] == [math.inf, 1.0, -math.inf, math.inf, inf]
+
+    def test_fsum_list_takes_the_ieee_sum_where_fsum_raises(self):
+        assert math.isnan(qd.fsum_list([1.0, math.inf, -math.inf]))
+        assert qd.fsum_list([1e308, 1e308, -1e308]) == math.inf
+        assert qd.fsum_list([0.1, 0.2, 0.3]) == math.fsum([0.1, 0.2, 0.3])
+        assert same_float(qd.fsum_list([-0.0, -0.0, -0.0]), 0.0)
+
+
 class TestDefaultOrder:
     def test_override_and_restore(self, monkeypatch):
         """None resolves to DEFAULT_ORDER when a rule is asked for, not before."""

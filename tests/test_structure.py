@@ -3,8 +3,9 @@
 Every fibre integral goes through ``quadrature.integrate`` (or, for the
 composed-kernel matrix product, ``quadrature.rule``), so quadrature rules
 are built in ``quadrature.py`` alone; every tensor grid comes from
-``quadrature.tensor_grid``, and no loop in ``operators.py`` visits a rule's
-nodes one by one.  The default quadrature order and grid density
+``quadrature.tensor_grid``, no loop in ``operators.py`` visits a rule's
+nodes one by one, and no loop in ``topology.py`` visits lattice points one
+by one.  The default quadrature order and grid density
 are constants, each read in the one function that resolves ``None``, and
 no module rebinds a global: settings travel as arguments.
 """
@@ -104,6 +105,38 @@ def test_no_loop_in_operators_runs_over_rule_nodes():
 
     assert in_operators(lambda n: isinstance(n, ast.comprehension))  # loops are seen
     assert in_operators(loops_over_points) == []
+
+
+# Names that hold lattice points in topology.py, and the calls that make them.
+LATTICE_ARRAYS = {"pts", "block", "points", "lattice_points", "_shell_points"}
+
+
+def test_no_loop_in_topology_runs_over_lattice_points():
+    """Scans take each block of lattice points in one array pass, never one
+    point at a time.  A loop may mention a lattice array only to cut it into
+    blocks: by ``_blocks(...)``, or a ``range`` that steps by PAIR_BLOCK."""
+    def cuts_into_blocks(it):
+        if not isinstance(it, ast.Call):
+            return False
+        if _name(it.func) == "_blocks":
+            return True
+        return (_name(it.func) == "range" and len(it.args) == 3
+                and _name(it.args[2]) == "PAIR_BLOCK")
+
+    def loops(n):
+        return isinstance(n, (ast.For, ast.comprehension))
+
+    def loops_over_points(n):
+        return (loops(n) and not cuts_into_blocks(n.iter)
+                and any(_name(sub) in LATTICE_ARRAYS for sub in ast.walk(n.iter)))
+
+    def in_topology(match):
+        return [hit for hit in nodes_where(match) if hit[0] == "topology.py"]
+
+    blocked = in_topology(lambda n: loops(n) and cuts_into_blocks(n.iter))
+    assert {scope for _, scope in blocked} == {"_blocks", "lf_membership",
+                                               "lfB_membership"}  # loops are seen
+    assert in_topology(loops_over_points) == []
 
 
 def test_one_tensor_grid_helper():

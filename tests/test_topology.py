@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from transdist import bundle as bd
 from transdist import distribution as dist
 from transdist import expr as ex
+from transdist import quadrature as qd
 from transdist import topology as tp
 from transdist.expr import Box
 from transdist.quadrature import BUMP_INTEGRAL
@@ -184,3 +185,152 @@ class TestProfileValidation:
     def test_epsilons_must_be_positive(self):
         with pytest.raises(ValueError):
             tp.LFProfile(1, orders=(0,), epsilons=(0.0,))
+
+
+# ---------------------------------------------------------------------------
+# Array scans against the per-point scan they replace
+
+
+def lf_per_point(profile, f, density=None):
+    """lf_membership as a scan of f.derivative(alpha).value, one point at a time."""
+    supp = f.support_box()
+    if supp.is_empty:
+        return True, None
+    for n in range(1, profile.depth + 1):
+        eps = profile.epsilons[n - 1]
+        for alpha in ex.multi_indices_up_to(profile.base_dim, profile.orders[n - 1]):
+            df = f.derivative(alpha)
+            for pt in tp._shell_points(profile, n, supp, density):
+                val = df.value(tuple(pt))
+                if not abs(val) < eps:
+                    return False, {"shell": n, "point": tuple(float(c) for c in pt),
+                                   "alpha": alpha, "value": val, "epsilon": eps}
+    return True, None
+
+
+def lfB_per_point(profile, families, u, density=None, order=None):
+    """lfB_membership as a scan of pB_eval(restrict(D^alpha u, x)), point by point."""
+    supp = dist.base_support(u)
+    if supp.is_empty:
+        return True, None
+    for n in range(1, profile.depth + 1):
+        eps = profile.epsilons[n - 1]
+        for alpha in ex.multi_indices_up_to(profile.base_dim, profile.orders[n - 1]):
+            du = dist.family_derivative(u, alpha)
+            for pt in tp._shell_points(profile, n, supp, density):
+                val = tp.pB_eval(families[n - 1], dist.restrict(du, tuple(pt)), order)
+                if not val < eps:
+                    return False, {"shell": n, "point": tuple(float(c) for c in pt),
+                                   "alpha": alpha, "value": val, "epsilon": eps}
+    return True, None
+
+
+def same_verdict(res, reference):
+    accepted, witness = reference
+    return (res.accepted, repr(res.witness)) == (accepted, repr(witness))
+
+
+ENV = "bump(2*x0/5)*bump(2*x1)"  # reaches into the third shell
+# tolerances from generous to tight: the scans accept, or reject in shells
+# 1, 2 and 3 at multi-indices of order 0 to 2
+PROFILES = [(64, 32, 16), (0.05, 0.02, 0.01), (0.1, 0.09, 0.01), (2.0, 1.5, 0.3),
+            (2.0, 1.5, 0.02), (2.0, 1.5, 0.001), (1e-3, 1e-4, 1e-5)]
+
+
+class TestArrayScans:
+    """Verdicts and witnesses (shell, point, multi-index, value) are the
+    per-point scan's, whatever the block size."""
+
+    @pytest.fixture
+    def scene(self, plane_bundle):
+        b = plane_bundle
+        s = bd.section_from_strings(b, ["x0/3 + x1/2"])
+        u = (dist.dirac_section(s, b.parse_base(f"{ENV}/4"))
+             + dist.dirac_section(s, b.parse_base(f"x0*{ENV}/8"), (1,)))
+        f = dist.base_function_from_expr(
+            b, b.parse_base(f"{ENV}*(1/2 + sin(x0)/3 + x0*x1/4)"))
+        families = [tp.BoundedFamily(1, tuple(b.parse_fibre(t) for t in ts))
+                    for ts in (["1", "y0"], ["1", "y0^2/2"], ["1/2", "y0/4", "y0^3/6"])]
+        return f, u, families
+
+    @pytest.mark.parametrize("block", [None, 1, 7, 50])
+    @pytest.mark.parametrize("epsilons", PROFILES)
+    def test_witnesses_match_the_per_point_scan(self, monkeypatch, scene, epsilons, block):
+        f, u, families = scene
+        profile = tp.LFProfile(2, (0, 1, 2), epsilons)
+        lf_want = lf_per_point(profile, f, density=9)
+        lfB_want = lfB_per_point(profile, families, u, density=9)
+        if block is not None:
+            monkeypatch.setattr(qd, "PAIR_BLOCK", block)
+        assert same_verdict(tp.lf_membership(profile, f, density=9), lf_want)
+        assert same_verdict(tp.lfB_membership(profile, families, u, density=9), lfB_want)
+
+    def test_profiles_reach_every_shell_and_order(self, scene):
+        f, u, families = scene
+        seen = set()
+        for epsilons in PROFILES:
+            profile = tp.LFProfile(2, (0, 1, 2), epsilons)
+            for _, witness in (lf_per_point(profile, f, density=9),
+                               lfB_per_point(profile, families, u, density=9)):
+                if witness is not None:
+                    seen.add((witness["shell"], sum(witness["alpha"])))
+        assert {shell for shell, _ in seen} == {1, 2, 3}
+        assert {order for _, order in seen} == {0, 1, 2}
+
+    def test_density_terms_match_the_per_point_scan(self, line_bundle):
+        b = line_bundle
+        u = (dist.density(b, b.parse_total("bump(x0)*bump(y0)*(1 + y0/2)"))
+             + dist.dirac_section(bd.section_from_strings(b, ["x0/2"]),
+                                  b.parse_base("bump(x0)/3")))
+        families = [tp.BoundedFamily(1, (b.parse_fibre("1"), b.parse_fibre("y0")))] * 2
+        for epsilons in ((2.0, 1.0), (0.5, 0.4), (0.3, 0.01)):
+            profile = tp.LFProfile(1, (0, 1), epsilons)
+            want = lfB_per_point(profile, families, u, density=9, order=12)
+            assert same_verdict(
+                tp.lfB_membership(profile, families, u, density=9, order=12), want)
+
+
+class TestNaNAtALatticePoint:
+    """A NaN value is an ExprError naming the point and the multi-index."""
+
+    NAN = "1 + exp(exp(exp({v}))) - exp(exp(exp({v})))"  # NaN for {v} > 1.88
+
+    def test_seminorm(self, line_bundle):
+        W = line_bundle.parse_total(f"(x0+4)*bump(y0)*({self.NAN.format(v='x0')})")
+        p = tp.Seminorm(Box.of([(-4, 4), (-1, 1)]), 0)
+        with pytest.raises(ex.ExprError, match=r"NaN at lattice point \(1\.9375, "
+                                               r"-0\.9375\) for multi-index \(0, 0\)"):
+            tp.seminorm_eval(p, W)
+
+    def test_lf_membership(self, line_bundle):
+        f = dist.base_function_from_expr(
+            line_bundle, line_bundle.parse_base(f"bump(x0/3)*({self.NAN.format(v='x0')})"))
+        prof = tp.LFProfile(1, (0, 1), (100.0, 50.0))
+        with pytest.raises(ex.ExprError, match=r"NaN at lattice point \(1\.9375,\) "
+                                               r"for multi-index \(0,\)"):
+            tp.lf_membership(prof, f)
+
+    def test_lfB_membership(self, line_bundle):
+        diag = bd.section_from_strings(line_bundle, ["x0"])
+        T = dist.dirac_section(diag, line_bundle.parse_base("bump(x0/4)"))
+        fam = tp.BoundedFamily(1, (line_bundle.parse_fibre("1"),
+                                   line_bundle.parse_fibre(self.NAN.format(v="y0"))))
+        prof = tp.LFProfile(1, (0, 0), (100.0, 50.0))
+        with pytest.raises(ex.ExprError, match=r"NaN at lattice point \(1\.9375,\) "
+                                               r"for multi-index \(0,\)"):
+            tp.lfB_membership(prof, (fam, fam), T)
+        with pytest.raises(ex.ExprError, match="is NaN"):
+            tp.pB_eval(fam, dist.dirac_at((2.0,), 1))
+
+    def test_a_zero_weight_skips_the_nan(self, line_bundle):
+        # the lattice spans the first term's support, [-4, 4]; the second
+        # term's weight vanishes beyond 1.8, where its atom sits on the NaN
+        # of the family member, and pair skips a zero coefficient
+        b = line_bundle
+        T = (dist.dirac_section(bd.section_from_strings(b, ["0"]),
+                                b.parse_base("bump(x0/4)"))
+             + dist.dirac_section(bd.section_from_strings(b, ["x0"]),
+                                  b.parse_base("bump(5*x0/9)")))
+        fam = tp.BoundedFamily(1, (line_bundle.parse_fibre(self.NAN.format(v="y0")),))
+        prof = tp.LFProfile(1, (0, 0, 0), (100.0, 50.0, 25.0))
+        assert tp.lfB_membership(prof, (fam,) * 3, T).accepted
