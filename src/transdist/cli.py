@@ -378,6 +378,10 @@ def _cmd_restrict(scene: Scene, args) -> dict:
     T = scene.distribution(args.distribution)
     x = _parse_point(args.at, scene.bundle.base_dim)
     v = dist.restrict(T, x)
+    for point, _, c in v.atoms:
+        if not all(map(math.isfinite, (*point, c))):
+            raise ExprError(f"atom at {point} with coefficient {c!r} at base point "
+                            f"{tuple(x)} is not finite")
     return {"command": "restrict", "distribution": args.distribution,
             "x": list(x), "restriction": _point_payload(v)}
 

@@ -138,9 +138,9 @@ class PointDistribution:
         if self.density is not None:
             box = self.density.support_box()
             if not box.is_empty:
-                pts = quadrature.tensor_grid([np.linspace(lo, hi, grid_points_per_axis)
-                                              for lo, hi in box.pad(1e-3).intervals])
-                if np.any(np.abs(self.density.eval_array(pts)) > tol):
+                axes = [np.linspace(lo, hi, grid_points_per_axis)[:, None]
+                        for lo, hi in box.pad(1e-3).intervals]
+                if np.any(np.abs(self.density.eval_grid(axes)) > tol):
                     return False
         return True
 
@@ -215,8 +215,7 @@ class QuadPart:
     def values(self, X: np.ndarray, order) -> np.ndarray:
         """The fibre integral at each row of an (M, l) array of base points."""
         return quadrature.integrate_rows(
-            lambda i, j, Z: self.integrand.eval_array(
-                self.bundle.join(X[i:j], Z)).reshape(j - i, -1),
+            lambda i, j, r: self.integrand.eval_grid((X[i:j], *r.axes)).reshape(j - i, -1),
             self.fibre_box, X.shape[0], order)
 
     def diff_base(self, alpha) -> "QuadPart":
@@ -236,7 +235,7 @@ class NumericPart:
     def values(self, X: np.ndarray, order) -> np.ndarray:
         """The integral against g at each row of an (M, l) array of base points."""
         return quadrature.integrate_rows(
-            lambda i, j, Z: self.term.values_fn(X[i:j], Z) * self.g.eval_array(Z),
+            lambda i, j, r: self.term.values_fn(X[i:j], r.points) * self.g.eval_grid(r.axes),
             self.box, X.shape[0], order)
 
 
@@ -276,7 +275,7 @@ class BaseFunction:
     def values(self, X) -> np.ndarray:
         """The value at each row of an (M, l) array of base points.
 
-        One ``eval_array`` for the symbolic part and one joined pass per
+        One ``eval_array`` for the symbolic part and one grid pass per
         block of base points for each quadrature or numeric part; each entry
         equals ``value`` at its row, bit for bit.
         """

@@ -30,14 +30,20 @@ not depend on how much is shared.  The memos hold only values that are pure
 functions of their node and die with it; there is no intern table, so
 structurally equal nodes built separately stay distinct objects.
 
-Scalar evaluation is the one-row case of array evaluation, bit for bit:
-``e.evaluate(p)`` equals every row of ``e.eval_array`` that holds p.  Both
-paths apply the same IEEE operations per node: exp, sin and cos come from
-numpy's ufuncs on floats and arrays alike, an integer power is one
-multiplication ladder, and a sum of three or more terms is correctly
-rounded (``math.fsum``'s value) on both, through ``quadrature.fsum_list``
-and its row-wise form ``quadrature.row_fsum``.  A two-term sum is one IEEE
-addition, which is already correctly rounded.  Where fsum would raise
+Array evaluation is grid evaluation: ``eval_grid`` takes point blocks
+whose columns broadcast along one axis each, so every node runs at the
+broadcast shape of the coordinates it reads (``bump(x0)`` once per x0 on a
+lattice), and ``eval_array`` is its one-block case.  Broadcasting repeats
+operands but never changes an operation, so each grid entry equals the
+``eval_array`` row of its point bit for bit.  Scalar evaluation is the
+one-row case of array evaluation, bit for bit: ``e.evaluate(p)`` equals
+every row of ``e.eval_array`` that holds p.  Both paths apply the same
+IEEE operations per node: exp, sin and cos come from numpy's ufuncs on
+floats and arrays alike, an integer power is one multiplication ladder,
+and a sum of three or more terms is correctly rounded (``math.fsum``'s
+value) on both, through ``quadrature.fsum_list`` and its row-wise form
+``quadrature.row_fsum``.  A two-term sum is one IEEE addition, which is
+already correctly rounded.  Where fsum would raise
 (inf + -inf, or an overflow), both take the IEEE sum, so a sum is NaN or
 infinite there rather than an error.
 
@@ -272,22 +278,35 @@ class Expr:
 
     def eval_array(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate on an (N, dim) array of points, returning shape (N,)."""
-        pts = np.asarray(pts, dtype=float)
-        if pts.ndim != 2 or pts.shape[1] != self.dim:
-            raise DimensionError(f"expected points of shape (N, {self.dim})")
+        return self.eval_grid((pts,))
+
+    def eval_grid(self, blocks) -> np.ndarray:
+        """The value at every combination of rows of (n_i, d_i) point blocks
+        whose widths sum to ``dim``, in C order with the first block slowest
+        (as ``TrivialBundle.join`` and ``quadrature.tensor_grid`` order them).
+        Block i's columns broadcast along axis i, so each node runs at the
+        shape of the blocks it reads: a factor of x0 alone runs n_0 times."""
+        blocks = [np.asarray(b, dtype=float) for b in blocks]
+        if any(b.ndim != 2 for b in blocks) or sum(b.shape[1] for b in blocks) != self.dim:
+            raise DimensionError(f"expected point blocks of total width {self.dim}")
+        ones = (1,) * len(blocks)
+        # contiguous copies: numpy's exp on reversed rows can differ in the last bit
+        cols = [np.ascontiguousarray(c).reshape(ones[:i] + (-1,) + ones[i + 1:])
+                for i, b in enumerate(blocks) for c in b.T]
         vals = []
         append = vals.append
         for node, args, dead in self._plan:
-            append((node or self)._eval_arr(pts, vals, args))
+            append((node or self)._eval_arr(cols, vals, args))
             for i in dead:
                 vals[i] = None  # its last consumer has run
-        return vals[-1]
+        return np.broadcast_to(vals[-1], tuple(b.shape[0] for b in blocks)).flatten()
 
     def _eval(self, point, vals, args):
         """This node's value; its children's values are ``vals[i] for i in args``."""
         raise NotImplementedError
 
-    def _eval_arr(self, pts, vals, args):
+    def _eval_arr(self, cols, vals, args):
+        """This node's value over broadcast coordinate columns ``cols``."""
         raise NotImplementedError
 
     @cached_property
@@ -493,8 +512,8 @@ class Const(Expr):
     def _eval(self, point, vals, args):
         return self._float
 
-    def _eval_arr(self, pts, vals, args):
-        return np.full(pts.shape[0], self._float)
+    def _eval_arr(self, cols, vals, args):
+        return self._float
 
     def _diff1(self, slot):
         return Const(self.dim, Fraction(0))
@@ -530,8 +549,8 @@ class NamedConst(Expr):
     def _eval(self, point, vals, args):
         return self._float
 
-    def _eval_arr(self, pts, vals, args):
-        return np.full(pts.shape[0], self._float)
+    def _eval_arr(self, cols, vals, args):
+        return self._float
 
     def _diff1(self, slot):
         return Const(self.dim, Fraction(0))
@@ -558,8 +577,8 @@ class Var(Expr):
     def _eval(self, point, vals, args):
         return point[self.slot]
 
-    def _eval_arr(self, pts, vals, args):
-        return pts[:, self.slot]
+    def _eval_arr(self, cols, vals, args):
+        return cols[self.slot]
 
     def _diff1(self, slot):
         return Const(self.dim, Fraction(1 if slot == self.slot else 0))
@@ -587,7 +606,7 @@ class Sum(Expr):
             return 0.0 + vals[args[0]] + vals[args[1]]
         return quadrature.fsum_list([vals[i] for i in args])
 
-    def _eval_arr(self, pts, vals, args):
+    def _eval_arr(self, cols, vals, args):
         if len(args) == 2:
             return 0.0 + vals[args[0]] + vals[args[1]]
         return quadrature.row_fsum([vals[i] for i in args])
@@ -636,17 +655,14 @@ class Product(Expr):
         # exact zero factors annihilate, even alongside overflowed ones
         return 0.0 if zero else acc
 
-    def _eval_arr(self, pts, vals, args):
+    def _eval_arr(self, cols, vals, args):
         # inf * 0 from saturated factors is overridden by the zero mask
+        acc, zero = 1.0, False
         with np.errstate(invalid="ignore", over="ignore"):
-            acc = np.ones(pts.shape[0])
             for i in args:
                 acc = acc * vals[i]
-        zero = np.zeros(pts.shape[0], dtype=bool)
-        for i in args:
-            zero |= vals[i] == 0.0
-        acc[zero] = 0.0
-        return acc
+                zero = zero | (vals[i] == 0.0)
+        return np.where(zero, 0.0, acc)
 
     def _diff1(self, slot):
         terms = []
@@ -688,7 +704,7 @@ class IntPow(Expr):
     def _eval(self, point, vals, args):
         return _power(vals[args[0]], self.exponent)
 
-    def _eval_arr(self, pts, vals, args):
+    def _eval_arr(self, cols, vals, args):
         return _power(vals[args[0]], self.exponent)
 
     def _diff1(self, slot):
@@ -740,7 +756,7 @@ class _Unary(Expr):
         with np.errstate(over="ignore", invalid="ignore"):
             return float(type(self)._np_fn(u))
 
-    def _eval_arr(self, pts, vals, args):
+    def _eval_arr(self, cols, vals, args):
         with np.errstate(over="ignore", invalid="ignore"):
             return type(self)._np_fn(vals[args[0]])
 
@@ -823,19 +839,17 @@ class BumpRat(Expr):
             r /= s
         return r * _poly_eval_float(self._coeffs_float, u)
 
-    def _eval_arr(self, pts, vals, args):
+    def _eval_arr(self, cols, vals, args):
         u = vals[args[0]]
         inside = ~(np.abs(u) >= 1.0)  # a NaN argument stays NaN, as on floats
         s = np.where(inside, 1.0 - u * u, 1.0)
         r = np.exp(-1.0 / s)
         for _ in range(self.pole_order):
             r = r / s
-        p = np.zeros_like(u)
+        p = 0.0
         for c in reversed(self._coeffs_float):
             p = p * u + c
-        out = r * p
-        out[~inside] = 0.0
-        return out
+        return np.where(inside, r * p, 0.0)
 
     def _diff1(self, slot):
         # d/du [bump(u) p(u) (1-u^2)^-q]

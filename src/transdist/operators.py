@@ -20,8 +20,8 @@ Term-by-term composition rules:
 
 Density and numeric kernels are evaluated over whole pair grids:
 ``pair_values(term, Y, Z)`` gives psi(y_i, z_j) for base points Y and fibre
-points Z in ``eval_array`` passes of at most ``quadrature.PAIR_BLOCK``
-joined rows; a single base point is the case of one row.  A numeric kernel
+points Z in ``eval_grid`` passes over at most ``quadrature.PAIR_BLOCK``
+(y, z) pairs; a single base point is the case of one row.  A numeric kernel
 evaluates its inner factor once for all of Y and contracts row by row, so
 its values do not depend on how many base points are asked for at once.
 
@@ -68,7 +68,7 @@ def pair_values(term, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
     n = Z.shape[0]
     step = max(quadrature.PAIR_BLOCK // max(n, 1), 1)
     return np.concatenate([
-        term.phi.eval_array(term.bundle.join(Y[i:i + step], Z)).reshape(-1, n)
+        term.phi.eval_grid((Y[i:i + step], Z)).reshape(-1, n)
         for i in range(0, Y.shape[0], step)])
 
 

@@ -14,8 +14,11 @@ is therefore a function of the integrand values alone.  Those values are
 not covered: numpy's vectorized elementary functions (``exp``, ``sin``, ...)
 may differ in the last ulp between builds and CPUs.
 
-The module also holds the sums that expression evaluation shares between
-its scalar and array paths: ``fsum_list`` for one list of terms and
+A rule keeps its per-axis nodes (``axes``) beside their tensor grid, so an
+expression integrand is evaluated with ``Expr.eval_grid`` on the axes and
+a factor of one coordinate runs once per node of that axis.  The module
+also holds the sums that expression evaluation shares between its scalar
+and array paths: ``fsum_list`` for one list of terms and
 ``row_fsum``, its vectorized row-wise form, so that a ``Sum`` node gives
 the same float on either path.
 """
@@ -159,8 +162,8 @@ def fsum(p: np.ndarray) -> float:
     the symmetric rules give, sums to exactly zero.  Otherwise the
     remainders and the high sum, which add up to the same total, are split
     again, and after ``_EXTRACT_PASSES`` passes, or on a non-finite or
-    out-of-range maximum, ``math.fsum`` decides, with its errors for
-    infinite terms or an overflowing sum.
+    out-of-range maximum, ``fsum_list`` decides: NaN or an infinity where
+    the terms hold opposite infinities or the sum overflows.
     """
     n = p.shape[0]
     if n >= _VECTOR_MIN:
@@ -187,7 +190,7 @@ def fsum(p: np.ndarray) -> float:
                 return 0.0
             p = np.append(low, total)
             n += 1
-    return math.fsum(p.tolist())
+    return fsum_list(p.tolist())
 
 
 def fsum_list(values: list) -> float:
@@ -217,7 +220,8 @@ def _two_sum_cascade(cols):
 
 
 def row_fsum(cols) -> np.ndarray:
-    """``fsum_list`` of every row of two or more equal-length 1-d columns.
+    """``fsum_list`` of every row of two or more columns, at their broadcast
+    shape: row r holds entry r of each column broadcast to that shape.
 
     Cascaded TwoSum (Ogita, Rump & Oishi, "Accurate sum and dot product",
     SIAM J. Sci. Comput. 26(6), 2005) splits each row's exact sum into its
@@ -230,6 +234,8 @@ def row_fsum(cols) -> np.ndarray:
     left (near ties, and every row with an inf, a NaN or an overflow) get
     ``fsum_list``.  Rows go in blocks of ``_ROW_BLOCK``.
     """
+    shape = np.broadcast_shapes(*map(np.shape, cols))
+    cols = [np.broadcast_to(c, shape).ravel() for c in cols]
     n, k = cols[0].shape[0], len(cols)
     out = np.empty(n)
     with np.errstate(invalid="ignore", over="ignore"):
@@ -250,7 +256,7 @@ def row_fsum(cols) -> np.ndarray:
                 for i in hard[~certified].tolist():
                     total[i] = fsum_list([c[i] for c in block])
             out[lo:lo + _ROW_BLOCK] = total + 0.0
-    return out
+    return out.reshape(shape)
 
 
 def tensor_grid(axes) -> np.ndarray:
@@ -262,7 +268,9 @@ def tensor_grid(axes) -> np.ndarray:
 class QuadratureRule:
     """Nodes and weights of order q per axis, mapped affinely onto a box.
 
-    The arrays are read-only, so callers can share one rule (see ``rule``).
+    ``axes`` holds each axis's nodes as a (q, 1) block and ``points`` their
+    tensor grid, in the order of ``weights``.  The arrays are read-only, so
+    callers can share one rule (see ``rule``).
     """
 
     def __init__(self, box: expr.Box, order: int):
@@ -284,7 +292,9 @@ class QuadratureRule:
         for aw in axes_wts[1:]:
             wt = np.multiply.outer(wt, aw)
         self.weights = wt.ravel()
-        self.points.flags.writeable = self.weights.flags.writeable = False
+        for a in (self.points, self.weights, *axes_pts):
+            a.flags.writeable = False
+        self.axes = tuple(a[:, None] for a in axes_pts)  # read-only views
 
     def integrate_values(self, values: np.ndarray) -> float:
         """The correctly rounded sum of ``weights * values`` (see fsum)."""
@@ -316,11 +326,12 @@ def rule(box: expr.Box, order: int | None = None) -> QuadratureRule:
 def integrate(f, box: expr.Box, order: int | None = None) -> float:
     """Integrate an Expr or callable over a box.
 
-    Degenerate and empty boxes integrate to 0 by convention.  Callables
-    must accept an (N, dim) array of points and return N values.
+    Degenerate and empty boxes integrate to 0 by convention.  An Expr is
+    evaluated on the rule's axes (``Expr.eval_grid``); callables must accept
+    an (N, dim) array of points and return N values.
     """
-    fn = f.eval_array if isinstance(f, expr.Expr) else f
-    return float(integrate_rows(lambda i, j, pts: np.asarray(fn(pts), dtype=float)[None],
+    fn = (lambda r: f.eval_grid(r.axes)) if isinstance(f, expr.Expr) else lambda r: f(r.points)
+    return float(integrate_rows(lambda i, j, r: np.asarray(fn(r), dtype=float)[None],
                                 box, 1, order)[0])
 
 
@@ -328,7 +339,7 @@ def integrate_rows(values_fn, box: expr.Box, count: int,
                    order: int | None = None) -> np.ndarray:
     """The integrals over one box of ``count`` integrands at once.
 
-    ``values_fn(i, j, points)`` returns integrands i..j-1 at the rule's
+    ``values_fn(i, j, rule)`` returns integrands i..j-1 at the rule's
     points, one row each; it is called on consecutive blocks of at most
     ``PAIR_BLOCK`` values in all.  Each row is summed by ``integrate_values``,
     so every integral equals that of its integrand alone, bit for bit.
@@ -341,5 +352,5 @@ def integrate_rows(values_fn, box: expr.Box, count: int,
     step = max(PAIR_BLOCK // r.points.shape[0], 1)
     for i in range(0, count, step):
         j = min(i + step, count)
-        out[i:j] = [r.integrate_values(v) for v in values_fn(i, j, r.points)]
+        out[i:j] = [r.integrate_values(v) for v in values_fn(i, j, r)]
     return out

@@ -7,15 +7,16 @@ just in the limit.  Grid suprema are lower bounds of the true suprema;
 failed membership checks come with an exact witness (point, multi-index,
 shell index).
 
-Every scan is an array pass: each (shell, multi-index) pair evaluates its
-lattice points in blocks of at most ``quadrature.PAIR_BLOCK`` rows through
-``eval_array``, ``BaseFunction.values`` or ``pair_restrictions``, which
-equal the pointwise values bit for bit.  Points are visited in the order of
-a per-point scan, which stops at the first point that fails, so verdicts
-and witnesses are those of that scan, and a rejection evaluates no block
-after its first failing one.  A NaN at a lattice point is an error
-(``ExprError``, naming the point and the multi-index), never a skipped
-value or a rejection.
+Every scan is an array pass.  A seminorm evaluates each derivative once
+over the lattice axes (``Expr.eval_grid``); a membership scan evaluates
+each (shell, multi-index) pair's lattice points in blocks of at most
+``quadrature.PAIR_BLOCK`` rows through ``BaseFunction.values`` or
+``pair_restrictions``.  Both equal the pointwise values bit for bit.
+Points are visited in the order of a per-point scan, which stops at the
+first point that fails, so verdicts and witnesses are those of that scan,
+and a rejection evaluates no block after its first failing one.  A NaN at
+a lattice point is an error (``ExprError``, naming the point and the
+multi-index), never a skipped value or a rejection.
 """
 
 from __future__ import annotations
@@ -52,16 +53,21 @@ def lattice_axis(lo: float, hi: float, pitch: float) -> np.ndarray:
     return np.arange(i_min, i_max + 1) * pitch
 
 
-def lattice_points(box: Box, density: int | None = None) -> np.ndarray:
-    """All lattice points of a box, shape (N, dim)."""
-    if box.is_empty:
-        return np.empty((0, box.dim))
+def lattice_axes(box: Box, density: int | None = None) -> list:
+    """The lattice coordinates of a nonempty box, one 1-d array per axis."""
     pitch = lattice_pitch(density)
     bound = math.prod((hi - lo) / pitch + 1.0 for lo, hi in box.intervals)
     if not bound <= MAX_LATTICE_POINTS:
         raise ExprError(f"lattice over {box.intervals} at pitch {pitch:g} "
                         f"exceeds {MAX_LATTICE_POINTS} points")
-    return tensor_grid([lattice_axis(lo, hi, pitch) for lo, hi in box.intervals])
+    return [lattice_axis(lo, hi, pitch) for lo, hi in box.intervals]
+
+
+def lattice_points(box: Box, density: int | None = None) -> np.ndarray:
+    """All lattice points of a box, shape (N, dim): the tensor grid of its axes."""
+    if box.is_empty:
+        return np.empty((0, box.dim))
+    return tensor_grid(lattice_axes(box, density))
 
 
 @dataclass(frozen=True)
@@ -84,13 +90,14 @@ def seminorm_eval(p: Seminorm, F: Expr, density: int | None = None) -> float:
     """Grid supremum realizing the seminorm; a lower bound of the true sup."""
     if F.dim != p.box.dim:
         raise DimensionError("expression and box dimensions differ")
-    pts = lattice_points(p.box, density)
+    axes = lattice_axes(p.box, density)
     best = 0.0
     for alpha in multi_indices_up_to(F.dim, p.order):
-        vals = np.abs(F.diff(alpha).eval_array(pts))
+        vals = np.abs(F.diff(alpha).eval_grid([a[:, None] for a in axes]))
         m = float(vals.max(initial=0.0))
         if math.isnan(m):  # max propagates a NaN
-            _raise_nan(pts[np.isnan(vals)][0], alpha, "seminorm")
+            at = np.unravel_index(np.flatnonzero(np.isnan(vals))[0], [a.size for a in axes])
+            _raise_nan(np.array([a[i] for a, i in zip(axes, at)]), alpha, "seminorm")
         if m > best:
             best = m
     return best

@@ -133,10 +133,13 @@ def check_leibniz(T: TransversalDistribution, F: Expr, alpha_max: int, grid,
     b = T.bundle
     bf = dist.evaluate(T, F, order)
     family_cache = {}
+    # restrictions of D^beta T and D^gamma F at x, each built once per call
+    restricted_T, restricted_F = {}, {}
     for alpha in ex.multi_indices_up_to(b.base_dim, alpha_max):
         direct = bf.derivative(alpha)
         worst, witness = 0.0, None
         for x in grid:
+            x = tuple(x)
             lhs = direct.value(x)
             rhs = 0.0
             for beta in ex.multi_indices_below(alpha):
@@ -147,10 +150,12 @@ def check_leibniz(T: TransversalDistribution, F: Expr, alpha_max: int, grid,
                         coeff *= math.comb(a_i, b_i)
                 if beta not in family_cache:
                     family_cache[beta] = dist.family_derivative(T, beta)
-                dT = family_cache[beta]
-                dF = F.diff(b.base_alpha_to_total(gamma))
-                rhs += coeff * dist.pair(dist.restrict(dT, x),
-                                         restrict_function(b, dF, x), order)
+                if (beta, x) not in restricted_T:
+                    restricted_T[beta, x] = dist.restrict(family_cache[beta], x)
+                if (gamma, x) not in restricted_F:
+                    restricted_F[gamma, x] = restrict_function(
+                        b, F.diff(b.base_alpha_to_total(gamma)), x)
+                rhs += coeff * dist.pair(restricted_T[beta, x], restricted_F[gamma, x], order)
             err = _relative_error(lhs, rhs)
             if err > worst:
                 worst, witness = err, {"x": tuple(map(float, x)), "alpha": alpha,

@@ -201,8 +201,40 @@ def nan_scene(tmp_path):
     return str(path)
 
 
+@pytest.fixture
+def overflow_scene(tmp_path):
+    """A 1+1 scene whose fibre integrand holds opposite infinities, and a
+    Dirac weight that is NaN at x0 = 3."""
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({
+        "bundle": {"base_dim": 1, "fibre_dim": 1},
+        "functions": {"V": "y0*exp(exp(exp(y0^2)))"},
+        "sections": {"diag": ["x0"]},
+        "distributions": {
+            "D": [{"type": "density", "phi": "bump(x0)*bump(y0/3)"}],
+            "T": [{"type": "dirac_section", "section": "diag",
+                   "weight": f"bump(x0/4)*({OVERFLOW_NAN.format(v='x0')})"}]},
+    }))
+    return str(path)
+
+
 class TestNonFiniteValues:
     """A NaN at a lattice point is a usage error; an annihilated one is not."""
+
+    def test_fibre_integral_over_opposite_infinities_is_exit_2(self, capsys, overflow_scene):
+        # weights * values hold +inf and -inf: the fibre sum is NaN, not an error
+        code, out = run_cli(capsys, "eval", overflow_scene, "D", "V", "--at", "0")
+        assert code == cli.EXIT_USAGE
+        assert json.loads(out)["error"] == "value nan at base point (0.0,) is not finite"
+
+    def test_restrict_refuses_a_nan_coefficient(self, capsys, overflow_scene):
+        code, out = run_cli(capsys, "restrict", overflow_scene, "T", "--at", "3")
+        assert code == cli.EXIT_USAGE
+        assert json.loads(out)["error"] == (
+            "atom at (3.0,) with coefficient nan at base point (3.0,) is not finite")
+        code, out = run_cli(capsys, "restrict", overflow_scene, "T", "--at", "1")
+        assert code == cli.EXIT_OK
+        assert math.isfinite(json.loads(out)["restriction"]["atoms"][0]["coefficient"])
 
     def test_seminorm_over_a_nan_is_exit_2(self, capsys, nan_scene):
         code, out = run_cli(capsys, "seminorm", nan_scene, "W", "--box=-4:4;-1:1",

@@ -141,3 +141,23 @@ def test_no_loop_in_topology_runs_over_lattice_points():
 
 def test_one_tensor_grid_helper():
     assert calls_of("meshgrid") == [("quadrature.py", "tensor_grid")]
+
+
+def test_node_evaluators_are_broadcast_native():
+    """No ``_eval_arr`` asks for a row count: each node works at the shape
+    of its children's values (see ``Expr.eval_grid``)."""
+    def row_count(n):
+        return ((isinstance(n, ast.Attribute) and n.attr == "shape")
+                or (isinstance(n, ast.Call)
+                    and _name(n.func) in {"full", "ones", "zeros", "empty"}))
+
+    evaluators = [hit for hit in nodes_where(lambda n: isinstance(n, ast.FunctionDef)
+                                             and n.name == "_eval_arr")
+                  if hit[0] == "expr.py"]
+    assert len(evaluators) >= 8  # the node classes are seen
+    assert [hit for hit in nodes_where(row_count) if hit == ("expr.py", "_eval_arr")] == []
+
+
+def test_seminorm_evaluates_over_lattice_axes():
+    assert ("topology.py", "seminorm_eval") in calls_of("lattice_axes")
+    assert ("topology.py", "seminorm_eval") not in calls_of("lattice_points")
