@@ -107,38 +107,33 @@ def restrict_function(bundle: TrivialBundle, F: Expr, x) -> Expr:
         raise DimensionError("restrict_function expects a total-space function")
     if len(x) != bundle.base_dim:
         raise DimensionError("base point dimension mismatched with bundle")
-    consts = {i: expr.const(Fraction(float(x[i])), bundle.total_dim)
-              for i in bundle.base_slots}
-    pinned = F.substitute(consts)
-    slot_map = {l_plus_j: l_plus_j - bundle.base_dim for l_plus_j in bundle.fibre_slots}
-    return pinned.remap(slot_map, bundle.fibre_dim)
+    images = {i: expr.const(Fraction(float(x[i])), bundle.fibre_dim) for i in bundle.base_slots}
+    images.update({bundle.base_dim + j: j for j in range(bundle.fibre_dim)})
+    return F.substitute(images, bundle.fibre_dim)
 
 
 def extend_function(bundle: TrivialBundle, g: Expr) -> Expr:
     """The base-constant extension of a fibre function to the total space."""
     if g.dim != bundle.fibre_dim:
         raise DimensionError("extend_function expects a fibre function")
-    slot_map = {j: bundle.base_dim + j for j in range(bundle.fibre_dim)}
-    return g.remap(slot_map, bundle.total_dim)
+    return g.substitute({j: bundle.base_dim + j for j in range(bundle.fibre_dim)},
+                        bundle.total_dim)
 
 
 def extend_base_function(bundle: TrivialBundle, f: Expr) -> Expr:
     """f composed with the projection: a fibre-constant total-space function."""
     if f.dim != bundle.base_dim:
         raise DimensionError("extend_base_function expects a base function")
-    slot_map = {i: i for i in bundle.base_slots}
-    return f.remap(slot_map, bundle.total_dim)
+    return f.substitute({i: i for i in bundle.base_slots}, bundle.total_dim)
 
 
 def pullback_along_section(bundle: TrivialBundle, F: Expr, section: Section) -> Expr:
     """x -> F(x, sigma(x)) as an exact base function."""
     if F.dim != bundle.total_dim:
         raise DimensionError("pullback expects a total-space function")
-    lifted = {bundle.base_dim + j: extend_base_function(bundle, c)
-              for j, c in enumerate(section.components)}
-    composed = F.substitute(lifted)
-    slot_map = {i: i for i in bundle.base_slots}
-    return composed.remap(slot_map, bundle.base_dim)
+    images = {i: i for i in bundle.base_slots}
+    images.update({bundle.base_dim + j: c for j, c in enumerate(section.components)})
+    return F.substitute(images, bundle.base_dim)
 
 
 def section_graph_support(section: Section, weight_support: Box) -> Box:

@@ -194,8 +194,36 @@ def load_scene(path) -> Scene:
         raise SceneDimensionError(f"{path}: {err}") from err
     except ExprError as err:
         raise SceneParseError(f"{path}: {err}") from err
-    scene.checks = doc.get("checks") or {}
+    scene.checks = _load_checks(path, doc.get("checks") or {})
     return scene
+
+
+def _field(scene_path: str, where: str, build, *args):
+    """build(*args), with a malformed value reported as a parse error naming
+    the field; a dimension mismatch stays a DimensionError."""
+    try:
+        return build(*args)
+    except DimensionError:
+        raise
+    except (ValueError, TypeError) as err:
+        raise SceneParseError(f"{scene_path}: {where}: {err}") from err
+
+
+def _points(value) -> list:
+    return [tuple(float(c) for c in p) for p in value]
+
+
+# the value of each key of "checks", as the suites read it
+_CHECK_FIELDS = {"alpha_max": int, "probe_count": int, "grid": _points, "smooth_grid": _points,
+                 "localize_at": _points, "smooth_alpha": lambda a: tuple(map(int, a))}
+
+
+def _load_checks(scene_path: str, checks) -> dict:
+    if not isinstance(checks, dict):
+        raise SceneParseError(f"{scene_path}: checks: expected an object")
+    return {key: _field(scene_path, f"checks.{key}", _CHECK_FIELDS[key], value)
+            if key in _CHECK_FIELDS else value
+            for key, value in checks.items() if value is not None}  # null means unset
 
 
 def _load_section(scene: Scene, spec, where: str) -> Section:
@@ -209,7 +237,7 @@ def _load_section(scene: Scene, spec, where: str) -> Section:
     exprs = tuple(_parse_expr(scene.path, scene.bundle, c,
                               f"{where}[{i}]", kind="base")
                   for i, c in enumerate(comps))
-    box = Box.of(domain) if domain else None
+    box = _field(scene.path, f"{where}.domain", Box.of, domain) if domain else None
     return Section(scene.bundle, exprs, box)
 
 
@@ -231,7 +259,9 @@ def _load_distribution(scene: Scene, terms, where: str) -> TransversalDistributi
                 raise SceneParseError(f"{scene.path}: {spot}: bad section reference")
             weight = _parse_expr(scene.path, scene.bundle, t.get("weight"),
                                  f"{spot}.weight", kind="base")
-            beta = tuple(t.get("beta") or scene.bundle.zero_fibre_beta())
+            beta = _field(scene.path, f"{spot}.beta", ex.check_multi_index,
+                          t.get("beta") or scene.bundle.zero_fibre_beta(),
+                          scene.bundle.fibre_dim)
             built.append(dist.DiracSectionTerm(section, weight, beta))
         elif t["type"] == "density":
             phi = _parse_expr(scene.path, scene.bundle, t.get("phi"),
@@ -245,21 +275,23 @@ def _load_distribution(scene: Scene, terms, where: str) -> TransversalDistributi
 def _load_profile(scene: Scene, spec, where: str):
     if not isinstance(spec, dict):
         raise SceneParseError(f"{scene.path}: {where}: expected a profile object")
-    try:
-        profile = topology.LFProfile(scene.bundle.base_dim,
-                                     tuple(spec.get("orders") or ()),
-                                     tuple(spec.get("epsilons") or ()))
-    except ValueError as err:
-        raise SceneParseError(f"{scene.path}: {where}: {err}") from err
-    families = None
-    if spec.get("families"):
-        families = tuple(
-            topology.BoundedFamily(scene.bundle.fibre_dim, tuple(
-                _parse_expr(scene.path, scene.bundle, g,
-                            f"{where}.families[{i}][{j}]", kind="fibre")
-                for j, g in enumerate(members)))
-            for i, members in enumerate(spec["families"]))
-    return profile, families
+    profile = _field(scene.path, where, topology.LFProfile, scene.bundle.base_dim,
+                     tuple(spec.get("orders") or ()), tuple(spec.get("epsilons") or ()))
+    if not spec.get("families"):
+        return profile, None
+    families = spec["families"]
+    if not isinstance(families, list) or len(families) != len(profile.orders):
+        raise SceneParseError(f"{scene.path}: {where}.families: expected a list of "
+                              f"{len(profile.orders)} families, one per shell")
+    built = []
+    for i, members in enumerate(families):
+        spot = f"{where}.families[{i}]"
+        if not isinstance(members, list):
+            raise SceneParseError(f"{scene.path}: {spot}: expected a list of fibre functions")
+        built.append(_field(scene.path, spot, topology.BoundedFamily, scene.bundle.fibre_dim,
+                            tuple(_parse_expr(scene.path, scene.bundle, g, f"{spot}[{j}]",
+                                              kind="fibre") for j, g in enumerate(members))))
+    return profile, tuple(built)
 
 
 # ---------------------------------------------------------------------------
@@ -300,11 +332,9 @@ def _point_payload(v: dist.PointDistribution) -> dict:
 
 
 def _default_base_grid(bundle: TrivialBundle, checks: dict, key: str = "grid"):
-    pts = checks.get(key)
-    if pts is None and key != "grid":
-        pts = checks.get("grid")
+    pts = checks.get(key, checks.get("grid"))
     if pts is not None:
-        return [tuple(float(c) for c in p) for p in pts]
+        return pts
     if bundle.base_dim == 1:
         axis = (-0.6, -0.3, 0.0, 0.3, 0.6)
         return [(x,) for x in axis]
@@ -487,8 +517,8 @@ def run_checks(scene: Scene, suites, tolerance_scale: float = 1.0,
     checks = scene.checks
     grid = _default_base_grid(scene.bundle, checks)
     smooth_grid = _default_base_grid(scene.bundle, checks, key="smooth_grid")
-    alpha_max = int(checks.get("alpha_max", 2))
-    probe_count = int(checks.get("probe_count", 20))
+    alpha_max = checks.get("alpha_max", 2)
+    probe_count = checks.get("probe_count", 20)
     ts = tolerance_scale
     per_pair = {  # suite: (report name, check of one distribution against one function)
         "restriction": ("restriction_compat", lambda T, F: verify.check_restriction_compat(
@@ -496,7 +526,7 @@ def run_checks(scene: Scene, suites, tolerance_scale: float = 1.0,
         "leibniz": ("leibniz", lambda T, F: verify.check_leibniz(
             T, F, alpha_max, grid, tolerance=1e-8 * ts, order=order)),
         "smoothness": ("smoothness", lambda T, F: verify.check_smoothness(
-            T, F, tuple(checks.get("smooth_alpha", (1,) + (0,) * (T.bundle.base_dim - 1))),
+            T, F, checks.get("smooth_alpha", (1,) + (0,) * (T.bundle.base_dim - 1)),
             smooth_grid, terminal_tolerance=1e-5 * ts, order=order)),
     }
     reports = []
@@ -527,8 +557,7 @@ def run_checks(scene: Scene, suites, tolerance_scale: float = 1.0,
         elif suite == "localization":
             points = checks.get("localize_at") or []
             for tn in dists:
-                for p in points:
-                    x = tuple(float(c) for c in p)
+                for x in points:
                     r = verify.check_localization(scene.distributions[tn], x,
                                                   tolerance=1e-10 * ts, order=order)
                     r.suite = f"localization[{tn},x={x}]"

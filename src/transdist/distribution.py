@@ -125,12 +125,6 @@ class PointDistribution:
             if not self.density.support_box().is_bounded:
                 raise ExprError("point-distribution density must be compactly supported")
 
-    def scaled(self, c: float) -> "PointDistribution":
-        atoms = tuple((p, b, c * w) for p, b, w in self.atoms)
-        dens = None if self.density is None else ex.mul(ex.const(Fraction(float(c)),
-                                                                 self.fibre_dim), self.density)
-        return PointDistribution(self.fibre_dim, atoms, dens)
-
     def is_numerically_zero(self, grid_points_per_axis: int = 9, tol: float = 0.0) -> bool:
         """Exact-zero test on atoms plus a grid-zero test on the density part."""
         if any(abs(c) > tol for _, _, c in self.atoms):
@@ -569,7 +563,7 @@ def localize_decompose(T: TransversalDistribution, x, tol: float = 0.0):
                 poly_part = ex.mul(*base_polys)
                 extra = ex.mul(*fibre_polys)
                 envelope = extra if envelope is None else ex.mul(extra, envelope)
-            poly_base = poly_part.remap({s: s for s in poly_part.free_slots}, b.base_dim)
+            poly_base = poly_part.substitute({s: s for s in poly_part.free_slots}, b.base_dim)
         else:
             poly_base = poly_part
         value_at_x, factors = hadamard_factor(poly_base, x)

@@ -22,7 +22,7 @@ a high-order derivative has far fewer distinct nodes than its tree has
 paths.  The code treats it as one.  ``diff1`` and ``support_box`` are
 memoized on each node, so ``D^alpha`` reuses ``D^(alpha - e_i)`` and asking
 again returns the identical object.  Evaluation (scalar and array),
-substitution, remapping and the bump-boundary scan walk a per-node plan
+substitution and the bump-boundary scan walk a per-node plan
 that lists every distinct node once, children first; ``interval`` keeps
 a per-call memo.  Each node still applies the same float operation, in the
 same order, to the same child values as a tree walk would, so results do
@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
 
@@ -161,13 +161,6 @@ class Box:
         if self.is_empty:
             return True
         return all(lo > -_INF and hi < _INF for lo, hi in self.intervals)
-
-    def contains(self, point, tol: float = 0.0) -> bool:
-        if self.is_empty:
-            return False
-        if len(point) != self.dim:
-            raise DimensionError("point dimension mismatched with box")
-        return all(lo - tol <= p <= hi + tol for p, (lo, hi) in zip(point, self.intervals))
 
     def hull(self, other: "Box") -> "Box":
         if self.dim != other.dim:
@@ -368,23 +361,42 @@ class Expr:
                 out = out.diff1(slot)
         return out
 
-    def substitute(self, mapping) -> "Expr":
-        """Replace coordinates by expressions; keys are slots."""
-        for slot, repl in mapping.items():
+    def substitute(self, images, dim: int | None = None) -> "Expr":
+        """This expression with coordinates replaced, as an expression on R^dim.
+
+        ``images`` maps slots to expressions on R^dim, or to an int t for
+        coordinate t of R^dim under the replaced variable's own name.
+        ``dim`` defaults to this expression's ambient; under a change of
+        ambient every free slot needs an image, and constants move along.
+        The DAG is rebuilt once, whatever the images:
+
+        >>> e = parse("x0*y0 + 1", 2, base_dim=1)
+        >>> print(e.substitute({0: parse("x0^2", 2)}))
+        x0^2*y0 + 1
+        >>> f = e.substitute({0: const(3, 1), 1: 0}, dim=1)
+        >>> f.dim, str(f)
+        (1, '3*y0 + 1')
+        """
+        dim = self.dim if dim is None else dim
+        missing = sorted(self.free_slots - set(images)) if dim != self.dim else None
+        if missing:
+            raise DimensionError(f"substitution into R^{dim} misses slots {missing}")
+        for slot, image in images.items():
             if not 0 <= slot < self.dim:
                 raise DimensionError(f"substituted slot {slot} outside ambient {self.dim}")
-            if repl.dim != self.dim:
+            if isinstance(image, Expr) and image.dim != dim:
                 raise DimensionError(
-                    f"replacement for slot {slot} has ambient {repl.dim}, expected {self.dim}")
-        return self._map_leaves(
-            lambda leaf: mapping.get(leaf.slot, leaf) if isinstance(leaf, Var) else leaf)
+                    f"replacement for slot {slot} has ambient {image.dim}, expected {dim}")
+            if not isinstance(image, Expr) and not 0 <= image < dim:
+                raise DimensionError(f"slot {slot} sent to {image}, outside ambient {dim}")
 
-    def remap(self, slot_map, new_dim: int) -> "Expr":
-        """Re-index free coordinates; every free slot must appear in slot_map."""
-        missing = self.free_slots - set(slot_map)
-        if missing:
-            raise DimensionError(f"remap misses slots {sorted(missing)}")
-        return self._map_leaves(lambda leaf: leaf._remap(slot_map, new_dim))
+        def leaf_fn(leaf):
+            if isinstance(leaf, Var):
+                image = images.get(leaf.slot, leaf)
+                return image if isinstance(image, Expr) else Var(dim, image, leaf.name)
+            return leaf if dim == self.dim else replace(leaf, dim=dim)
+
+        return self._map_leaves(leaf_fn)
 
     def _map_leaves(self, leaf_fn) -> "Expr":
         """Rebuild the DAG bottom-up with each leaf replaced by leaf_fn(leaf)."""
@@ -518,9 +530,6 @@ class Const(Expr):
     def _diff1(self, slot):
         return Const(self.dim, Fraction(0))
 
-    def _remap(self, slot_map, new_dim):
-        return Const(new_dim, self.value)
-
     def _support(self):
         return Box.empty(self.dim) if self.value == 0 else Box.whole(self.dim)
 
@@ -555,9 +564,6 @@ class NamedConst(Expr):
     def _diff1(self, slot):
         return Const(self.dim, Fraction(0))
 
-    def _remap(self, slot_map, new_dim):
-        return NamedConst(new_dim, self.name)
-
     def _interval(self, box, memo):
         return _round_out(self._float, self._float)
 
@@ -582,9 +588,6 @@ class Var(Expr):
 
     def _diff1(self, slot):
         return Const(self.dim, Fraction(1 if slot == self.slot else 0))
-
-    def _remap(self, slot_map, new_dim):
-        return Var(new_dim, slot_map[self.slot], self.name)
 
     @cached_property
     def free_slots(self) -> frozenset:
@@ -1106,32 +1109,20 @@ def as_polynomial(e: Expr):
             for mono, c in p.items():
                 out[mono] = out.get(mono, Fraction(0)) + c
         return {m: c for m, c in out.items() if c != 0}
-    if isinstance(e, Product):
+    if isinstance(e, (Product, IntPow)):
+        power = 1 if isinstance(e, Product) else e.exponent
         out = {(0,) * e.dim: Fraction(1)}
-        for f in e.factors:
+        for f in e._children():
             p = as_polynomial(f)
             if p is None:
                 return None
-            nxt = {}
-            for m1, c1 in out.items():
-                for m2, c2 in p.items():
-                    m = tuple(a + b for a, b in zip(m1, m2))
-                    nxt[m] = nxt.get(m, Fraction(0)) + c1 * c2
-            out = nxt
-        return {m: c for m, c in out.items() if c != 0}
-    if isinstance(e, IntPow):
-        p = as_polynomial(e.base)
-        if p is None:
-            return None
-        out = {(0,) * e.dim: Fraction(1)}
-        base = p
-        for _ in range(e.exponent):
-            nxt = {}
-            for m1, c1 in out.items():
-                for m2, c2 in base.items():
-                    m = tuple(a + b for a, b in zip(m1, m2))
-                    nxt[m] = nxt.get(m, Fraction(0)) + c1 * c2
-            out = nxt
+            for _ in range(power):
+                nxt = {}
+                for m1, c1 in out.items():
+                    for m2, c2 in p.items():
+                        m = tuple(a + b for a, b in zip(m1, m2))
+                        nxt[m] = nxt.get(m, Fraction(0)) + c1 * c2
+                out = nxt
         return {m: c for m, c in out.items() if c != 0}
     return None
 

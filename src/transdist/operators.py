@@ -188,7 +188,7 @@ def compose(K1: KernelOperator, K2: KernelOperator,
 def _compose_terms(t1, t2, b: TrivialBundle, order):
     if isinstance(t1, DiracSectionTerm) and isinstance(t2, DiracSectionTerm):
         section = _compose_sections(t2.section, t1.section)
-        weight = ex.mul(t1.weight, _pull_base(b, t2.weight, t1.section))
+        weight = ex.mul(t1.weight, t2.weight.substitute(dict(enumerate(t1.section.components))))
         return DiracSectionTerm(section, weight, b.zero_fibre_beta())
     if isinstance(t1, DiracSectionTerm) and isinstance(t2, DensityTerm):
         # psi(x, z) = f1(x) * phi2(sigma1(x), z)
@@ -203,11 +203,9 @@ def _compose_terms(t1, t2, b: TrivialBundle, order):
         # psi(x, z) = phi1(x, S(z)) * f2(S(z)) / |det A| with S the inverse
         # of the affine section sigma2
         inverse, jac = _invert_affine_section(t2.section)
-        subs = {b.base_dim + j: extend_function(b, Sj) for j, Sj in enumerate(inverse)}
-        phi = t1.phi.substitute(subs)
-        f2_fibre = t2.weight.remap({s: s for s in t2.weight.free_slots}, b.fibre_dim)
-        f2_of_S = f2_fibre.substitute({j: inverse[j] for j in range(b.fibre_dim)})
-        factor = extend_function(b, f2_of_S)
+        S = [extend_function(b, Sj) for Sj in inverse]
+        phi = t1.phi.substitute({b.base_dim + j: Sj for j, Sj in enumerate(S)})
+        factor = t2.weight.substitute(dict(enumerate(S)), b.total_dim)
         try:
             return DensityTerm(b, ex.mul(phi, factor, ex.const(1 / jac, b.total_dim)))
         except ExprError:
@@ -219,15 +217,8 @@ def _compose_terms(t1, t2, b: TrivialBundle, order):
 
 def _compose_sections(outer: Section, inner: Section) -> Section:
     """x -> outer(inner(x)); domains are left global, weights localize."""
-    b = inner.bundle
-    subs = {i: c for i, c in enumerate(inner.components)}
-    comps = tuple(c.substitute(subs) for c in outer.components)
-    return Section(b, comps, None)
-
-
-def _pull_base(b: TrivialBundle, f: Expr, section: Section) -> Expr:
-    """f o sigma for a base function f along a section of the pair bundle."""
-    return f.substitute({i: c for i, c in enumerate(section.components)})
+    images = dict(enumerate(inner.components))
+    return Section(inner.bundle, tuple(c.substitute(images) for c in outer.components), None)
 
 
 def _invert_affine_section(section: Section):
@@ -302,10 +293,11 @@ def _compose_numeric(t1, t2, b: TrivialBundle, order):
 
         def fn(Y, Z, _t2=t2, _section=section, _weight=weight):
             out = np.zeros((Y.shape[0], Z.shape[0]))
-            for i, x in enumerate(Y.tolist()):
-                w = _weight.evaluate(x)
-                if w != 0.0:
-                    out[i] = w * pair_values(_t2, np.asarray([_section.value(x)]), Z)[0]
+            w = _weight.eval_array(Y)
+            rows = w != 0.0  # zero-weight rows stay exactly 0
+            if rows.any():
+                S = np.stack([c.eval_array(Y[rows]) for c in _section.components], axis=-1)
+                out[rows] = w[rows, None] * pair_values(_t2, S, Z)
             return out
 
         base1, _ = _term_boxes(t1, b)
@@ -313,14 +305,11 @@ def _compose_numeric(t1, t2, b: TrivialBundle, order):
         return NumericKernelTerm(b, base1, fibre2, depth2, fn)
     if isinstance(t2, DiracSectionTerm):
         inverse, jac = _invert_affine_section(t2.section)
-        f2_fibre = t2.weight.remap({s: s for s in t2.weight.free_slots}, b.fibre_dim)
         scale = 1.0 / float(jac)
 
-        def fn(Y, Z, _t1=t1, _inv=inverse, _f2=f2_fibre, _scale=scale):
-            S = np.stack([np.asarray([c.evaluate(z) for z in Z])
-                          for c in _inv], axis=-1)
-            w = np.array([_f2.evaluate(s) for s in S])
-            return _scale * w * pair_values(_t1, Y, S)
+        def fn(Y, Z, _t1=t1, _inv=inverse, _f2=t2.weight, _scale=scale):
+            S = np.stack([c.eval_array(Z) for c in _inv], axis=-1)  # base points, l = k
+            return _scale * _f2.eval_array(S) * pair_values(_t1, Y, S)
 
         base1, fibre1 = _term_boxes(t1, b)
         pre_image = t2.weight.support_box().intersect(fibre1)

@@ -46,3 +46,23 @@ def random_polynomial(rng: np.random.Generator, dim: int, max_degree: int = 2,
                 factors.append(ex.int_pow(ex.var(slot, dim, name), n))
         terms.append(ex.mul(*factors))
     return ex.add(*terms)
+
+
+def rewrite_chain(monkeypatch, start: ex.Expr, run) -> int:
+    """How many leaf rewrites ``run()`` applies in a row to ``start``: a walk
+    over ``start``, then one over its result, and so on."""
+    walks = []
+    walk = ex.Expr._map_leaves
+
+    def spy(self, leaf_fn):
+        out = walk(self, leaf_fn)
+        walks.append((self, out))
+        return out
+
+    monkeypatch.setattr(ex.Expr, "_map_leaves", spy)
+    run()
+    chain, current = 0, start
+    for receiver, out in walks:
+        if receiver is current:
+            chain, current = chain + 1, out
+    return chain

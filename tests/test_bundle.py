@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import grid_points, random_polynomial
+from conftest import grid_points, random_polynomial, rewrite_chain
 from transdist import bundle as bd
 from transdist import expr as ex
 from transdist.expr import Box, DimensionError
@@ -59,6 +59,16 @@ class TestExtendFunction:
             G = bd.extend_function(line_bundle, g)
             for x in (-2.0, 0.0, 1.5):
                 assert bd.restrict_function(line_bundle, G, (x,)) == g
+
+    def test_restrict_after_extend_is_identity_on_two_plus_two(self):
+        b = bd.TrivialBundle(2, 2)
+        rng = np.random.default_rng(12)
+        for _ in range(10):
+            g = ex.mul(random_polynomial(rng, 2, names=["y0", "y1"]),
+                       b.parse_fibre("bump(y0/2)*exp(sin(y1)) + pi"))
+            G = bd.extend_function(b, g)
+            for x in ((-2.0, 0.5), (0.0, 0.0), (1.5, -3.0)):
+                assert bd.restrict_function(b, G, x) == g
 
     def test_higher_fibre_dimension(self):
         b = bd.TrivialBundle(1, 2)
@@ -128,3 +138,27 @@ class TestBundleValidation:
         b = bd.TrivialBundle(1, 2)
         with pytest.raises(DimensionError):
             bd.Section(b, (b.parse_base("x0"),))
+
+
+class TestOneRewrite:
+    """Each bundle map rebuilds its argument's DAG once, in one ``substitute``."""
+
+    def test_each_map_walks_once(self, monkeypatch):
+        b = bd.TrivialBundle(2, 2)
+        F = b.parse_total("bump(x0)*exp(x1*y0) + sin(y1)*x0^2 + pi")
+        f = b.parse_base("bump(x0)*cos(x1) + 3")
+        g = b.parse_fibre("bump(y0)*y1^2 + 1/2")
+        s = bd.section_from_strings(b, ["x0 + x1/2", "sin(x0)"])
+        for start, run in [
+                (F, lambda: bd.restrict_function(b, F, (0.25, -0.5))),
+                (F, lambda: bd.pullback_along_section(b, F, s)),
+                (g, lambda: bd.extend_function(b, g)),
+                (f, lambda: bd.extend_base_function(b, f))]:
+            assert rewrite_chain(monkeypatch, start, run) == 1
+
+    def test_pullback_keeps_names_and_moves_constants(self):
+        b = bd.TrivialBundle(2, 1)
+        F = b.parse_total("pi*x1 + y0 - 2")
+        pulled = bd.pullback_along_section(b, F, bd.section_from_strings(b, ["x0^2"]))
+        assert str(pulled) == "pi*x1 + x0^2 - 2"
+        assert all((node or pulled).dim == 2 for node, _, _ in pulled._plan)

@@ -36,6 +36,17 @@ def profile_scene(tmp_path):
     return str(path)
 
 
+DIRAC_TERM = {"type": "dirac_section", "section": "s", "weight": "bump(x0)"}
+PROFILE = {"orders": [0], "epsilons": [1], "families": [["1"]]}
+SMALL_SCENE = {
+    "bundle": {"base_dim": 1, "fibre_dim": 1},
+    "functions": {"F": "bump(x0)*y0"},
+    "sections": {"s": ["x0/2"]},
+    "distributions": {"T": [DIRAC_TERM]},
+    "profiles": {"P": PROFILE},
+}
+
+
 def masked(reports):
     """Check reports as JSON dicts without their wall-clock durations."""
     return [{k: v for k, v in r.to_json_dict().items() if k != "duration_seconds"}
@@ -120,6 +131,30 @@ class TestExitCodes:
         }))
         code, _ = run_cli(capsys, "support", str(p), "T")
         assert code == 6
+
+    @pytest.mark.parametrize("edit, argv, field", [
+        ({"sections": {"s": {"components": ["x0/2"], "domain": [["a", 1]]}}},
+         ["support", "T"], "sections.s.domain"),
+        ({"distributions": {"T": [{**DIRAC_TERM, "beta": ["a"]}]}},
+         ["support", "T"], "distributions.T[0].beta"),
+        ({"checks": {"alpha_max": "two"}}, ["check"], "checks.alpha_max"),
+        ({"checks": {"grid": [["x"]]}}, ["check"], "checks.grid"),
+        ({"checks": {"grid": [["x"]]}}, ["eval", "T", "F"], "checks.grid"),
+        ({"profiles": {"P": {**PROFILE, "families": [[]]}}},
+         ["support", "T"], "profiles.P.families[0]"),
+        ({"profiles": {"P": {"orders": [0, 1], "epsilons": [1, 0.5], "families": [["1"]]}}},
+         ["member", "P", "--distribution", "T"], "profiles.P.families"),
+        ({"profiles": {"P": {**PROFILE, "families": ["12"]}}},
+         ["member", "P", "--distribution", "T"], "profiles.P.families[0]"),
+    ])
+    def test_malformed_scene_field_is_exit_5(self, capsys, tmp_path, edit, argv, field):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps(SMALL_SCENE))
+        assert run_cli(capsys, argv[0], str(path), *argv[1:])[0] == 0
+        path.write_text(json.dumps({**SMALL_SCENE, **edit}))
+        code, out = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 5
+        assert f": {field}: " in json.loads(out)["error"]
 
     def test_unknown_name_in_command_is_exit_3(self, capsys, dirac_scene):
         code, _ = run_cli(capsys, "eval", dirac_scene, "NOPE", "F", "--at", "0")

@@ -255,7 +255,10 @@ class TestModuleActions:
                   for t in ("1", "y0", "y0^2", "bump(y0)", "y0^3 + 1")]
         for x in (-0.6, 0.0, 0.5):
             lhs = dist.restrict(fT, (x,))
-            rhs = dist.restrict(T, (x,)).scaled(f.evaluate((x,)))
+            v, c = dist.restrict(T, (x,)), f.evaluate((x,))
+            rhs = dist.PointDistribution(  # v scaled by c = f(x)
+                v.fibre_dim, tuple((p, beta, c * w) for p, beta, w in v.atoms),
+                None if v.density is None else ex.mul(ex.const(c, 1), v.density))
             for g in probes:
                 assert dist.pair(lhs, g) == pytest.approx(dist.pair(rhs, g),
                                                           abs=1e-10)

@@ -188,6 +188,35 @@ class TestSubstitute:
         with pytest.raises(DimensionError):
             e.substitute({1: ex.var(0, 1)})
 
+    def test_image_of_the_wrong_ambient_under_a_change_of_dim(self):
+        e = ex.parse("x0*y0", 2, base_dim=1)
+        with pytest.raises(DimensionError, match="ambient 2, expected 1"):
+            e.substitute({0: ex.var(0, 2), 1: 0}, dim=1)
+        with pytest.raises(DimensionError, match="outside ambient 1"):
+            e.substitute({0: 0, 1: 1}, dim=1)
+
+    def test_change_of_dim_needs_every_free_slot(self):
+        e = ex.parse("x0*y0 + x1", 3, base_dim=2)
+        with pytest.raises(DimensionError, match=r"misses slots \[1\]"):
+            e.substitute({0: 0, 2: 1}, dim=2)
+        # a slot the expression does not read needs no image
+        assert str(ex.parse("y0 + 1", 3, base_dim=2).substitute({2: 0}, dim=1)) == "y0 + 1"
+
+    def test_int_image_keeps_the_variable_name(self):
+        e = ex.parse("x0 - 2*y0", 2, base_dim=1)
+        swapped = e.substitute({0: 1, 1: 0})
+        assert str(swapped) == "x0 - 2*y0"
+        assert swapped.evaluate((1.0, 10.0)) == 8.0
+        moved = e.substitute({0: 2, 1: 0}, dim=3)
+        assert [n.name for n, _, _ in moved._plan if isinstance(n, ex.Var)] == ["x0", "y0"]
+        assert moved.evaluate((1.0, 99.0, 10.0)) == 8.0
+
+    def test_constants_move_to_the_new_ambient(self):
+        e = ex.parse("pi*x0 + 3", 1)
+        out = e.substitute({0: 1}, dim=2)
+        assert all((node or out).dim == 2 for node, _, _ in out._plan)
+        assert out.evaluate((7.0, 2.0)) == math.pi * 2.0 + 3.0
+
 
 class TestSupportBox:
     def test_bump_support(self):
@@ -214,11 +243,11 @@ class TestSupportBox:
         ]
         for e in exprs:
             box = e.support_box()
-            assert box.is_bounded
+            assert box.is_bounded and not box.is_empty
             hits = 0
             while hits < 64:
                 p = tuple(rng.uniform(-8, 8) for _ in range(e.dim))
-                if box.contains(p):
+                if all(lo <= c <= hi for c, (lo, hi) in zip(p, box.intervals)):
                     continue
                 hits += 1
                 assert e.evaluate(p) == 0.0

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conftest import rewrite_chain
 from transdist import bundle as bd
 from transdist import expr as ex
 from transdist import operators as op
@@ -241,6 +242,64 @@ class TestPairValues:
             term = K.terms[0]
             got = op.pair_values(term, Y, Z)
             assert (got == np.stack([term.values(tuple(y), Z) for y in Y])).all()
+
+
+def dirac_after_kernel_per_row(t1, t2, Y, Z):
+    """f1(x) * psi2(sigma1(x), z) one base point at a time, as before batching."""
+    out = np.zeros((Y.shape[0], Z.shape[0]))
+    for i, x in enumerate(Y.tolist()):
+        w = t1.weight.evaluate(x)
+        if w != 0.0:
+            out[i] = w * op.pair_values(t2, np.asarray([t1.section.value(x)]), Z)[0]
+    return out
+
+
+def kernel_after_dirac_per_point(t1, t2, Y, Z):
+    """psi1(x, S(z)) * f2(S(z)) / |det| with S and f2 evaluated point by point."""
+    inverse, jac = op._invert_affine_section(t2.section)
+    S = np.stack([np.asarray([c.evaluate(z) for z in Z]) for c in inverse], axis=-1)
+    w = np.array([t2.weight.evaluate(s) for s in S])
+    return 1.0 / float(jac) * w * op.pair_values(t1, Y, S)
+
+
+class TestComposeNumeric:
+    """The numeric Dirac branches equal their per-point loops bit for bit."""
+
+    @pytest.fixture
+    def Y(self):  # the last rows lie outside the Dirac weights' supports
+        return np.concatenate([low_order_grid(1, 7), [[3.5], [-4.0], [9.0]]])
+
+    @pytest.fixture
+    def kernels(self, pair_bundle, K_density, K_psi):
+        K_dd = op.compose(K_density, K_psi, order=12)
+        return K_density.terms[0], K_dd.terms[0]
+
+    def test_dirac_after_kernel(self, pair_bundle, kernels, Y):
+        s = bd.section_from_strings(pair_bundle, ["x0^2/2 - 1/4"])
+        t1 = op.DiracSectionTerm(s, pair_bundle.parse_base("exp(1)*bump(x0/3)"), (0,))
+        Z = low_order_grid(1, 9)
+        for t2 in kernels:
+            got = op._compose_numeric(t1, t2, pair_bundle, 12).values_fn(Y, Z)
+            assert (got == dirac_after_kernel_per_row(t1, t2, Y, Z)).all()
+            assert (got[-3:] == 0.0).all() and got[:-3].any()
+
+    def test_kernel_after_dirac(self, pair_bundle, kernels, Y):
+        s = bd.section_from_strings(pair_bundle, ["2*x0 - 1/3"])
+        t2 = op.DiracSectionTerm(s, pair_bundle.parse_base("bump(x0/2)*(1 + x0)"), (0,))
+        Z = low_order_grid(1, 9)
+        for t1 in kernels:
+            got = op._compose_numeric(t1, t2, pair_bundle, 12).values_fn(Y, Z)
+            assert (got == kernel_after_dirac_per_point(t1, t2, Y, Z)).all()
+            assert got.any()
+
+
+class TestOneRewrite:
+    def test_density_after_graph_rewrites_the_weight_once(self, monkeypatch):
+        b = bd.TrivialBundle(2, 2)
+        K1 = op.density_kernel(b, b.parse_total("bump(x0)*bump(x1)*bump(y0)*bump(y1)"))
+        w = b.parse_base("exp(1)*bump(x0/2)*bump(x1/2)*(x0 - x1)")
+        K2 = op.graph_kernel(bd.section_from_strings(b, ["x0 + x1", "x0 - x1"]), w)
+        assert rewrite_chain(monkeypatch, w, lambda: op.compose(K1, K2)) == 1
 
 
 class TestOperatorCorrespondence:
