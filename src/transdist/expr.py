@@ -58,7 +58,7 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cache
 
 import numpy as np
 
@@ -67,6 +67,29 @@ from . import quadrature
 MultiIndex = tuple  # tuple[int, ...], one derivative order per coordinate
 
 _INF = float("inf")
+
+
+class _memo:
+    """``functools.cached_property`` without its lock.
+
+    The value goes into the instance ``__dict__``, which then shadows this
+    descriptor.  Python 3.11's ``cached_property`` takes one process-wide
+    lock on every miss; the values memoized here are pure functions of an
+    immutable node, so two threads that race only compute one twice, and
+    ``setdefault`` makes the first write the one both of them see.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.__doc__ = fn.__doc__
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        return obj.__dict__.setdefault(self.name, self.fn(obj))
 
 
 class ExprError(ValueError):
@@ -141,11 +164,15 @@ class Box:
         return cls(len(ivs), ivs)
 
     @classmethod
+    @cache
     def empty(cls, dim: int) -> "Box":
+        """The empty box of R^dim, one shared instance per dim."""
         return cls(dim, None)
 
     @classmethod
+    @cache
     def whole(cls, dim: int) -> "Box":
+        """R^dim as a box, one shared instance per dim."""
         return cls(dim, tuple((-_INF, _INF) for _ in range(dim)))
 
     @classmethod
@@ -165,19 +192,37 @@ class Box:
     def hull(self, other: "Box") -> "Box":
         if self.dim != other.dim:
             raise DimensionError("box dimensions differ")
-        if self.is_empty:
+        whole = Box.whole(self.dim).intervals
+        if self.is_empty or other.intervals == whole:
             return other
-        if other.is_empty:
+        if other.is_empty or self.intervals in (other.intervals, whole):
             return self
         return Box(self.dim, tuple(
             (min(a[0], b[0]), max(a[1], b[1]))
             for a, b in zip(self.intervals, other.intervals)))
 
     def intersect(self, other: "Box") -> "Box":
+        """The common part of two boxes.  An operand comes back as it is
+        when the other one is the whole space or has the same intervals,
+        which is the box the interval-by-interval loop would build:
+
+        >>> a = Box.of([(0, 1), (-2, 2)])
+        >>> a.intersect(Box.whole(2)) is a, Box.whole(2).intersect(a) is a
+        (True, True)
+        >>> a.intersect(Box.of([(0, 1), (-2, 2)])) is a
+        True
+        >>> a.intersect(Box.of([(2, 3), (0, 1)])).is_empty
+        True
+        """
         if self.dim != other.dim:
             raise DimensionError("box dimensions differ")
         if self.is_empty or other.is_empty:
             return Box.empty(self.dim)
+        whole = Box.whole(self.dim).intervals
+        if other.intervals in (self.intervals, whole):
+            return self
+        if self.intervals == whole:
+            return other
         ivs = []
         for a, b in zip(self.intervals, other.intervals):
             lo, hi = max(a[0], b[0]), min(a[1], b[1])
@@ -302,7 +347,7 @@ class Expr:
         """This node's value over broadcast coordinate columns ``cols``."""
         raise NotImplementedError
 
-    @cached_property
+    @_memo
     def _plan(self) -> tuple:
         """Every distinct node of this DAG once, children before parents.
 
@@ -335,7 +380,7 @@ class Expr:
             d = memo.setdefault(slot, self._diff1(slot))
         return d
 
-    @cached_property
+    @_memo
     def _derivatives(self) -> dict:
         return {}
 
@@ -412,9 +457,14 @@ class Expr:
 
     # -- structure ----------------------------------------------------------
 
-    @cached_property
+    @_memo
     def free_slots(self) -> frozenset:
         return frozenset().union(*(c.free_slots for c in self._children()))
+
+    @_memo
+    def _affine(self):
+        """``as_affine(self)``, shared by every bump of this argument."""
+        return as_affine(self)
 
     def support_box(self) -> Box:
         """A box outside of which the expression is identically zero.
@@ -425,7 +475,7 @@ class Expr:
         """
         return self._support_box
 
-    @cached_property
+    @_memo
     def _support_box(self) -> Box:
         return self._support()
 
@@ -517,7 +567,7 @@ class Expr:
 class Const(Expr):
     value: Fraction
 
-    @cached_property
+    @_memo
     def _float(self):
         return float(self.value)
 
@@ -551,7 +601,7 @@ class Const(Expr):
 class NamedConst(Expr):
     name: str  # only "pi" currently
 
-    @cached_property
+    @_memo
     def _float(self):
         return math.pi
 
@@ -589,7 +639,7 @@ class Var(Expr):
     def _diff1(self, slot):
         return Const(self.dim, Fraction(1 if slot == self.slot else 0))
 
-    @cached_property
+    @_memo
     def free_slots(self) -> frozenset:
         return frozenset((self.slot,))
 
@@ -681,6 +731,8 @@ class Product(Expr):
         box = Box.whole(self.dim)
         for f in self.factors:
             box = box.intersect(f.support_box())
+            if box.is_empty:
+                break
         return box
 
     def _interval(self, box, memo):
@@ -828,7 +880,7 @@ class BumpRat(Expr):
     coeffs: tuple  # polynomial p, Fractions, low degree first
     pole_order: int  # q
 
-    @cached_property
+    @_memo
     def _coeffs_float(self):
         return tuple(float(c) for c in self.coeffs)
 
@@ -873,7 +925,7 @@ class BumpRat(Expr):
     def _support(self):
         if not self.coeffs:
             return Box.empty(self.dim)
-        affine = as_affine(self.arg)
+        affine = self.arg._affine
         if affine is not None:
             slots = [s for s in affine if s >= 0 and affine[s] != 0]
             if len(slots) == 1:
@@ -889,9 +941,14 @@ class BumpRat(Expr):
         a, b = self.arg._iv(box, memo)
         if b <= -1.0 or a >= 1.0:
             return (0.0, 0.0)
+        # |p(u)| <= sum |c| for |u| < 1, and exp(-1/s) / s^q peaks at s = 1
+        # (q = 0) or s = 1/q.  In floats e and q / e are rounded (an error
+        # the power multiplies by q), and so are exp or pow, the sum and both
+        # products: under 2q + 7 units of roundoff in all.  Widen by 4q + 8.
         q = self.pole_order
         envelope = math.exp(-1.0) if q == 0 else (q / math.e) ** q
-        m = sum(abs(c) for c in self._coeffs_float) * envelope
+        m = float(sum(map(abs, self.coeffs))) * envelope * (1.0 + (q + 2) * 2.0 ** -51)
+        m = math.nextafter(m, _INF)
         return (-m, m)
 
     def _children(self):
@@ -956,21 +1013,16 @@ def add(*terms) -> Expr:
     if not terms:
         raise ExprError("empty sum")
     dim = terms[0].dim
-    flat, const_acc = [], Fraction(0)
+    flat, consts = [], []
     for t in terms:
         if t.dim != dim:
             raise DimensionError("sum over mixed ambient dimensions")
-        if isinstance(t, Sum):
-            items = t.terms
-        else:
-            items = (t,)
-        for item in items:
-            if isinstance(item, Const):
-                const_acc += item.value
-            else:
-                flat.append(item)
-    if const_acc != 0 or not flat:
-        flat.append(Const(dim, const_acc))
+        for item in t.terms if isinstance(t, Sum) else (t,):
+            (consts if isinstance(item, Const) else flat).append(item)
+    if consts:
+        c = _fold(consts, sum, dim)
+        if c.value != 0 or not flat:
+            flat.append(c)
     if len(flat) == 1:
         return flat[0]
     return Sum(dim, tuple(flat))
@@ -988,23 +1040,26 @@ def mul(*factors) -> Expr:
     if not factors:
         raise ExprError("empty product")
     dim = factors[0].dim
-    flat, const_acc = [], Fraction(1)
+    flat, consts = [], []
     for f in factors:
         if f.dim != dim:
             raise DimensionError("product over mixed ambient dimensions")
-        items = f.factors if isinstance(f, Product) else (f,)
-        for item in items:
-            if isinstance(item, Const):
-                const_acc *= item.value
-            else:
-                flat.append(item)
-    if const_acc == 0:
-        return Const(dim, Fraction(0))
-    if const_acc != 1 or not flat:
-        flat.insert(0, Const(dim, const_acc))
+        for item in f.factors if isinstance(f, Product) else (f,):
+            (consts if isinstance(item, Const) else flat).append(item)
+    if consts:
+        c = _fold(consts, math.prod, dim)
+        if c.value == 0:
+            return c
+        if c.value != 1 or not flat:
+            flat.insert(0, c)
     if len(flat) == 1:
         return flat[0]
     return Product(dim, tuple(flat))
+
+
+def _fold(consts, fold, dim: int) -> Const:
+    """The constants of a sum or product as one ``Const``; a lone one is reused."""
+    return consts[0] if len(consts) == 1 else Const(dim, fold(c.value for c in consts))
 
 
 def div(num: Expr, den: Expr) -> Expr:

@@ -63,6 +63,8 @@ class NumericKernelTerm:
 
 def pair_values(term, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
     """Kernel values psi(y_i, z_j) of a density or numeric term, shape (M, N)."""
+    if not (len(Y) and len(Z)):
+        return np.zeros((len(Y), len(Z)))
     if isinstance(term, NumericKernelTerm):
         return term.values_fn(Y, Z)
     n = Z.shape[0]

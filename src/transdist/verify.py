@@ -242,12 +242,8 @@ def check_smoothness(T: TransversalDistribution, F: Expr, alpha, grid,
 @_timed
 def check_duality(F_list, T_list, grid, cutoff: Expr | None = None,
                   tolerance: float = 1e-10, probe_grid=None,
-                  pair_scale: float = 1.0, order: int | None = None) -> CheckReport:
-    """Bilinearity, two-sided module linearity, and probe injectivity.
-
-    ``pair_scale`` rescales one side of the module-linearity identities
-    (sensitivity hook); 1.0 is the honest value.
-    """
+                  order: int | None = None) -> CheckReport:
+    """Bilinearity, two-sided module linearity, and probe injectivity."""
     report = CheckReport("duality")
     if not F_list or not T_list:
         report.add("empty input", 0.0, tolerance)
@@ -281,7 +277,7 @@ def check_duality(F_list, T_list, grid, cutoff: Expr | None = None,
         via_T = dist.hat_pair(F, dist.module_action_base(f, T), order)
         via_F = dist.hat_pair(ex.mul(extend_base_function(b, f), F), T, order)
         for x in grid:
-            want = pair_scale * f.evaluate(x) * base.value(x)
+            want = f.evaluate(x) * base.value(x)
             e1 = abs(via_T.value(x) - want)
             e2 = abs(via_F.value(x) - want)
             err = max(e1, e2)

@@ -1,3 +1,4 @@
+import decimal
 import math
 from fractions import Fraction
 
@@ -255,6 +256,9 @@ class TestSupportBox:
     def test_zero_constant_has_empty_support(self):
         assert ex.const(0, 1).support_box().is_empty
 
+    def test_disjoint_factors_have_empty_support(self):
+        assert ex.parse("bump(x0)*bump(x0 - 3)*exp(x0)", 1).support_box().is_empty
+
     def test_sum_takes_hull_product_takes_intersection(self):
         s = ex.parse("bump(x0) + bump(x0 - 1)", 1).support_box()
         assert s.intervals == ((-1.0, 2.0),)
@@ -281,6 +285,65 @@ class TestBoxArithmetic:
         b = Box.of([(0, 1), (2, 3)])
         assert b.project([1]).intervals == ((2.0, 3.0),)
         assert b.project([0]).times(b.project([1])) == b
+
+    def test_empty_and_whole_are_shared(self):
+        assert Box.whole(2) is Box.whole(2)
+        assert Box.empty(2) is Box.empty(2)
+        assert Box.whole(2) == Box.of([(-math.inf, math.inf)] * 2)
+        assert Box.whole(1) != Box.whole(2) and Box.empty(0).is_empty
+
+    def test_intersect_and_hull_operand_cases(self):
+        a, b = Box.of([(0, 1), (-2, 2)]), Box.of([(0.5, 3), (1, 4)])
+        whole, empty = Box.whole(2), Box.empty(2)
+        for x in (a, whole, empty):
+            assert x.intersect(empty).is_empty and empty.intersect(x).is_empty
+            assert x.hull(empty) is x and empty.hull(x) is x
+        for x in (a, whole):
+            assert x.intersect(whole) is x and whole.intersect(x) is x
+            assert x.hull(whole) is whole and whole.hull(x) is whole
+        twin = Box.of([(0, 1), (-2, 2)])
+        assert a.intersect(twin) is a and a.hull(twin) is a
+        open_whole = Box.of([(-math.inf, math.inf)] * 2)
+        assert a.intersect(open_whole) is a and open_whole.intersect(a) is a
+        assert a.intersect(b) == Box.of([(0.5, 1), (1, 2)])
+        assert a.hull(b) == Box.of([(0, 3), (-2, 4)])
+        disjoint = Box.of([(2, 3), (-2, 2)])
+        assert a.intersect(disjoint).is_empty
+        assert a.hull(disjoint) == Box.of([(0, 3), (-2, 2)])
+        with pytest.raises(DimensionError):
+            a.intersect(Box.whole(1))
+        with pytest.raises(DimensionError):
+            a.hull(Box.empty(3))
+
+
+class TestBumpEnvelope:
+    """The interval of a bump node is a guaranteed bound of its values."""
+
+    @pytest.mark.parametrize("coeffs", [
+        (1,),  # unwidened, the float bound of the next two falls below the exact one
+        (Fraction(-35, 32), Fraction(47, 29), Fraction(5, 21)),
+        (Fraction(25, 7), Fraction(-19, 16), Fraction(-47, 58), Fraction(-1, 28))])
+    @pytest.mark.parametrize("q", range(7))
+    def test_bound_lies_above_the_exact_envelope(self, q, coeffs):
+        with decimal.localcontext(decimal.Context(prec=40)):
+            one = decimal.Decimal(1)
+            peak = (-one).exp() if q == 0 else (q / one.exp()) ** q
+            scale = sum(decimal.Decimal(abs(c.numerator)) / c.denominator
+                        for c in map(Fraction, coeffs))
+            exact = scale * peak
+            e = ex.bump_rat(ex.var(0, 1), coeffs, q)
+            lo, hi = e.interval(Box.of([(-0.5, 0.5)]))
+            assert lo == -hi
+            assert exact < decimal.Decimal(hi) < exact * (1 + decimal.Decimal("1e-13"))
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_enclosure_contains_derivative_samples(self, k):
+        d = ex.parse("bump(x0)", 1).diff((k,))
+        box = Box.of([(-0.95, 0.8)])
+        lo, hi = d.interval(box)
+        values = d.eval_array(np.linspace(-0.95, 0.8, 2001).reshape(-1, 1))
+        assert np.abs(values).max() > 0.0
+        assert lo <= values.min() and values.max() <= hi
 
 
 @settings(max_examples=40, deadline=None)

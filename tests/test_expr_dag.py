@@ -12,9 +12,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from reference_eval import ref_eval, ref_eval_array
+from reference_support import ref_support
 from transdist import expr as ex
 from transdist import quadrature
 from transdist.bundle import TrivialBundle
+from transdist.expr import Box
 
 DIM = 2
 REFERENCE = "bump(x0)*exp(sin(x0))*cos(x0^2)"
@@ -218,6 +220,58 @@ def test_plan_visits_each_node_once_and_releases_each_intermediate_once():
         assert all(i < pos for i in args)
         for i in dead:
             assert not any(i in later for _, later, _ in plan[pos + 1:])
+
+
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_affine_bumps = st.builds(
+    lambda s, a, b: ex.bump(ex.add(ex.mul(ex.const(a, DIM), ex.var(s, DIM)),
+                                   ex.const(b, DIM))),
+    st.integers(0, DIM - 1), _fractions.filter(bool), _fractions)
+
+
+def _support_extend(children):
+    pairs = st.tuples(children, children)
+    return st.one_of(
+        st.tuples(_affine_bumps, _affine_bumps, children).map(lambda fs: ex.mul(*fs)),
+        pairs.map(lambda ab: ex.add(*ab)),
+        pairs.map(lambda ab: ex.mul(*ab)),
+        children.map(lambda c: ex.add(c, c)),
+        pairs.map(lambda ab: ex.mul(ab[0], ex.add(*ab), ab[0])),
+        st.tuples(children, st.integers(2, 4)).map(lambda bn: ex.int_pow(*bn)),
+        children.map(ex.exp),
+        children.map(ex.bump),
+        st.tuples(children, st.integers(0, DIM - 1)).map(lambda cs: cs[0].diff1(cs[1])),
+    )
+
+
+def _box_bits(box):
+    ivs = box.intervals
+    return box.dim, ivs if ivs is None else tuple((lo.hex(), hi.hex()) for lo, hi in ivs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.recursive(st.one_of(_leaves(), st.just(ex.const(0, DIM)), _affine_bumps),
+                   _support_extend, max_leaves=8),
+       st.lists(st.integers(0, DIM - 1), max_size=2))
+def test_support_box_matches_tree_reference(e, slots):
+    """Memoized support boxes with their fast paths equal a plain recursive
+    walk, bit for bit, on DAGs with shared subtrees, zero constants and
+    bumps of affine arguments, and on derivatives sharing their nodes."""
+    d = e
+    for slot in [None, *slots]:
+        d = d if slot is None else d.diff1(slot)
+        got, want = d.support_box(), ref_support(d)
+        assert got == want and _box_bits(got) == _box_bits(want), (str(d), got, want)
+
+
+def test_bump_derivatives_share_their_argument_affine_form(monkeypatch):
+    calls = []
+    as_affine = ex.as_affine
+    monkeypatch.setattr(ex, "as_affine", lambda e: calls.append(e) or as_affine(e))
+    e = ex.parse("bump(2*x0 - 1/2)*exp(x0)", 1)
+    boxes = {e.diff((k,)).support_box() for k in range(5)}
+    assert boxes == {Box.of([(-0.25, 0.75)])}
+    assert len(calls) == 1
 
 
 def test_shared_substitution_stays_shared():

@@ -243,6 +243,15 @@ class TestPairValues:
             got = op.pair_values(term, Y, Z)
             assert (got == np.stack([term.values(tuple(y), Z) for y in Y])).all()
 
+    def test_empty_blocks(self, K_density, K_psi):
+        K_dd = op.compose(K_density, K_psi, order=12)
+        Y, Z = low_order_grid(1, 7), low_order_grid(1, 9)
+        for term in (K_density.terms[0], K_dd.terms[0]):
+            for rows, cols in ((Y[:0], Z), (Y, Z[:0]), (Y[:0], Z[:0])):
+                got = op.pair_values(term, rows, cols)
+                assert got.shape == (len(rows), len(cols))
+        assert K_dd.terms[0].values((0.1,), Z[:0]).shape == (0,)
+
 
 def dirac_after_kernel_per_row(t1, t2, Y, Z):
     """f1(x) * psi2(sigma1(x), z) one base point at a time, as before batching."""

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from transdist import bundle as bd
@@ -129,10 +131,15 @@ class TestDuality:
         case = [c for c in report.cases if "injectivity" in c.case_id][0]
         assert case.witness is None or not case.witness.get("separating_probe", True)
 
-    def test_corrupted_module_linearity_fails(self, setup):
+    def test_corrupted_module_linearity_fails(self, setup, monkeypatch):
         b, T_dirac, T_density, F = setup
-        report = vf.check_duality([F], [T_dirac, T_density], GRID, pair_scale=1.01)
+        act = dist.module_action_base
+        monkeypatch.setattr(dist, "module_action_base", lambda f, T: act(
+            ex.mul(ex.const(Fraction(101, 100), f.dim), f), T))
+        report = vf.check_duality([F], [T_dirac, T_density], GRID)
         assert not report.passed
+        case = next(c for c in report.cases if c.case_id == "module linearity both sides")
+        assert not case.passed
 
 
 class TestSupport:
