@@ -196,6 +196,53 @@ def pair_restrictions(T: TransversalDistribution, X, members,
     return out
 
 
+def pair_at(T: TransversalDistribution, X, members,
+            order: int | None = None) -> np.ndarray:
+    """T_x(F(x, .)) for every row x of an (M, l) array and every total-space
+    function F in ``members``, shape (len(members), M).
+
+    Nothing is restricted: fibre derivatives commute with restriction, so a
+    Dirac term reads each member's D^(0,beta) F, memoized on the member's
+    DAG, at (x, sigma(x)), once per (section, beta, row), through scalar
+    ``evaluate``.  Rows where its weight is zero are skipped, as ``pair``
+    skips zero coefficients.  Density terms are integrated as ``evaluate``
+    integrates them, over all rows in one pass, and added after the atoms.
+    The entries equal ``pair(restrict(T, x), restrict_function(T.bundle, F,
+    x), order)`` to rounding wherever the two fibre boxes coincide.
+    """
+    b = T.bundle
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != b.base_dim:
+        raise DimensionError(f"expected base points of shape (M, {b.base_dim})")
+    if any(F.dim != b.total_dim for F in members):
+        raise DimensionError("pair_at expects total-space functions")
+    rows = X.tolist()
+    out = [[0.0] * len(rows) for _ in members]
+    points, derivatives, densities = {}, {}, []
+    for term in T.terms:
+        if isinstance(term, DensityTerm):
+            densities.append(term)
+            continue
+        at = points.setdefault(id(term.section), {})  # row -> (x, sigma(x))
+        beta = b.fibre_beta_to_total(term.beta)
+        for i, x in enumerate(rows):
+            c = term.weight.evaluate(x)
+            if c == 0.0:
+                continue
+            key = (id(term.section), beta, i)
+            if key not in derivatives:
+                if i not in at:
+                    at[i] = tuple(x) + term.section.value(x)
+                derivatives[key] = [F.diff(beta).evaluate(at[i]) for F in members]
+            for row, v in zip(out, derivatives[key]):
+                row[i] += c * v
+    if densities:
+        D = TransversalDistribution(b, tuple(densities))
+        for row, F in zip(out, members):
+            row[:] = [a + v for a, v in zip(row, evaluate(D, F, order).values(X).tolist())]
+    return np.array(out).reshape(len(members), len(rows))
+
+
 # ---------------------------------------------------------------------------
 # The smooth compactly supported base function T(F)
 
@@ -439,9 +486,7 @@ def module_action_total(F: Expr, T: TransversalDistribution) -> TransversalDistr
             new_terms.append(DensityTerm(b, ex.mul(F, term.phi)))
             continue
         for gamma in ex.multi_indices_below(term.beta):
-            coeff = 1
-            for bi, gi in zip(term.beta, gamma):
-                coeff *= math.comb(bi, gi)
+            coeff = ex.multi_binomial(term.beta, gamma)
             remainder = tuple(bi - gi for bi, gi in zip(term.beta, gamma))
             dF = F.diff(b.fibre_beta_to_total(remainder))
             factor = pullback_along_section(b, dF, term.section)

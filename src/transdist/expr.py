@@ -125,6 +125,11 @@ def multi_indices_below(beta) -> list:
     return list(itertools.product(*(range(b + 1) for b in beta)))
 
 
+def multi_binomial(alpha, beta) -> int:
+    """The multi-index binomial coefficient: the product of C(alpha_i, beta_i)."""
+    return math.prod(math.comb(a, b) for a, b in zip(alpha, beta))
+
+
 def multi_indices_up_to(dim: int, m: int) -> list:
     """All multi-indices of length dim with |alpha| <= m, by order, then lexicographically."""
     out = []

@@ -1,10 +1,15 @@
 """Named invariant suites with pass/fail reports and failure witnesses.
 
 Each suite is deterministic: fixed grids, fixed seeds, index-ordered
-accumulation.  Every check accepts an injectable primitive (the function
-being checked against) with the library implementation as default, so a
-test can hand in a deliberately broken one and confirm the suite notices;
-a suite that cannot fail verifies nothing.
+accumulation.  A suite looks up the library functions it checks through
+their modules when it runs, so a test can monkeypatch a deliberately broken
+one in and confirm the suite notices; a suite that cannot fail verifies
+nothing.  A NaN or infinite error fails its case, with its point as the
+witness.
+
+Base functions are evaluated over a whole grid at a time (``_at_points``):
+each quadrature part takes one pass over all the grid points, and the
+values are those of ``BaseFunction.value`` at each point, bit for bit.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ import numpy as np
 from . import distribution as dist
 from . import expr as ex
 from .bundle import TrivialBundle, extend_base_function, restrict_function
-from .distribution import TransversalDistribution, total_support
-from .expr import Box, Expr, ExprError
+from .distribution import BaseFunction, TransversalDistribution
+from .expr import Box, DimensionError, Expr, ExprError
 
 
 @dataclass
@@ -89,6 +94,43 @@ def _timed(fn):
     return wrapper
 
 
+def _worse(err: float, worst: float) -> bool:
+    """Whether ``err`` replaces ``worst`` as a case's worst error.  A NaN,
+    which compares false with everything, does, unless the worst is NaN."""
+    return err > worst or (err != err and worst == worst)
+
+
+def _max_error(errors) -> float:
+    worst = 0.0
+    for err in errors:
+        if _worse(err, worst):
+            worst = err
+    return worst
+
+
+def _base_points(bundle: TrivialBundle, grid) -> np.ndarray:
+    """The grid's base points as an (M, l) array."""
+    if any(len(x) != bundle.base_dim for x in grid):
+        raise DimensionError("base point dimension mismatched with bundle")
+    return np.array(grid, dtype=float).reshape(len(grid), bundle.base_dim)
+
+
+def _at_points(bf: BaseFunction, grid) -> list:
+    """``bf.value(x)`` at every base point x of the grid, bit for bit.
+
+    The symbolic part goes point by point through scalar ``evaluate``,
+    which on a deep derivative is many times cheaper than a one-row
+    ``eval_array``; each quadrature or numeric part takes one
+    ``integrate_rows`` pass over all the points.
+    """
+    X = _base_points(bf.bundle, grid)
+    total = ([bf.symbolic.evaluate(x) for x in X.tolist()] if bf.symbolic is not None
+             else [0.0] * len(X))
+    for part in bf.quad_parts + bf.numeric_parts:
+        total = [t + v for t, v in zip(total, part.values(X, bf.order).tolist())]
+    return total
+
+
 # ---------------------------------------------------------------------------
 # Restriction compatibility: T_x applied to F|_{P_x} equals T(F) at x
 
@@ -96,17 +138,14 @@ def _timed(fn):
 @_timed
 def check_restriction_compat(T: TransversalDistribution, F: Expr, grid,
                              tolerance: float = 1e-10,
-                             restrict_fn=dist.restrict,
                              order: int | None = None) -> CheckReport:
     report = CheckReport("restriction_compat")
-    bf = dist.evaluate(T, F, order)
     worst, witness = 0.0, None
-    for x in grid:
-        lhs = dist.pair(restrict_fn(T, x), restrict_function(T.bundle, F, x), order)
-        rhs = bf.value(x)
-        err = abs(lhs - rhs)
-        if err > worst:
-            worst, witness = err, {"x": tuple(map(float, x)), "lhs": lhs, "rhs": rhs}
+    for x, want in zip(grid, _at_points(dist.evaluate(T, F, order), grid)):
+        lhs = dist.pair(dist.restrict(T, x), restrict_function(T.bundle, F, x), order)
+        err = abs(lhs - want)
+        if _worse(err, worst):
+            worst, witness = err, {"x": tuple(map(float, x)), "lhs": lhs, "rhs": want}
     report.add("pair(T_x, F|x) == T(F)(x)", worst, tolerance, witness)
     return report
 
@@ -121,45 +160,39 @@ def _relative_error(lhs: float, rhs: float) -> float:
 
 @_timed
 def check_leibniz(T: TransversalDistribution, F: Expr, alpha_max: int, grid,
-                  tolerance: float = 1e-8, binomial: bool = True,
-                  order: int | None = None) -> CheckReport:
-    """D^alpha of T(F) against the family/function derivative expansion.
+                  tolerance: float = 1e-8, order: int | None = None) -> CheckReport:
+    """D^alpha of T(F) against sum over beta <= alpha of
+    C(alpha, beta) (D^beta T)(D^(alpha - beta) F), on the grid.
 
-    With ``binomial=False`` the expansion drops the binomial coefficients
-    (the bare sum over splittings); that variant is expected to fail for
-    mixed repeated derivatives and exists to document the difference.
+    Each family derivative D^beta T is paired once, on the total space
+    (``pair_at``), with every D^gamma F it meets, |beta| + |gamma| <=
+    alpha_max; each alpha then sums its terms from that table.
     """
     report = CheckReport("leibniz")
     b = T.bundle
+    X = _base_points(b, grid)
+    alphas = ex.multi_indices_up_to(b.base_dim, alpha_max)
+    dF = {gamma: F.diff(b.base_alpha_to_total(gamma)) for gamma in alphas}
+    paired = {}
+    for beta in alphas:
+        gammas = ex.multi_indices_up_to(b.base_dim, alpha_max - ex.order(beta))
+        values = dist.pair_at(dist.family_derivative(T, beta), X,
+                              [dF[gamma] for gamma in gammas], order)
+        paired.update({(beta, gamma): row.tolist() for gamma, row in zip(gammas, values)})
     bf = dist.evaluate(T, F, order)
-    family_cache = {}
-    # restrictions of D^beta T and D^gamma F at x, each built once per call
-    restricted_T, restricted_F = {}, {}
-    for alpha in ex.multi_indices_up_to(b.base_dim, alpha_max):
-        direct = bf.derivative(alpha)
+    for alpha in alphas:
+        lhs = _at_points(bf.derivative(alpha), grid)
+        rhs = [0.0] * len(grid)
+        for beta in ex.multi_indices_below(alpha):
+            gamma = tuple(a_i - b_i for a_i, b_i in zip(alpha, beta))
+            coeff = ex.multi_binomial(alpha, beta)
+            rhs = [r + coeff * v for r, v in zip(rhs, paired[beta, gamma])]
         worst, witness = 0.0, None
-        for x in grid:
-            x = tuple(x)
-            lhs = direct.value(x)
-            rhs = 0.0
-            for beta in ex.multi_indices_below(alpha):
-                gamma = tuple(a_i - b_i for a_i, b_i in zip(alpha, beta))
-                coeff = 1
-                if binomial:
-                    for a_i, b_i in zip(alpha, beta):
-                        coeff *= math.comb(a_i, b_i)
-                if beta not in family_cache:
-                    family_cache[beta] = dist.family_derivative(T, beta)
-                if (beta, x) not in restricted_T:
-                    restricted_T[beta, x] = dist.restrict(family_cache[beta], x)
-                if (gamma, x) not in restricted_F:
-                    restricted_F[gamma, x] = restrict_function(
-                        b, F.diff(b.base_alpha_to_total(gamma)), x)
-                rhs += coeff * dist.pair(restricted_T[beta, x], restricted_F[gamma, x], order)
-            err = _relative_error(lhs, rhs)
-            if err > worst:
+        for x, left, right in zip(grid, lhs, rhs):
+            err = _relative_error(left, right)
+            if _worse(err, worst):
                 worst, witness = err, {"x": tuple(map(float, x)), "alpha": alpha,
-                                       "lhs": lhs, "rhs": rhs}
+                                       "lhs": left, "rhs": right}
         report.add(f"alpha={alpha}", worst, tolerance, witness)
     return report
 
@@ -168,27 +201,21 @@ def check_leibniz(T: TransversalDistribution, F: Expr, alpha_max: int, grid,
 # Smoothness of T(F): finite differences converge at second order
 
 
-def _central_difference(fn, x, alpha, h: float) -> float:
-    """Mixed central difference of order |alpha| with O(h^2) error."""
-    stencils = []
+def _stencil(alpha) -> list:
+    """(offsets in steps, weight) of each point of the mixed central
+    difference of order |alpha| with O(h^2) error."""
+    per_axis = []
     for a in alpha:
         if a == 0:
-            stencils.append(((0.0, 1.0),))
+            per_axis.append(((0.0, 1.0),))
         elif a == 1:
-            stencils.append(((-1.0, -0.5), (1.0, 0.5)))
+            per_axis.append(((-1.0, -0.5), (1.0, 0.5)))
         elif a == 2:
-            stencils.append(((-1.0, 1.0), (0.0, -2.0), (1.0, 1.0)))
+            per_axis.append(((-1.0, 1.0), (0.0, -2.0), (1.0, 1.0)))
         else:
             raise ExprError("finite-difference stencils support orders 0..2 per axis")
-    total = 0.0
-    for combo in itertools.product(*stencils):
-        offsets = [c[0] for c in combo]
-        weight = 1.0
-        for c in combo:
-            weight *= c[1]
-        pt = tuple(xi + h * o for xi, o in zip(x, offsets))
-        total += weight * fn(pt)
-    return total / h ** sum(alpha)
+    return [([c[0] for c in combo], math.prod(c[1] for c in combo))
+            for combo in itertools.product(*per_axis)]
 
 
 @_timed
@@ -196,29 +223,39 @@ def check_smoothness(T: TransversalDistribution, F: Expr, alpha, grid,
                      h_sequence=(1e-2, 5e-3, 2.5e-3, 1.25e-3),
                      min_order: float = 1.9, terminal_tolerance: float = 1e-5,
                      boundary_margin: float = 0.05,
-                     derivative_scale: float = 1.0,
                      order: int | None = None) -> CheckReport:
     """Central differences of T(F) against its exact derivative.
 
     Points whose symbolic part sits within ``boundary_margin`` of a bump
     transition are reported as skipped: finite differences straddling the
-    cutover do not see a smooth function at these step sizes.
-    ``derivative_scale`` rescales the exact derivative (sensitivity hook).
+    cutover do not see a smooth function at these step sizes.  The
+    stencils of every other point are evaluated in one pass.
     """
     report = CheckReport("smoothness")
     bf = dist.evaluate(T, F, order)
     alpha = ex.check_multi_index(alpha, T.bundle.base_dim)
     exact_fn = bf.derivative(alpha)
-    for x in grid:
+    live = [min(bf.bump_boundary_distance(x), exact_fn.bump_boundary_distance(x))
+            >= boundary_margin for x in grid]
+    checked = [x for x, ok in zip(grid, live) if ok]
+    # an order above 2 per axis is an error only where a point uses it
+    stencil = _stencil(alpha) if checked else []
+    points = [tuple(xi + h * o for xi, o in zip(x, offsets))
+              for x in checked for h in h_sequence for offsets, _ in stencil]
+    values = iter(_at_points(bf, points))
+    exact_values = iter(_at_points(exact_fn, checked))
+    for x, ok in zip(grid, live):
         case = f"alpha={alpha} x={tuple(map(float, x))}"
-        margin = min(bf.bump_boundary_distance(x),
-                     exact_fn.bump_boundary_distance(x))
-        if margin < boundary_margin:
+        if not ok:
             report.add(case + " (bump boundary)", 0.0, 1.0, skipped=True)
             continue
-        exact = derivative_scale * exact_fn.value(x)
-        errors = [abs(_central_difference(bf.value, x, alpha, h) - exact)
-                  for h in h_sequence]
+        exact = next(exact_values)
+        errors = []
+        for h in h_sequence:
+            total = 0.0
+            for _, weight in stencil:
+                total += weight * next(values)
+            errors.append(abs(total / h ** sum(alpha) - exact))
         terminal = errors[-1]
         if errors[0] < 1e-13:
             # derivative is numerically zero at every step: converged outright
@@ -251,40 +288,39 @@ def check_duality(F_list, T_list, grid, cutoff: Expr | None = None,
     b = T_list[0].bundle
     f = cutoff if cutoff is not None else b.parse_base("bump(x0/2)")
 
+    def at_points(F, T):
+        return _at_points(dist.hat_pair(F, T, order), grid)
+
     worst_add, witness_add = 0.0, None
     for (F1, F2), T in itertools.product(itertools.combinations(F_list, 2), T_list):
-        lhs = dist.hat_pair(ex.add(F1, F2), T, order)
-        a1, a2 = dist.hat_pair(F1, T, order), dist.hat_pair(F2, T, order)
-        for x in grid:
-            err = abs(lhs.value(x) - (a1.value(x) + a2.value(x)))
-            if err > worst_add:
+        lhs, a1, a2 = at_points(ex.add(F1, F2), T), at_points(F1, T), at_points(F2, T)
+        for x, v, v1, v2 in zip(grid, lhs, a1, a2):
+            err = abs(v - (v1 + v2))
+            if _worse(err, worst_add):
                 worst_add, witness_add = err, {"x": tuple(map(float, x))}
     report.add("additivity in F", worst_add, tolerance, witness_add)
 
     worst, witness = 0.0, None
     for F, (T1, T2) in itertools.product(F_list, itertools.combinations(T_list, 2)):
-        lhs = dist.hat_pair(F, T1 + T2, order)
-        a1, a2 = dist.hat_pair(F, T1, order), dist.hat_pair(F, T2, order)
-        for x in grid:
-            err = abs(lhs.value(x) - (a1.value(x) + a2.value(x)))
-            if err > worst:
+        lhs, a1, a2 = at_points(F, T1 + T2), at_points(F, T1), at_points(F, T2)
+        for x, v, v1, v2 in zip(grid, lhs, a1, a2):
+            err = abs(v - (v1 + v2))
+            if _worse(err, worst):
                 worst, witness = err, {"x": tuple(map(float, x))}
     report.add("additivity in T", worst, tolerance, witness)
 
     worst, witness = 0.0, None
     for F, T in itertools.product(F_list, T_list):
-        base = dist.hat_pair(F, T, order)
-        via_T = dist.hat_pair(F, dist.module_action_base(f, T), order)
-        via_F = dist.hat_pair(ex.mul(extend_base_function(b, f), F), T, order)
-        for x in grid:
-            want = f.evaluate(x) * base.value(x)
-            e1 = abs(via_T.value(x) - want)
-            e2 = abs(via_F.value(x) - want)
-            err = max(e1, e2)
-            if err > worst:
+        base = at_points(F, T)
+        via_T = at_points(F, dist.module_action_base(f, T))
+        via_F = at_points(ex.mul(extend_base_function(b, f), F), T)
+        for x, v, vT, vF in zip(grid, base, via_T, via_F):
+            want = f.evaluate(x) * v
+            err = _max_error((abs(vT - want), abs(vF - want)))
+            if _worse(err, worst):
                 worst, witness = err, {"x": tuple(map(float, x)),
-                                       "f*F^(T)": want, "F^(f*T)": via_T.value(x),
-                                       "(f*F)^(T)": via_F.value(x)}
+                                       "f*F^(T)": want, "F^(f*T)": vT,
+                                       "(f*F)^(T)": vF}
     report.add("module linearity both sides", worst, tolerance, witness)
 
     if probe_grid is None:
@@ -343,25 +379,24 @@ def _bump_probe(bundle: TrivialBundle, centre, radius: float) -> Expr:
 @_timed
 def check_support(T: TransversalDistribution, probe_count: int = 50,
                   tolerance: float = 1e-12, seed: int = 20240501,
-                  support_fn=total_support, order: int | None = None) -> CheckReport:
+                  order: int | None = None) -> CheckReport:
     """Probes supported outside the support box must evaluate to zero,
     and the base support must equal the base projection of the total one."""
     report = CheckReport("support")
     b = T.bundle
-    box = support_fn(T)
+    box = dist.total_support(T)
     rng = np.random.default_rng(seed)
     radius = 0.25
     worst, witness = 0.0, None
     if probe_count:
         for centre in _probe_centres_outside(box, probe_count, rng, radius):
             probe = _bump_probe(b, centre, radius)
-            bf = dist.evaluate(T, probe, order)
             xs = [centre[:b.base_dim],
                   tuple(0.5 * c for c in centre[:b.base_dim]),
                   (0.0,) * b.base_dim]
-            for x in xs:
-                val = abs(bf.value(x))
-                if val > worst:
+            values = _at_points(dist.evaluate(T, probe, order), xs)
+            for x, val in zip(xs, map(abs, values)):
+                if _worse(val, worst):
                     worst, witness = val, {"centre": centre,
                                            "x": tuple(map(float, x)), "value": val}
         report.add("probes outside support vanish", worst, tolerance, witness)
@@ -381,7 +416,6 @@ def check_support(T: TransversalDistribution, probe_count: int = 50,
 def check_localization(T: TransversalDistribution, x,
                        tolerance: float = 1e-10,
                        probe_functions=None,
-                       decompose_fn=dist.localize_decompose,
                        order: int | None = None) -> CheckReport:
     """When T_x = 0, the decomposition exists, every factor vanishes at x,
     and the recomposition agrees with T extensionally on probes."""
@@ -393,13 +427,11 @@ def check_localization(T: TransversalDistribution, x,
                    0.0, 1.0, skipped=True)
         return report
     try:
-        pieces = decompose_fn(T, x)
+        pieces = dist.localize_decompose(T, x)
     except ExprError as err:
         report.add("decomposition failed", 1.0, tolerance, {"error": str(err)})
         return report
-    worst_factor = 0.0
-    for f_i, _ in pieces:
-        worst_factor = max(worst_factor, abs(f_i.evaluate(x)))
+    worst_factor = _max_error(abs(f_i.evaluate(x)) for f_i, _ in pieces)
     report.add("factors vanish at x", worst_factor, max(tolerance, 1e-14))
     R = dist.recompose(pieces, b)
     if probe_functions is None:
@@ -409,15 +441,15 @@ def check_localization(T: TransversalDistribution, x,
     worst, witness = 0.0, None
     grid = [tuple(x), tuple(0.4 + xi for xi in x), tuple(-0.3 + xi for xi in x)]
     for G in probe_functions:
-        bfT = dist.evaluate(T, G, order)
-        bfR = dist.evaluate(R, G, order)
-        for pt in grid:
-            err = abs(bfT.value(pt) - bfR.value(pt))
-            if err > worst:
+        vT = _at_points(dist.evaluate(T, G, order), grid)
+        vR = _at_points(dist.evaluate(R, G, order), grid)
+        for pt, a, c in zip(grid, vT, vR):
+            err = abs(a - c)
+            if _worse(err, worst):
                 worst, witness = err, {"x": pt, "G": str(G)}
     report.add("recomposition matches T on probes", worst, tolerance, witness)
     vzero = dist.restrict(R, x)
     g_probes = [b.parse_fibre("1"), b.parse_fibre("y0"), b.parse_fibre("y0^2")]
-    worst = max(abs(dist.pair(vzero, g, order)) for g in g_probes)
+    worst = _max_error(abs(dist.pair(vzero, g, order)) for g in g_probes)
     report.add("recomposed restriction vanishes at x", worst, max(tolerance, 1e-12))
     return report

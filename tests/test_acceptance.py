@@ -6,6 +6,7 @@ Run with  pytest tests/test_acceptance.py -v -s  to see the verdict lines.
 import json
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -85,7 +86,7 @@ class TestCriterion1:
 
 
 class TestCriterion2:
-    def test_leibniz_identity_with_binomials(self):
+    def test_leibniz_identity_with_binomials(self, monkeypatch):
         with criterion(2, "coefficiented Leibniz identity to |alpha| <= 3 on "
                           "l in {1, 2}; bare variant fails at alpha = (2,)"):
             b1, _ = generated_pairs(1)
@@ -120,8 +121,9 @@ class TestCriterion2:
             # fail on a constructed l = 1, alpha = (2,) case
             T = dist.dirac_section(diag, b1.parse_base("x0*bump(x0)"))
             F = b1.parse_total("x0*y0 + y0^2")
-            bare = vf.check_leibniz(T, F, 2, grid_1d, tolerance=1e-8,
-                                    binomial=False)
+            with monkeypatch.context() as m:
+                m.setattr(ex, "multi_binomial", lambda alpha, beta: 1)
+                bare = vf.check_leibniz(T, F, 2, grid_1d, tolerance=1e-8)
             failing = {c.case_id: c for c in bare.cases}
             assert not bare.passed
             assert not failing["alpha=(2,)"].passed
@@ -341,32 +343,41 @@ class TestCriterion9:
             F = b.parse_total("2 + x0*y0 + y0^2")
             grid = [(-0.5,), (0.0,), (0.4,)]
 
+            restrict, decompose = dist.restrict, dist.localize_decompose
+            derivative, act = dist.BaseFunction.derivative, dist.module_action_base
+
             def negated_restrict(T, x):
-                v = dist.restrict(T, x)
+                v = restrict(T, x)
                 atoms = tuple((p, beta, -c) for p, beta, c in v.atoms)
                 return dist.PointDistribution(v.fibre_dim, atoms, v.density)
 
-            def scaled_decompose(T, x):
-                return [(ex.mul(ex.const(2, f.dim), f), Ti)
-                        for f, Ti in dist.localize_decompose(T, x)]
+            def scaled_derivative(bf, alpha):
+                d = derivative(bf, alpha)
+                return replace(d, symbolic=ex.mul(ex.const(Fraction(21, 20), 1), d.symbolic))
 
-            assert not vf.check_restriction_compat(
-                T, F, grid, restrict_fn=negated_restrict).passed
-            assert not vf.check_leibniz(
-                dist.dirac_section(diag, b.parse_base("x0*bump(x0)")),
-                F, 2, grid, binomial=False).passed
-            assert not vf.check_smoothness(
-                T, F, (1,), [(-0.4,), (0.3,)], derivative_scale=1.05).passed
+            def scaled_decompose(T, x):
+                return [(ex.mul(ex.const(2, f.dim), f), Ti) for f, Ti in decompose(T, x)]
+
             with monkeypatch.context() as m:
-                act = dist.module_action_base
+                m.setattr(dist, "restrict", negated_restrict)
+                assert not vf.check_restriction_compat(T, F, grid).passed
+            with monkeypatch.context() as m:
+                m.setattr(ex, "multi_binomial", lambda alpha, beta: 1)
+                assert not vf.check_leibniz(
+                    dist.dirac_section(diag, b.parse_base("x0*bump(x0)")), F, 2, grid).passed
+            with monkeypatch.context() as m:
+                m.setattr(dist.BaseFunction, "derivative", scaled_derivative)
+                assert not vf.check_smoothness(T, F, (1,), [(-0.4,), (0.3,)]).passed
+            with monkeypatch.context() as m:
                 m.setattr(dist, "module_action_base", lambda f, T: act(
                     ex.mul(ex.const(Fraction(101, 100), f.dim), f), T))
                 assert not vf.check_duality([F], [T], grid).passed
-            assert not vf.check_support(
-                T, probe_count=40,
-                support_fn=lambda _: Box.of([(-0.05, 0.05)] * 2)).passed
-            assert not vf.check_localization(
-                T_loc, (0.0,), decompose_fn=scaled_decompose).passed
+            with monkeypatch.context() as m:
+                m.setattr(dist, "total_support", lambda _: Box.of([(-0.05, 0.05)] * 2))
+                assert not vf.check_support(T, probe_count=40).passed
+            with monkeypatch.context() as m:
+                m.setattr(dist, "localize_decompose", scaled_decompose)
+                assert not vf.check_localization(T_loc, (0.0,)).passed
 
 
 class TestCriterion10:

@@ -482,13 +482,32 @@ class TestSerialization:
 
 class TestCheckCommand:
     def test_all_suites_on_all_shipped_scenes(self, capsys):
-        for name in ("dirac_demo.json", "density_demo.json",
-                     "operator_demo.json"):
+        names = sorted(p.name for p in (resources.files("transdist") / "scenes").iterdir()
+                       if p.name.endswith(".json"))
+        assert len(names) == 5
+        for name in names:
             code, out = run_cli(capsys, "check", scene_path(name),
                                 "--suite", "all")
             assert code == 0, f"{name} failed:\n{out[-2000:]}"
             payload = json.loads(out)
             assert payload["passed"] is True
+
+    def test_non_finite_errors_exit_1(self, capsys, tmp_path):
+        # T(F) is +inf on the grid, so each identity compares inf with inf
+        path = tmp_path / "blowup.json"
+        path.write_text(json.dumps({
+            "bundle": {"base_dim": 1, "fibre_dim": 1},
+            "functions": {"F": "exp(800*y0)"},
+            "sections": {"s": ["x0 + 1"]},
+            "distributions": {"T": [dict(DIRAC_TERM, beta=[0])]},
+            "checks": {"grid": [[0], [0.2]]}}))
+        code, out = run_cli(capsys, "check", str(path), "--suite", "restriction,leibniz")
+        assert code == 1
+        payload = json.loads(out)
+        assert payload["passed"] is False
+        cases = [c for r in payload["suites"] for c in r["cases"]]
+        assert cases and all(not c["passed"] and c["max_error"] is None for c in cases)
+        assert all(c["witness"]["x"] == [0] for c in cases)
 
     def test_unknown_suite_rejected(self, capsys, dirac_scene):
         code, _ = run_cli(capsys, "check", dirac_scene, "--suite", "bogus")

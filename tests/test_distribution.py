@@ -9,6 +9,7 @@ from transdist import distribution as dist
 from transdist import expr as ex
 from transdist import operators as op
 from transdist import quadrature as qd
+from transdist import verify as vf
 from transdist.expr import Box, ExprError
 from transdist.quadrature import BUMP_INTEGRAL
 
@@ -576,6 +577,19 @@ class TestBaseFunctionValues:
         assert same_floats(got.tolist(), want)
         assert any(want) and not all(want)  # inside and outside the support
 
+    @pytest.mark.parametrize("kind", ["symbolic", "density", "numeric", "mixed"])
+    @pytest.mark.parametrize("block", [1, 7])
+    def test_verify_at_points_are_the_pointwise_values(self, monkeypatch, base_functions,
+                                                       kind, block):
+        bf = base_functions[kind]
+        l = bf.bundle.base_dim
+        X = np.linspace(-2.0, 2.0, 25 * l).reshape(-1, l) * (1 if l == 2 else 0.6)
+        want = [bf.value(tuple(x)) for x in X]
+        monkeypatch.setattr(qd, "PAIR_BLOCK", block)
+        got = vf._at_points(bf, X)
+        assert same_floats(got, want)
+        assert any(want) and not all(want)
+
     def test_values_reject_a_wrong_shape(self, base_functions):
         bf = base_functions["symbolic"]
         with pytest.raises(ex.DimensionError):
@@ -604,3 +618,126 @@ class TestPairRestrictions:
         assert got.shape == (3, len(X))
         assert all(same_floats(row.tolist(), w) for row, w in zip(got, want))
         assert np.count_nonzero(got) and not np.all(got)
+
+
+def restrict_then_pair(T, X, members, order):
+    """pair(restrict(T, x), F(x, .)) for each member and row, and the sum of
+    the absolute values of its terms: |c * D^beta g(point)| for each atom and
+    the integral of |density * g|."""
+    b = T.bundle
+    values, scales = [], []
+    for F in members:
+        row, scale = [], []
+        for x in map(tuple, X):
+            v, g = dist.restrict(T, x), bd.restrict_function(b, F, x)
+            row.append(dist.pair(v, g, order))
+            total = sum(abs(c * g.diff(beta).evaluate(p)) for p, beta, c in v.atoms)
+            if v.density is not None:
+                integrand = ex.mul(v.density, g)
+                total += qd.integrate(lambda pts: np.abs(integrand.eval_array(pts)),
+                                      integrand.support_box(), order)
+            scale.append(total)
+        values.append(row)
+        scales.append(scale)
+    return np.array(values), np.array(scales)
+
+
+# Both sides evaluate each term c * D^beta F at the same point and add the
+# terms in the same order; they differ only in how x enters.  The restricted
+# DAG holds x as exact rational constants, folded exactly and rounded once;
+# the total-space DAG rounds each node that reads x.  Each term's node
+# values then carry a few roundings of relative size u = 2^-53 more or less
+# on each side, so the terms, and the sums built from them, agree to a few
+# u relative to the sum of |term| (which also covers cancellation between
+# terms).  8 u allows four differing roundings per side; these inputs show
+# at most 3 u.
+ULPS = 8 * 2.0 ** -53
+
+
+class TestPairAt:
+    """pair_at(T, X, Fs) against restrict-then-pair, member by member."""
+
+    @pytest.fixture
+    def line_case(self, line_bundle):
+        b = line_bundle
+        s1 = bd.section_from_strings(b, ["x0/2 + sin(x0)/3"])
+        s2 = bd.section_from_strings(b, ["x0^2 - 1/4"])
+        T = dist.zero_distribution(b)
+        for s, w in ((s1, "bump(x0)*exp(x0/3)"), (s2, "bump(2*x0)*(1 + x0)")):
+            for k in range(4):
+                T = T + dist.dirac_section(s, b.parse_base(w), (k,))
+        Fs = [b.parse_total(t) for t in ("exp(x0*y0/4)*cos(y0) + y0^2",
+                                         "x0^3*y0^4 + bump(y0)*x0", "1")]
+        X = np.linspace(-1.2, 1.2, 13)[:, None]  # |x| >= 1: zero weights
+        return T, Fs, X
+
+    @pytest.fixture
+    def plane_case(self, plane_bundle):
+        b = plane_bundle
+        s1 = bd.section_from_strings(b, ["x0/3 + x1/2"])
+        s2 = bd.section_from_strings(b, ["x0*x1 + 1/5"])
+        T = (dist.dirac_section(s1, b.parse_base("bump(x0/2)*bump(x1)"), (0,))
+             + dist.dirac_section(s1, b.parse_base("x1*bump(x0)*bump(x1/2)"), (3,))
+             + dist.dirac_section(s2, b.parse_base("bump(x0)*bump(x1)"), (2,)))
+        Fs = [b.parse_total(t) for t in ("exp(x0*y0/3)*cos(x1*y0) + y0^3",
+                                         "x0*x1*y0^2 + sin(y0 + x1)")]
+        X = np.stack(np.meshgrid(np.linspace(-1.5, 1.5, 7), np.linspace(-1.2, 1.2, 5),
+                                 indexing="ij"), axis=-1).reshape(-1, 2)
+        return T, Fs, X
+
+    @staticmethod
+    def assert_close(T, X, Fs, order=16):
+        got = dist.pair_at(T, X, Fs, order)
+        want, scale = restrict_then_pair(T, X, Fs, order)
+        assert got.shape == (len(Fs), len(X))
+        assert np.all(np.abs(got - want) <= ULPS * scale)
+        assert np.count_nonzero(want) and not np.all(want)  # zero-weight rows are seen
+
+    @pytest.mark.parametrize("case", ["line_case", "plane_case"])
+    @pytest.mark.parametrize("n", [0, 1, 2])
+    def test_dirac_terms(self, request, case, n):
+        T, Fs, X = request.getfixturevalue(case)
+        alpha = (n,) + (0,) * (T.bundle.base_dim - 1)
+        self.assert_close(dist.family_derivative(T, alpha), X, Fs)
+
+    @pytest.mark.parametrize("case", ["line_case", "plane_case"])
+    def test_density_and_mixed_terms(self, request, case):
+        T, Fs, X = request.getfixturevalue(case)
+        b = T.bundle
+        env = "*".join(f"bump(x{i})" for i in range(b.base_dim))
+        D = dist.density(b, b.parse_total(f"{env}*bump(y0)*(1 + x0*y0/3)"))
+        self.assert_close(D, X, Fs)
+        self.assert_close(D + T, X, Fs)
+        self.assert_close(dist.family_derivative(D + T, (1,) + (0,) * (b.base_dim - 1)), X, Fs)
+
+    def test_density_on_a_narrower_restricted_box(self, line_bundle):
+        """F(x, .) times bump(y0 - x0/2) is supported on a narrower box than the
+        total-space integrand; both boxes give the integral within 1e-8."""
+        b = line_bundle
+        D = dist.density(b, b.parse_total("bump(x0)*bump(y0)*bump(y0 - x0/2)"))
+        Fs = [b.parse_total("exp(x0*y0/4)*cos(y0) + y0^2"), b.parse_total("1")]
+        X = np.linspace(-1.2, 1.2, 13)[:, None]
+        want, _ = restrict_then_pair(D, X, Fs, None)
+        got = dist.pair_at(D, X, Fs)
+        assert np.all(np.abs(got - want) < 1e-8)
+        assert np.any(got != want)
+
+    def test_zero_weight_rows_are_skipped(self, line_bundle):
+        # F's derivatives overflow on the section where the weight vanishes
+        b = line_bundle
+        s = bd.section_from_strings(b, ["x0 + 1"])
+        T = dist.dirac_section(s, b.parse_base("bump(x0)"), (1,))
+        F = b.parse_total("exp(800*y0)")
+        X = np.array([[1.5], [-1.5]])
+        got = dist.pair_at(T, X, [F])
+        want, _ = restrict_then_pair(T, X, [F], None)
+        assert got.tolist() == want.tolist() == [[0.0, 0.0]]
+
+    def test_shapes(self, line_bundle, T_dirac):
+        F = line_bundle.parse_total("y0")
+        assert dist.pair_at(T_dirac, np.zeros((0, 1)), [F]).shape == (1, 0)
+        assert dist.pair_at(T_dirac, np.zeros((3, 1)), []).shape == (0, 3)
+        with pytest.raises(ex.DimensionError):
+            dist.pair_at(T_dirac, np.zeros((3, 2)), [F])
+        with pytest.raises(ex.DimensionError):
+            dist.pair_at(T_dirac, np.zeros((3, 1)), [line_bundle.parse_fibre("y0")])

@@ -69,8 +69,8 @@ def test_no_module_rebinds_a_global():
 
 
 # Library calls that take a quadrature order or a grid density.
-SETTING_TAKERS = {"evaluate", "hat_pair", "pair", "apply", "compose", "seminorm_eval",
-                  "lf_membership", "lfB_membership", "check_restriction_compat",
+SETTING_TAKERS = {"evaluate", "hat_pair", "pair", "pair_at", "apply", "compose",
+                  "seminorm_eval", "lf_membership", "lfB_membership", "check_restriction_compat",
                   "check_leibniz", "check_smoothness", "check_duality", "check_support",
                   "check_localization"}
 
@@ -161,3 +161,26 @@ def test_node_evaluators_are_broadcast_native():
 def test_seminorm_evaluates_over_lattice_axes():
     assert ("topology.py", "seminorm_eval") in calls_of("lattice_axes")
     assert ("topology.py", "seminorm_eval") not in calls_of("lattice_points")
+
+
+def test_leibniz_pairs_on_the_total_space():
+    """``check_leibniz`` restricts nothing: it pairs each family derivative
+    with the total-space derivatives of F (``distribution.pair_at``)."""
+    assert ("verify.py", "check_leibniz") in calls_of("pair_at")
+    for name in ("restrict", "restrict_function", "pair"):
+        hits = calls_of(name)
+        assert hits  # the calls are seen elsewhere
+        assert ("verify.py", "check_leibniz") not in hits
+
+
+def test_verify_evaluates_base_functions_over_grids():
+    """Every base function in ``verify.py`` is evaluated over a whole grid by
+    ``_at_points``, never by ``BaseFunction.value`` point by point."""
+    value_calls = calls_of("value")
+    assert {module for module, _ in value_calls} >= {"cli.py", "distribution.py"}
+    assert [hit for hit in value_calls
+            if hit[0] == "verify.py" and hit[1] != "_at_points"] == []
+    assert {scope for module, scope in calls_of("_at_points") if module == "verify.py"} >= {
+        "check_restriction_compat", "check_leibniz", "check_smoothness",
+        "at_points",  # check_duality's local helper
+        "check_support", "check_localization"}

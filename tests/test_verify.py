@@ -1,3 +1,5 @@
+import math
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -35,16 +37,17 @@ class TestRestrictionCompat:
         assert report.passed
         assert report.cases[0].max_error == 0.0
 
-    def test_corrupted_restrict_fails_with_witness(self, setup):
+    def test_corrupted_restrict_fails_with_witness(self, setup, monkeypatch):
         b, T_dirac, _, F = setup
+        restrict = dist.restrict
 
         def tampered(T, x):
-            v = dist.restrict(T, x)
+            v = restrict(T, x)
             atoms = tuple((p, beta, -c) for p, beta, c in v.atoms)
             return dist.PointDistribution(v.fibre_dim, atoms, v.density)
 
-        report = vf.check_restriction_compat(T_dirac, F, GRID,
-                                             restrict_fn=tampered)
+        monkeypatch.setattr(dist, "restrict", tampered)
+        report = vf.check_restriction_compat(T_dirac, F, GRID)
         assert not report.passed
         assert report.cases[0].witness is not None
         assert "x" in report.cases[0].witness
@@ -62,11 +65,12 @@ class TestLeibniz:
         report = vf.check_leibniz(T_dirac + T_density, F, 3, GRID)
         assert report.passed
 
-    def test_uncoefficiented_variant_fails(self, setup):
+    def test_uncoefficiented_variant_fails(self, setup, monkeypatch):
         b, _, _, F = setup
         diag = bd.section_from_strings(b, ["x0"])
         T = dist.dirac_section(diag, b.parse_base("x0*bump(x0)"))
-        report = vf.check_leibniz(T, F, 2, GRID, binomial=False)
+        monkeypatch.setattr(ex, "multi_binomial", lambda alpha, beta: 1)
+        report = vf.check_leibniz(T, F, 2, GRID)
         assert not report.passed
 
     def test_two_dimensional_base(self, plane_bundle):
@@ -107,10 +111,16 @@ class TestSmoothness:
         assert report.passed
         assert all(c.skipped for c in report.cases)
 
-    def test_corrupted_derivative_fails(self, setup):
+    def test_corrupted_derivative_fails(self, setup, monkeypatch):
         b, T_dirac, _, F = setup
-        report = vf.check_smoothness(T_dirac, F, (1,), SMOOTH_GRID,
-                                     derivative_scale=1.05)
+        derivative = dist.BaseFunction.derivative
+
+        def scaled(bf, alpha):
+            d = derivative(bf, alpha)
+            return replace(d, symbolic=ex.mul(ex.const(Fraction(21, 20), 1), d.symbolic))
+
+        monkeypatch.setattr(dist.BaseFunction, "derivative", scaled)
+        report = vf.check_smoothness(T_dirac, F, (1,), SMOOTH_GRID)
         assert not report.passed
 
 
@@ -154,13 +164,11 @@ class TestSupport:
         report = vf.check_support(dist.zero_distribution(b), probe_count=10)
         assert report.passed
 
-    def test_shrunken_support_box_fails(self, setup):
+    def test_shrunken_support_box_fails(self, setup, monkeypatch):
         b, T_dirac, _, _ = setup
-
-        def tampered(T):
-            return Box.of([(-0.05, 0.05), (-0.05, 0.05)])
-
-        report = vf.check_support(T_dirac, probe_count=40, support_fn=tampered)
+        monkeypatch.setattr(dist, "total_support",
+                            lambda T: Box.of([(-0.05, 0.05), (-0.05, 0.05)]))
+        report = vf.check_support(T_dirac, probe_count=40)
         assert not report.passed
 
 
@@ -184,16 +192,18 @@ class TestLocalization:
         report = vf.check_localization(dist.zero_distribution(b), (0.0,))
         assert report.passed
 
-    def test_corrupted_decomposition_fails(self, setup):
+    def test_corrupted_decomposition_fails(self, setup, monkeypatch):
         b, *_ = setup
         diag = bd.section_from_strings(b, ["x0"])
         T = dist.dirac_section(diag, b.parse_base("x0*bump(x0)"))
+        decompose = dist.localize_decompose
 
         def tampered(T, x):
-            pieces = dist.localize_decompose(T, x)
+            pieces = decompose(T, x)
             return [(ex.mul(ex.const(2, f.dim), f), Ti) for f, Ti in pieces]
 
-        report = vf.check_localization(T, (0.0,), decompose_fn=tampered)
+        monkeypatch.setattr(dist, "localize_decompose", tampered)
+        report = vf.check_localization(T, (0.0,))
         assert not report.passed
 
 
@@ -232,3 +242,65 @@ class TestReportShape:
         report = vf.check_restriction_compat(T_dirac, F, GRID)
         text = report.to_table()
         assert "PASS" in text and "max_error" in text
+
+
+class TestNonFiniteErrors:
+    """A NaN or infinite error fails its case, with its point as the witness.
+
+    T(F) is +inf at x = 0 and x = 0.2 for F = exp(800*y0) on the section
+    x0 + 1, so both sides of an identity are inf and their difference NaN,
+    which an ``err > worst`` scan never records.
+    """
+
+    @pytest.fixture
+    def blowup(self, line_bundle):
+        b = line_bundle
+        s = bd.section_from_strings(b, ["x0 + 1"])
+        T = dist.dirac_section(s, b.parse_base("bump(x0)"))
+        return b, T, b.parse_total("exp(800*y0)"), [(0,), (0.2,)]
+
+    @staticmethod
+    def assert_fails_at(case, x):
+        assert not case.passed
+        assert math.isnan(case.max_error)
+        assert case.witness["x"] == x
+
+    def test_restriction(self, blowup):
+        b, T, F, grid = blowup
+        report = vf.check_restriction_compat(T, F, grid)
+        self.assert_fails_at(report.cases[0], (0.0,))
+
+    def test_leibniz(self, blowup):
+        b, T, F, grid = blowup
+        report = vf.check_leibniz(T, F, 1, grid)
+        for case in report.cases:
+            self.assert_fails_at(case, (0.0,))
+
+    def test_duality(self, blowup):
+        b, T, F, grid = blowup
+        report = vf.check_duality([F, b.parse_total("1 + y0")], [T], grid)
+        cases = {c.case_id: c for c in report.cases}
+        self.assert_fails_at(cases["additivity in F"], (0.0,))
+        self.assert_fails_at(cases["module linearity both sides"], (0.0,))
+
+    def test_support(self, line_bundle, monkeypatch):
+        # the density is NaN for x0 > -0.11 and 0 elsewhere; a shrunken
+        # support box puts probes on the NaN part
+        b = line_bundle
+        T = dist.density(b, b.parse_total(
+            "bump(x0)*bump(y0)*(exp(800*(x0 + 1)) - exp(800*(x0 + 1)))"))
+        monkeypatch.setattr(dist, "total_support",
+                            lambda T: Box.of([(-0.05, 0.05), (-0.05, 0.05)]))
+        report = vf.check_support(T, probe_count=40, order=8)
+        case = report.cases[0]
+        assert not case.passed and math.isnan(case.max_error)
+        assert math.isnan(case.witness["value"])
+
+    def test_localization(self, line_bundle):
+        b = line_bundle
+        diag = bd.section_from_strings(b, ["x0"])
+        T = dist.dirac_section(diag, b.parse_base("x0*bump(x0)"))
+        report = vf.check_localization(T, (0.0,),
+                                       probe_functions=[b.parse_total("exp(2000*y0)")])
+        case = next(c for c in report.cases if c.case_id.startswith("recomposition"))
+        self.assert_fails_at(case, (0.4,))
