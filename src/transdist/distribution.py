@@ -203,12 +203,14 @@ def pair_at(T: TransversalDistribution, X, members,
 
     Nothing is restricted: fibre derivatives commute with restriction, so a
     Dirac term reads each member's D^(0,beta) F, memoized on the member's
-    DAG, at (x, sigma(x)), once per (section, beta, row), through scalar
-    ``evaluate``.  Rows where its weight is zero are skipped, as ``pair``
-    skips zero coefficients.  Density terms are integrated as ``evaluate``
-    integrates them, over all rows in one pass, and added after the atoms.
-    The entries equal ``pair(restrict(T, x), restrict_function(T.bundle, F,
-    x), order)`` to rounding wherever the two fibre boxes coincide.
+    DAG, at (x, sigma(x)).  One ``ex.evaluate_many`` pass evaluates every
+    weight, and per section one its components and one every (beta, member)
+    derivative, at the rows where some weight of the section is not zero;
+    a zero weight adds nothing, as ``pair`` skips zero coefficients.
+    Density terms are integrated as ``evaluate`` integrates them, over all
+    rows in one pass, and added after the atoms.  The entries equal
+    ``pair(restrict(T, x), restrict_function(T.bundle, F, x), order)`` to
+    rounding wherever the two fibre boxes coincide.
     """
     b = T.bundle
     X = np.asarray(X, dtype=float)
@@ -218,24 +220,32 @@ def pair_at(T: TransversalDistribution, X, members,
         raise DimensionError("pair_at expects total-space functions")
     rows = X.tolist()
     out = [[0.0] * len(rows) for _ in members]
-    points, derivatives, densities = {}, {}, []
-    for term in T.terms:
-        if isinstance(term, DensityTerm):
-            densities.append(term)
+    diracs = [t for t in T.terms if isinstance(t, DiracSectionTerm)]
+    densities = [t for t in T.terms if isinstance(t, DensityTerm)]
+    weights = ex.evaluate_many([t.weight for t in diracs], rows)
+    by_section = {}  # id(section) -> [term index, ...]
+    for k, term in enumerate(diracs):
+        by_section.setdefault(id(term.section), []).append(k)
+    paired = {}  # (id(section), total beta) -> (row -> live position, values per member)
+    for ks in by_section.values():
+        section = diracs[ks[0]].section
+        live = [i for i in range(len(rows)) if any(weights[k][i] != 0.0 for k in ks)]
+        if not live:
             continue
-        at = points.setdefault(id(term.section), {})  # row -> (x, sigma(x))
-        beta = b.fibre_beta_to_total(term.beta)
-        for i, x in enumerate(rows):
-            c = term.weight.evaluate(x)
-            if c == 0.0:
-                continue
-            key = (id(term.section), beta, i)
-            if key not in derivatives:
-                if i not in at:
-                    at[i] = tuple(x) + term.section.value(x)
-                derivatives[key] = [F.diff(beta).evaluate(at[i]) for F in members]
-            for row, v in zip(out, derivatives[key]):
-                row[i] += c * v
+        comps = ex.evaluate_many(section.components, [rows[i] for i in live])
+        at = [tuple(rows[i]) + s for i, s in zip(live, zip(*comps))]
+        where = {i: n for n, i in enumerate(live)}
+        betas = list(dict.fromkeys(b.fibre_beta_to_total(diracs[k].beta) for k in ks))
+        values = ex.evaluate_many([F.diff(beta) for beta in betas for F in members], at)
+        for n, beta in enumerate(betas):
+            paired[id(section), beta] = where, values[n * len(members):(n + 1) * len(members)]
+    for term, w in zip(diracs, weights):
+        key = id(term.section), b.fibre_beta_to_total(term.beta)
+        for i, c in enumerate(w):
+            if c != 0.0:
+                where, values = paired[key]
+                for row, v in zip(out, values):
+                    row[i] += c * v[where[i]]
     if densities:
         D = TransversalDistribution(b, tuple(densities))
         for row, F in zip(out, members):

@@ -56,9 +56,10 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 
 import numpy as np
 
@@ -310,14 +311,7 @@ class Expr:
     # -- evaluation ---------------------------------------------------------
 
     def evaluate(self, point) -> float:
-        if len(point) != self.dim:
-            raise DimensionError(f"point has {len(point)} coordinates, ambient is {self.dim}")
-        point = tuple(float(c) for c in point)
-        vals = []
-        append = vals.append
-        for node, args, _ in self._plan:
-            append((node or self)._eval(point, vals, args))
-        return vals[-1]
+        return _values_at(self._plan, self, _float_point(point, self.dim))[-1]
 
     def eval_array(self, pts: np.ndarray) -> np.ndarray:
         """Evaluate on an (N, dim) array of points, returning shape (N,)."""
@@ -363,8 +357,7 @@ class Expr:
         that walk the plan handle a node shared by many paths once, where a
         recursive pass would expand the DAG into its tree.
         """
-        nodes, args = [], []
-        _number_nodes(self, {}, nodes, args)
+        nodes, args, _ = _number((self,))
         nodes[-1] = None
         last = [0] * len(nodes)
         for pos, kids in enumerate(args):
@@ -666,7 +659,8 @@ class Sum(Expr):
 
     def _eval_arr(self, cols, vals, args):
         if len(args) == 2:
-            return 0.0 + vals[args[0]] + vals[args[1]]
+            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN, quietly
+                return 0.0 + vals[args[0]] + vals[args[1]]
         return quadrature.row_fsum([vals[i] for i in args])
 
     def _diff1(self, slot):
@@ -723,11 +717,10 @@ class Product(Expr):
         return np.where(zero, 0.0, acc)
 
     def _diff1(self, slot):
-        terms = []
-        for i, f in enumerate(self.factors):
-            df = f.diff1(slot)
-            terms.append(mul(*self.factors[:i], df, *self.factors[i + 1:]))
-        return add(*terms)
+        # a factor free of the slot differentiates to 0, which mul would fold away
+        terms = [mul(*self.factors[:i], f.diff1(slot), *self.factors[i + 1:])
+                 for i, f in enumerate(self.factors) if slot in f.free_slots]
+        return add(*terms) if terms else Const(self.dim, Fraction(0))
 
     def _rebuild(self, args):
         return mul(*args)
@@ -967,8 +960,61 @@ class BumpRat(Expr):
         return f"bumprat({self.arg._text(0)}; {poly or '0'}; {self.pole_order})"
 
 
+def evaluate_many(roots, points) -> list:
+    """``[[r.evaluate(p) for p in points] for r in roots]``, over one plan.
+
+    The union of the roots' DAGs is numbered once, so the nodes they share,
+    as the derivatives of one expression share most of theirs, are listed
+    once and evaluated once per point, each by the same ``_eval`` as in
+    ``evaluate``; every entry equals ``r.evaluate(p)`` bit for bit:
+
+    >>> e = parse("x0*exp(x0)", 1)
+    >>> evaluate_many([e, e.diff1(0)], [(0.0,), (1.0,)])
+    [[0.0, 2.718281828459045], [1.0, 5.43656365691809]]
+    """
+    roots = tuple(roots)
+    if not roots:
+        return []
+    dim = roots[0].dim
+    if any(r.dim != dim for r in roots):
+        raise DimensionError("roots over mixed ambient dimensions")
+    nodes, args, at = _number(roots)
+    plan = tuple(zip(nodes, args, itertools.repeat(())))
+    out = [[] for _ in roots]
+    for point in points:
+        vals = _values_at(plan, None, _float_point(point, dim))
+        for row, i in zip(out, at):
+            row.append(vals[i])
+    return out
+
+
+def _float_point(point, dim: int) -> tuple:
+    if len(point) != dim:
+        raise DimensionError(f"point has {len(point)} coordinates, ambient is {dim}")
+    return tuple(float(c) for c in point)
+
+
+def _values_at(plan, root, point) -> list:
+    """The value of every plan entry at a point of floats, children first;
+    a ``None`` node stands for ``root``."""
+    vals = []
+    append = vals.append
+    for node, args, _ in plan:
+        append((node or root)._eval(point, vals, args))
+    return vals
+
+
+def _number(roots):
+    """Number every distinct node of the roots' DAGs once, children first:
+    the nodes in that order, their children's positions, each root's position."""
+    index, nodes, args = {}, [], []
+    at = [index[id(r)] if id(r) in index else _number_nodes(r, index, nodes, args)
+          for r in roots]
+    return nodes, args, at
+
+
 def _number_nodes(node, index, nodes, args) -> int:
-    """Number a node not yet in ``index`` after its children (``Expr._plan``)."""
+    """Number a node not yet in ``index`` after its children (``_number``)."""
     kids = []
     for k in node._children():
         pos = index.get(id(k))
@@ -1025,7 +1071,7 @@ def add(*terms) -> Expr:
         for item in t.terms if isinstance(t, Sum) else (t,):
             (consts if isinstance(item, Const) else flat).append(item)
     if consts:
-        c = _fold(consts, sum, dim)
+        c = _fold(consts, operator.add, dim)
         if c.value != 0 or not flat:
             flat.append(c)
     if len(flat) == 1:
@@ -1052,7 +1098,7 @@ def mul(*factors) -> Expr:
         for item in f.factors if isinstance(f, Product) else (f,):
             (consts if isinstance(item, Const) else flat).append(item)
     if consts:
-        c = _fold(consts, math.prod, dim)
+        c = _fold(consts, operator.mul, dim)
         if c.value == 0:
             return c
         if c.value != 1 or not flat:
@@ -1063,8 +1109,10 @@ def mul(*factors) -> Expr:
 
 
 def _fold(consts, fold, dim: int) -> Const:
-    """The constants of a sum or product as one ``Const``; a lone one is reused."""
-    return consts[0] if len(consts) == 1 else Const(dim, fold(c.value for c in consts))
+    """The constants of a sum or product as one ``Const``; a lone one is reused.
+    The fold starts from the first value: an int seed would take Fraction's
+    slow reflected operators."""
+    return consts[0] if len(consts) == 1 else Const(dim, reduce(fold, [c.value for c in consts]))
 
 
 def div(num: Expr, den: Expr) -> Expr:

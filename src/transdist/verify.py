@@ -8,8 +8,10 @@ nothing.  A NaN or infinite error fails its case, with its point as the
 witness.
 
 Base functions are evaluated over a whole grid at a time (``_at_points``):
-each quadrature part takes one pass over all the grid points, and the
-values are those of ``BaseFunction.value`` at each point, bit for bit.
+the symbolic parts of all the base functions a check compares take one
+``evaluate_many`` pass, each quadrature part one pass over all the grid
+points, and the values are those of ``BaseFunction.value`` at each point,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ import numpy as np
 from . import distribution as dist
 from . import expr as ex
 from .bundle import TrivialBundle, extend_base_function, restrict_function
-from .distribution import BaseFunction, TransversalDistribution
+from .distribution import TransversalDistribution
 from .expr import Box, DimensionError, Expr, ExprError
 
 
@@ -115,20 +117,25 @@ def _base_points(bundle: TrivialBundle, grid) -> np.ndarray:
     return np.array(grid, dtype=float).reshape(len(grid), bundle.base_dim)
 
 
-def _at_points(bf: BaseFunction, grid) -> list:
-    """``bf.value(x)`` at every base point x of the grid, bit for bit.
+def _at_points(grid, *bfs) -> list:
+    """``[bf.value(x) for x in grid]`` for each base function, bit for bit.
 
-    The symbolic part goes point by point through scalar ``evaluate``,
-    which on a deep derivative is many times cheaper than a one-row
-    ``eval_array``; each quadrature or numeric part takes one
+    The symbolic parts go through scalar ``evaluate``, which on a deep
+    derivative is many times cheaper than a one-row ``eval_array``, in one
+    ``evaluate_many`` pass over the grid, so the nodes they share are
+    evaluated once per point; each quadrature or numeric part takes one
     ``integrate_rows`` pass over all the points.
     """
-    X = _base_points(bf.bundle, grid)
-    total = ([bf.symbolic.evaluate(x) for x in X.tolist()] if bf.symbolic is not None
-             else [0.0] * len(X))
-    for part in bf.quad_parts + bf.numeric_parts:
-        total = [t + v for t, v in zip(total, part.values(X, bf.order).tolist())]
-    return total
+    X = _base_points(bfs[0].bundle, grid)
+    symbolic = iter(ex.evaluate_many([bf.symbolic for bf in bfs if bf.symbolic is not None],
+                                     X.tolist()))
+    out = []
+    for bf in bfs:
+        total = next(symbolic) if bf.symbolic is not None else [0.0] * len(X)
+        for part in bf.quad_parts + bf.numeric_parts:
+            total = [t + v for t, v in zip(total, part.values(X, bf.order).tolist())]
+        out.append(total)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -141,7 +148,7 @@ def check_restriction_compat(T: TransversalDistribution, F: Expr, grid,
                              order: int | None = None) -> CheckReport:
     report = CheckReport("restriction_compat")
     worst, witness = 0.0, None
-    for x, want in zip(grid, _at_points(dist.evaluate(T, F, order), grid)):
+    for x, want in zip(grid, _at_points(grid, dist.evaluate(T, F, order))[0]):
         lhs = dist.pair(dist.restrict(T, x), restrict_function(T.bundle, F, x), order)
         err = abs(lhs - want)
         if _worse(err, worst):
@@ -180,8 +187,8 @@ def check_leibniz(T: TransversalDistribution, F: Expr, alpha_max: int, grid,
                               [dF[gamma] for gamma in gammas], order)
         paired.update({(beta, gamma): row.tolist() for gamma, row in zip(gammas, values)})
     bf = dist.evaluate(T, F, order)
-    for alpha in alphas:
-        lhs = _at_points(bf.derivative(alpha), grid)
+    derivatives = _at_points(grid, *(bf.derivative(alpha) for alpha in alphas))
+    for alpha, lhs in zip(alphas, derivatives):
         rhs = [0.0] * len(grid)
         for beta in ex.multi_indices_below(alpha):
             gamma = tuple(a_i - b_i for a_i, b_i in zip(alpha, beta))
@@ -242,8 +249,8 @@ def check_smoothness(T: TransversalDistribution, F: Expr, alpha, grid,
     stencil = _stencil(alpha) if checked else []
     points = [tuple(xi + h * o for xi, o in zip(x, offsets))
               for x in checked for h in h_sequence for offsets, _ in stencil]
-    values = iter(_at_points(bf, points))
-    exact_values = iter(_at_points(exact_fn, checked))
+    values = iter(_at_points(points, bf)[0])
+    exact_values = iter(_at_points(checked, exact_fn)[0])
     for x, ok in zip(grid, live):
         case = f"alpha={alpha} x={tuple(map(float, x))}"
         if not ok:
@@ -288,12 +295,12 @@ def check_duality(F_list, T_list, grid, cutoff: Expr | None = None,
     b = T_list[0].bundle
     f = cutoff if cutoff is not None else b.parse_base("bump(x0/2)")
 
-    def at_points(F, T):
-        return _at_points(dist.hat_pair(F, T, order), grid)
+    def at_points(*pairs):
+        return _at_points(grid, *(dist.hat_pair(F, T, order) for F, T in pairs))
 
     worst_add, witness_add = 0.0, None
     for (F1, F2), T in itertools.product(itertools.combinations(F_list, 2), T_list):
-        lhs, a1, a2 = at_points(ex.add(F1, F2), T), at_points(F1, T), at_points(F2, T)
+        lhs, a1, a2 = at_points((ex.add(F1, F2), T), (F1, T), (F2, T))
         for x, v, v1, v2 in zip(grid, lhs, a1, a2):
             err = abs(v - (v1 + v2))
             if _worse(err, worst_add):
@@ -302,7 +309,7 @@ def check_duality(F_list, T_list, grid, cutoff: Expr | None = None,
 
     worst, witness = 0.0, None
     for F, (T1, T2) in itertools.product(F_list, itertools.combinations(T_list, 2)):
-        lhs, a1, a2 = at_points(F, T1 + T2), at_points(F, T1), at_points(F, T2)
+        lhs, a1, a2 = at_points((F, T1 + T2), (F, T1), (F, T2))
         for x, v, v1, v2 in zip(grid, lhs, a1, a2):
             err = abs(v - (v1 + v2))
             if _worse(err, worst):
@@ -311,9 +318,8 @@ def check_duality(F_list, T_list, grid, cutoff: Expr | None = None,
 
     worst, witness = 0.0, None
     for F, T in itertools.product(F_list, T_list):
-        base = at_points(F, T)
-        via_T = at_points(F, dist.module_action_base(f, T))
-        via_F = at_points(ex.mul(extend_base_function(b, f), F), T)
+        base, via_T, via_F = at_points((F, T), (F, dist.module_action_base(f, T)),
+                                       (ex.mul(extend_base_function(b, f), F), T))
         for x, v, vT, vF in zip(grid, base, via_T, via_F):
             want = f.evaluate(x) * v
             err = _max_error((abs(vT - want), abs(vF - want)))
@@ -394,7 +400,7 @@ def check_support(T: TransversalDistribution, probe_count: int = 50,
             xs = [centre[:b.base_dim],
                   tuple(0.5 * c for c in centre[:b.base_dim]),
                   (0.0,) * b.base_dim]
-            values = _at_points(dist.evaluate(T, probe, order), xs)
+            values = _at_points(xs, dist.evaluate(T, probe, order))[0]
             for x, val in zip(xs, map(abs, values)):
                 if _worse(val, worst):
                     worst, witness = val, {"centre": centre,
@@ -441,8 +447,7 @@ def check_localization(T: TransversalDistribution, x,
     worst, witness = 0.0, None
     grid = [tuple(x), tuple(0.4 + xi for xi in x), tuple(-0.3 + xi for xi in x)]
     for G in probe_functions:
-        vT = _at_points(dist.evaluate(T, G, order), grid)
-        vR = _at_points(dist.evaluate(R, G, order), grid)
+        vT, vR = _at_points(grid, dist.evaluate(T, G, order), dist.evaluate(R, G, order))
         for pt, a, c in zip(grid, vT, vR):
             err = abs(a - c)
             if _worse(err, worst):

@@ -1,14 +1,20 @@
 import json
 import math
+import os
+import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from transdist import cli, quadrature, topology
 from transdist import distribution as dist
+
+
+SRC = str(Path(cli.__file__).resolve().parent.parent)
 
 
 def scene_path(name: str) -> str:
@@ -508,6 +514,23 @@ class TestCheckCommand:
         cases = [c for r in payload["suites"] for c in r["cases"]]
         assert cases and all(not c["passed"] and c["max_error"] is None for c in cases)
         assert all(c["witness"]["x"] == [0] for c in cases)
+
+    def test_cancelling_infinities_print_nothing_on_stderr(self, tmp_path):
+        # the density is inf - inf = NaN for x0 > -0.11: the case fails, quietly
+        path = tmp_path / "cancel.json"
+        path.write_text(json.dumps({
+            "bundle": {"base_dim": 1, "fibre_dim": 1},
+            "functions": {"F": "1 + y0"},
+            "distributions": {"T": [{"type": "density", "phi":
+                "bump(x0)*bump(y0)*(exp(800*(x0 + 1)) - exp(800*(x0 + 1)))"}]},
+            "checks": {"grid": [[0], [0.2]]}}))
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [SRC, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "transdist.cli", "check", str(path),
+                               "--suite", "restriction"],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert (done.returncode, done.stderr) == (1, "")
+        assert json.loads(done.stdout)["passed"] is False
 
     def test_unknown_suite_rejected(self, capsys, dirac_scene):
         code, _ = run_cli(capsys, "check", dirac_scene, "--suite", "bogus")

@@ -581,14 +581,19 @@ class TestBaseFunctionValues:
     @pytest.mark.parametrize("block", [1, 7])
     def test_verify_at_points_are_the_pointwise_values(self, monkeypatch, base_functions,
                                                        kind, block):
+        """Alone and together with the other base functions on its bundle,
+        whose symbolic parts share one ``evaluate_many`` pass."""
         bf = base_functions[kind]
         l = bf.bundle.base_dim
         X = np.linspace(-2.0, 2.0, 25 * l).reshape(-1, l) * (1 if l == 2 else 0.6)
-        want = [bf.value(tuple(x)) for x in X]
+        bfs = [bf] + [o for o in base_functions.values()
+                      if o.bundle == bf.bundle and o is not bf]
+        want = [[o.value(tuple(x)) for x in X] for o in bfs]
         monkeypatch.setattr(qd, "PAIR_BLOCK", block)
-        got = vf._at_points(bf, X)
-        assert same_floats(got, want)
-        assert any(want) and not all(want)
+        for group in ([bf], bfs):
+            got = vf._at_points(X, *group)
+            assert len(got) == len(group) and all(map(same_floats, got, want))
+        assert any(want[0]) and not all(want[0])
 
     def test_values_reject_a_wrong_shape(self, base_functions):
         bf = base_functions["symbolic"]
@@ -699,6 +704,31 @@ class TestPairAt:
         T, Fs, X = request.getfixturevalue(case)
         alpha = (n,) + (0,) * (T.bundle.base_dim - 1)
         self.assert_close(dist.family_derivative(T, alpha), X, Fs)
+
+    @staticmethod
+    def per_row(T, X, Fs):
+        """Dirac terms paired one scalar ``evaluate`` per term, row and member."""
+        b = T.bundle
+        out = np.zeros((len(Fs), len(X)))
+        for term in T.terms:
+            beta = b.fibre_beta_to_total(term.beta)
+            for i, x in enumerate(X.tolist()):
+                c = term.weight.evaluate(x)
+                if c != 0.0:
+                    at = tuple(x) + term.section.value(x)
+                    for j, F in enumerate(Fs):
+                        out[j, i] += c * F.diff(beta).evaluate(at)
+        return out
+
+    @pytest.mark.parametrize("case", ["line_case", "plane_case"])
+    def test_dirac_terms_are_the_per_row_values_bit_for_bit(self, request, case):
+        """Batched passes change no float: two sections, repeated betas and
+        zero-weight rows."""
+        T, Fs, X = request.getfixturevalue(case)
+        for n in range(3):
+            Tn = dist.family_derivative(T, (n,) + (0,) * (T.bundle.base_dim - 1))
+            got, want = dist.pair_at(Tn, X, Fs), self.per_row(Tn, X, Fs)
+            assert all(map(same_floats, got.tolist(), want.tolist()))
 
     @pytest.mark.parametrize("case", ["line_case", "plane_case"])
     def test_density_and_mixed_terms(self, request, case):

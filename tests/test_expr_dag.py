@@ -4,6 +4,7 @@ import math
 import sys
 import threading
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -164,6 +165,62 @@ def test_grid_evaluation_is_eval_array_of_the_joined_rows(e, slots, a, b, pts):
             got, want = d.eval_grid(blocks), d.eval_array(rows)
             assert got.shape == want.shape == (rows.shape[0],)
             assert all(map(_same, got.tolist(), want.tolist())), (str(d), blocks, got, want)
+
+
+def _bits(v: float) -> str:
+    """The float's exact bits, the sign of zero included; every NaN alike."""
+    return "nan" if math.isnan(v) else v.hex()
+
+
+@settings(max_examples=150, deadline=None)
+@given(expressions, st.lists(st.lists(st.integers(0, DIM - 1), max_size=3), max_size=4),
+       st.lists(st.tuples(block_coords, block_coords), max_size=6))
+def test_evaluate_many_is_evaluate_of_each_root(e, derivatives, pts):
+    """Over one plan for all roots, every entry equals ``root.evaluate``
+    bit for bit.  The roots, an expression and several of its derivatives,
+    share subDAGs; the points reach both sides of a bump's edge."""
+    roots = [e] + [_differentiated(e, slots) for slots in derivatives]
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        got = ex.evaluate_many(roots, pts)
+        want = [[r.evaluate(p) for p in pts] for r in roots]
+    assert [list(map(_bits, row)) for row in got] == [list(map(_bits, row)) for row in want]
+
+
+def test_evaluate_many_shapes_and_dimension_errors():
+    e = ex.parse("x0*exp(x1)", DIM)
+    roots = [e, e.diff1(0), e]
+    assert ex.evaluate_many(roots, []) == [[], [], []]
+    assert ex.evaluate_many([], [(0.0,)]) == []
+    got = ex.evaluate_many(roots, np.array([[1.0, 0.0], [2.0, 0.0]]))
+    assert got == [[1.0, 2.0], [1.0, 1.0], [1.0, 2.0]]
+    with pytest.raises(ex.DimensionError, match="mixed ambient"):
+        ex.evaluate_many([e, ex.parse("x0", 1)], [(0.0, 0.0)])
+    for bad in ([(0.0, 0.0), (0.0,)], np.zeros((2, 3))):
+        with pytest.raises(ex.DimensionError, match="coordinates, ambient is 2"):
+            ex.evaluate_many(roots, bad)
+
+
+def _pre_change_product_diff1(self, slot):
+    """The product rule as it was: every factor differentiated, and the
+    terms of factors free of the slot, exactly 0, folded away by mul and add."""
+    terms = []
+    for i, f in enumerate(self.factors):
+        df = f.diff1(slot)
+        terms.append(ex.mul(*self.factors[:i], df, *self.factors[i + 1:]))
+    return ex.add(*terms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expressions, st.lists(st.integers(0, DIM - 1), max_size=3))
+def test_derivatives_print_as_the_pre_change_product_rule_builds_them(e, slots):
+    """Skipping slot-free factors builds the same derivative, node for node."""
+    copy = e._map_leaves(replace)  # the same DAG, with nothing memoized
+    assert str(copy) == str(e)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ex.Product, "_diff1", _pre_change_product_diff1)
+        want = [str(_differentiated(copy, slots[:n])) for n in range(len(slots) + 1)]
+    assert [str(_differentiated(e, slots[:n])) for n in range(len(slots) + 1)] == want
 
 
 @pytest.mark.parametrize("text", ["x0^2*x1", "x0^3 - x1", "(x0 + x1/3)^4", "x0^5",

@@ -184,3 +184,19 @@ def test_verify_evaluates_base_functions_over_grids():
         "check_restriction_compat", "check_leibniz", "check_smoothness",
         "at_points",  # check_duality's local helper
         "check_support", "check_localization"}
+
+
+def test_pair_at_evaluates_each_batch_of_roots_over_its_rows_at_once():
+    """``pair_at`` makes no per-root scalar ``.evaluate(`` or ``.value(``
+    call: the weights, each section's components and its fibre derivatives
+    go through ``ex.evaluate_many``, one pass over the rows each."""
+    def method_calls(name):
+        return nodes_where(lambda n: isinstance(n, ast.Call)
+                           and isinstance(n.func, ast.Attribute) and n.func.attr == name)
+
+    in_pair_at = ("distribution.py", "pair_at")
+    assert in_pair_at in method_calls("evaluate_many")
+    for name in ("evaluate", "value"):
+        hits = method_calls(name)
+        assert {module for module, _ in hits} >= {"distribution.py"}  # the calls are seen
+        assert in_pair_at not in hits

@@ -10,6 +10,9 @@ from transdist import expr as ex
 from transdist import verify as vf
 from transdist.expr import Box
 
+# a check that meets inf or NaN reports it in its case, never as a numpy warning
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 GRID = [(-0.6,), (-0.3,), (0.0,), (0.3,), (0.6,)]
 SMOOTH_GRID = [(-0.5,), (-0.25,), (0.0,), (0.25,), (0.5,)]
 
