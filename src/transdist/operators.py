@@ -22,8 +22,9 @@ Density and numeric kernels are evaluated over whole pair grids:
 ``pair_values(term, Y, Z)`` gives psi(y_i, z_j) for base points Y and fibre
 points Z in ``eval_grid`` passes over at most ``quadrature.PAIR_BLOCK``
 (y, z) pairs; a single base point is the case of one row.  A numeric kernel
-evaluates its inner factor once for all of Y and contracts row by row, so
-its values do not depend on how many base points are asked for at once.
+evaluates its inner factor once per fibre grid, across calls, and contracts
+row by row, so its values do not depend on how many base points are asked
+for at once.
 
 Dirac terms carrying fibre derivatives (beta != 0) are applied but never
 composed; the jet expansion that composition would need is out of scope.
@@ -332,12 +333,21 @@ def _compose_numeric(t1, t2, b: TrivialBundle, order):
         return NumericKernelTerm(b, base1, fibre2, depth,
                                  lambda Y, Z: np.zeros((Y.shape[0], Z.shape[0])))
     rule = quadrature.rule(mid_box, order)
+    memo = None  # (key of the last fibre grid Z, psi2(y_i, z_j) over it)
 
     def fn(Y, Z, _t1=t1, _t2=t2, _rule=rule):
+        nonlocal memo
         left = pair_values(_t1, Y, _rule.points)  # psi1(x, y_i), one row per x
-        right = pair_values(_t2, _rule.points, Z)  # psi2(y_i, z_j), once for all x
+        # Z's exact bytes, not id(Z) (Z may be changed in place) nor
+        # np.array_equal (which takes -0.0 for 0.0)
+        key = (Z.shape, Z.dtype.str, Z.tobytes())
+        entry = memo  # read once: another thread may replace it meanwhile
+        if entry is None or entry[0] != key:
+            right = pair_values(_t2, _rule.points, Z)  # free of x
+            right.flags.writeable = False
+            memo = entry = (key, right)
         # one vector-matrix product per row: a matrix-matrix product may
         # accumulate in another order
-        return np.stack([(_rule.weights * row) @ right for row in left])
+        return np.stack([(_rule.weights * row) @ entry[1] for row in left])
 
     return NumericKernelTerm(b, base1, fibre2, depth, fn)

@@ -12,6 +12,7 @@ import pytest
 
 from transdist import cli, quadrature, topology
 from transdist import distribution as dist
+from transdist import operators as ops
 
 
 SRC = str(Path(cli.__file__).resolve().parent.parent)
@@ -490,13 +491,32 @@ class TestCheckCommand:
     def test_all_suites_on_all_shipped_scenes(self, capsys):
         names = sorted(p.name for p in (resources.files("transdist") / "scenes").iterdir()
                        if p.name.endswith(".json"))
-        assert len(names) == 5
+        assert len(names) == 6
         for name in names:
             code, out = run_cli(capsys, "check", scene_path(name),
                                 "--suite", "all")
             assert code == 0, f"{name} failed:\n{out[-2000:]}"
             payload = json.loads(out)
             assert payload["passed"] is True
+
+    def test_compose_prints_the_library_values(self, capsys):
+        """`transdist compose` on the density o density scene equals
+        apply(compose(K1, K2), g).values(X) bit for bit."""
+        path = scene_path("scaled_density_compose.json")
+        code, out = run_cli(capsys, "compose", path, "Kphi", "Kpsi")
+        assert code == 0
+        payload = json.loads(out)
+        assert payload["kinds"] == ["numeric"]
+        scene = cli.load_scene(path)
+        K = ops.compose(scene.operator("Kphi"), scene.operator("Kpsi"))
+        X = np.asarray(scene.checks["grid"], dtype=float)
+        for row in payload["evaluations"]:
+            g = scene.bundle.parse_fibre(row["g"])
+            want = ops.apply(K, g).values(X)
+            assert [v["x"] for v in row["values"]] == X.tolist()
+            got = [float(v["value"]).hex() for v in row["values"]]
+            assert got == [v.hex() for v in want.tolist()]
+            assert any(want)
 
     def test_non_finite_errors_exit_1(self, capsys, tmp_path):
         # T(F) is +inf on the grid, so each identity compares inf with inf

@@ -1,4 +1,7 @@
 import math
+import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -300,6 +303,111 @@ class TestComposeNumeric:
             got = op._compose_numeric(t1, t2, pair_bundle, 12).values_fn(Y, Z)
             assert (got == kernel_after_dirac_per_point(t1, t2, Y, Z)).all()
             assert got.any()
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+class TestInnerFactorMemo:
+    """A numeric kernel keeps its base-point-free factor per fibre grid, across calls."""
+
+    ORDER = 12
+
+    @pytest.fixture
+    def probe_g(self, pair_bundle):
+        return pair_bundle.parse_fibre("y0^2 + 1")
+
+    @pytest.fixture
+    def make(self, K_density, K_psi):
+        """Freshly composed kernels, each with a cold memo."""
+        def dd():
+            return op.compose(K_density, K_psi, order=self.ORDER)
+        return {
+            "density.density": dd,
+            "numeric.density": lambda: op.compose(dd(), K_density, order=self.ORDER),
+            "density.numeric": lambda: op.compose(K_density, dd(), order=self.ORDER),
+            "numeric.numeric": lambda: op.compose(dd(), dd(), order=self.ORDER),
+        }
+
+    @pytest.fixture
+    def inner_grids(self, monkeypatch):
+        """Counts pair_values calls over more than one base point, by term."""
+        calls = {}
+        pair_values = op.pair_values
+
+        def counting(term, Y, Z):
+            if len(Y) > 1:  # a rule's points; value(x) asks for one row
+                calls[id(term)] = calls.get(id(term), 0) + 1
+            return pair_values(term, Y, Z)
+
+        monkeypatch.setattr(op, "pair_values", counting)
+        return calls
+
+    def test_inner_grid_once_across_value_calls(self, probe_g, make, inner_grids,
+                                                K_density, K_psi):
+        density, psi = id(K_density.terms[0]), id(K_psi.terms[0])
+        for name, want in (("density.density", {psi: 1}),
+                           ("numeric.density", {psi: 1, density: 1})):
+            bf = op.apply(make[name](), probe_g, order=self.ORDER)
+            inner_grids.clear()
+            for x in PROBE_XS:
+                bf.value(x)
+            assert inner_grids == want, name
+
+    @pytest.mark.parametrize("name", ["density.density", "numeric.density",
+                                      "density.numeric", "numeric.numeric"])
+    def test_warm_values_equal_cold_ones(self, probe_g, make, name):
+        warm = op.apply(make[name](), probe_g, order=self.ORDER)
+        first = [warm.value(x) for x in PROBE_XS]  # warm from the second x on
+        cold = [op.apply(make[name](), probe_g, order=self.ORDER).value(x) for x in PROBE_XS]
+        assert hexes(first) == hexes(cold)
+        assert hexes([warm.value(x) for x in PROBE_XS]) == hexes(cold)
+        assert hexes(warm.values(np.asarray(PROBE_XS))) == hexes(cold)
+        assert any(cold)
+
+    def test_key_is_the_grid_content(self, make, inner_grids, K_psi):
+        Y, Z = low_order_grid(1, 7), low_order_grid(1, 9).copy()
+        fn = make["density.density"]().terms[0].values_fn
+        before = fn(Y, Z)
+        Z *= 0.5  # the same array, changed in place
+        after = fn(Y, Z)
+        fresh = make["density.density"]().terms[0].values_fn(Y, Z.copy())
+        assert hexes(after) == hexes(fresh) and hexes(after) != hexes(before)
+        assert inner_grids[id(K_psi.terms[0])] == 3
+        fn(Y, Z.copy())  # equal bytes in another array: a hit
+        assert inner_grids[id(K_psi.terms[0])] == 3
+
+    def test_negative_zero_misses(self, make, inner_grids, K_psi):
+        Y = low_order_grid(1, 7)
+        Z = np.array([[0.0], [0.5], [-0.25]])
+        fn = make["density.density"]().terms[0].values_fn
+        fn(Y, Z)
+        fn(Y, np.array([[-0.0], [0.5], [-0.25]]))
+        assert inner_grids[id(K_psi.terms[0])] == 2
+
+    @pytest.mark.parametrize("name", ["density.density", "numeric.density"])
+    def test_threads_replacing_the_entry_read_sequential_bits(self, make, name):
+        Y = low_order_grid(1, 7)
+        grids = [low_order_grid(1, 9), low_order_grid(1, 6)]
+        want = [hexes(make[name]().terms[0].values_fn(Y, Z)) for Z in grids]
+        fn = make[name]().terms[0].values_fn
+        start = threading.Barrier(4, timeout=60)
+
+        def worker(first):
+            start.wait()
+            return [(k % 2, hexes(fn(Y, grids[k % 2])))
+                    for k in range(first, first + 24)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(worker, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [len(rows) for rows in results] == [24] * 4
+        assert all(got == want[k] for rows in results for k, got in rows)
 
 
 class TestOneRewrite:
