@@ -11,7 +11,7 @@ from transdist import (LFProfile, BoundedFamily, Seminorm, TrivialBundle,
                        dirac_section, lfB_membership, lf_membership, pB_eval,
                        seminorm_eval)
 from transdist.bundle import section_from_strings
-from transdist.distribution import base_function_from_expr, dirac_at
+from transdist.distribution import BaseFunction, dirac_at
 from transdist.expr import Box, parse
 
 print("seminorms p_{K, m} on expressions:")
@@ -31,10 +31,10 @@ print(f"  p_B(delta_0) over {{y^2, y + 1}} = {pB_eval(fam, v)}")
 print()
 print("LF membership of base functions, shell by shell:")
 profile = LFProfile(1, orders=(0, 1), epsilons=(0.5, 0.25))
-f = base_function_from_expr(b, b.parse_base("bump(x0)"))
+f = BaseFunction(b, symbolic=b.parse_base("bump(x0)"))
 print(f"  bump against (0.5, 0.25): accepted = {lf_membership(profile, f).accepted}")
 
-big = base_function_from_expr(b, b.parse_base("1000000*bump(x0)"))
+big = BaseFunction(b, symbolic=b.parse_base("1000000*bump(x0)"))
 res = lf_membership(LFProfile(1, orders=(0,), epsilons=(1e-6,)), big)
 print(f"  scaled bump against 1e-6: accepted = {res.accepted}")
 print(f"  witness: {res.witness}")

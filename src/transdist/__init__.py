@@ -25,7 +25,7 @@ from .distribution import (BaseFunction, DensityTerm, DiracSectionTerm,
                            PointDistribution, TransversalDistribution,
                            base_support, density, dirac_at, dirac_section,
                            evaluate, family_derivative, hadamard_factor,
-                           hat_pair, localize_decompose, module_action_base,
+                           localize_decompose, module_action_base,
                            module_action_total, pair, restrict,
                            separating_probe, total_support, zero_distribution)
 from .expr import Box, DimensionError, Expr, ExprError, ExprSyntaxError, parse
@@ -67,7 +67,6 @@ __all__ = [
     "family_derivative",
     "graph_kernel",
     "hadamard_factor",
-    "hat_pair",
     "integrate",
     "lfB_membership",
     "lf_membership",

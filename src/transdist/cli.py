@@ -486,7 +486,7 @@ def _cmd_member(scene: Scene, args) -> dict:
     if args.function:
         f = _parse_expr(scene.path, scene.bundle, args.function,
                         "--function", kind="base")
-        bf = dist.base_function_from_expr(scene.bundle, f)
+        bf = dist.BaseFunction(scene.bundle, symbolic=f)
         res = topology.lf_membership(profile, bf, args.grid_density)
         out["function"] = args.function
     elif args.distribution:

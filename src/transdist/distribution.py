@@ -27,9 +27,12 @@ import numpy as np
 
 from . import expr as ex
 from . import quadrature
-from .bundle import (Section, TrivialBundle, extend_base_function,
+from .bundle import (Section, TrivialBundle, extend_base_function, extend_function,
                      pullback_along_section, restrict_function, section_graph_support)
 from .expr import Box, DimensionError, Expr, ExprError
+
+ZERO_GRID_POINTS = 9  # is_numerically_zero's density samples per axis,
+ZERO_TOL = 0.0  # and the largest magnitude it takes for zero
 
 
 @dataclass(frozen=True)
@@ -125,16 +128,16 @@ class PointDistribution:
             if not self.density.support_box().is_bounded:
                 raise ExprError("point-distribution density must be compactly supported")
 
-    def is_numerically_zero(self, grid_points_per_axis: int = 9, tol: float = 0.0) -> bool:
+    def is_numerically_zero(self) -> bool:
         """Exact-zero test on atoms plus a grid-zero test on the density part."""
-        if any(abs(c) > tol for _, _, c in self.atoms):
+        if any(abs(c) > ZERO_TOL for _, _, c in self.atoms):
             return False
         if self.density is not None:
             box = self.density.support_box()
             if not box.is_empty:
-                axes = [np.linspace(lo, hi, grid_points_per_axis)[:, None]
+                axes = [np.linspace(lo, hi, ZERO_GRID_POINTS)[:, None]
                         for lo, hi in box.pad(1e-3).intervals]
-                if np.any(np.abs(self.density.eval_grid(axes)) > tol):
+                if np.any(np.abs(self.density.eval_grid(axes)) > ZERO_TOL):
                     return False
         return True
 
@@ -164,32 +167,19 @@ def pair_restrictions(T: TransversalDistribution, X, members,
     """``pair(restrict(T, x), g, order)`` for every row x of an (M, l) array
     and every fibre function g in ``members``, shape (len(members), M).
 
-    Dirac terms go as array passes over the rows: the weight, then the
-    section components and each member's fibre derivative at the rows whose
-    weight is not zero (``pair`` skips zero coefficients).  Density terms
-    are restricted and paired point by point and added after the atoms, as
-    ``pair`` adds its density part, so every entry equals the pointwise
-    pairing bit for bit.
+    The Dirac terms are ``pair_at`` of the members extended to the total
+    space.  Density terms are restricted and paired point by point and added
+    after the atoms, as ``pair`` adds its density part, so every entry
+    equals the pointwise pairing bit for bit.
     """
     b = T.bundle
-    X = np.asarray(X, dtype=float)
-    out = np.zeros((len(members), X.shape[0]))
-    densities = []
-    for term in T.terms:
-        if isinstance(term, DensityTerm):
-            densities.append(term)
-            continue
-        w = term.weight.eval_array(X)
-        live = np.flatnonzero(w != 0.0)
-        if live.size == 0:
-            continue
-        w, at = w[live], X[live]
-        S = np.stack([c.eval_array(at) for c in term.section.components], axis=-1)
-        for j, g in enumerate(members):
-            out[j, live] += w * g.diff(term.beta).eval_array(S)
+    diracs = tuple(t for t in T.terms if isinstance(t, DiracSectionTerm))
+    densities = tuple(t for t in T.terms if isinstance(t, DensityTerm))
+    out = pair_at(TransversalDistribution(b, diracs), X,
+                  [extend_function(b, g) for g in members], order)
     if densities:
-        T_density = TransversalDistribution(b, tuple(densities))
-        for i, x in enumerate(X.tolist()):
+        T_density = TransversalDistribution(b, densities)
+        for i, x in enumerate(np.asarray(X, dtype=float).tolist()):
             v = restrict(T_density, x)
             for j, g in enumerate(members):
                 out[j, i] += pair(v, g, order)
@@ -205,10 +195,12 @@ def pair_at(T: TransversalDistribution, X, members,
     Dirac term reads each member's D^(0,beta) F, memoized on the member's
     DAG, at (x, sigma(x)).  One ``ex.evaluate_many`` pass evaluates every
     weight, and per section one its components and one every (beta, member)
-    derivative, at the rows where some weight of the section is not zero;
-    a zero weight adds nothing, as ``pair`` skips zero coefficients.
-    Density terms are integrated as ``evaluate`` integrates them, over all
-    rows in one pass, and added after the atoms.  The entries equal
+    derivative, at the rows where some weight of the section is not zero.
+    The terms are added in term order, each as ``pair`` adds an atom; a
+    zero weight adds +0.0, which changes no sum, as ``pair`` skips zero
+    coefficients (an infinite derivative there is not multiplied).  Density
+    terms are integrated as ``evaluate`` integrates them, over all rows in
+    one pass, and added after the atoms.  The entries equal
     ``pair(restrict(T, x), restrict_function(T.bundle, F, x), order)`` to
     rounding wherever the two fibre boxes coincide.
     """
@@ -218,39 +210,35 @@ def pair_at(T: TransversalDistribution, X, members,
         raise DimensionError(f"expected base points of shape (M, {b.base_dim})")
     if any(F.dim != b.total_dim for F in members):
         raise DimensionError("pair_at expects total-space functions")
-    rows = X.tolist()
-    out = [[0.0] * len(rows) for _ in members]
     diracs = [t for t in T.terms if isinstance(t, DiracSectionTerm)]
     densities = [t for t in T.terms if isinstance(t, DensityTerm)]
-    weights = ex.evaluate_many([t.weight for t in diracs], rows)
+    weights = ex.evaluate_many([t.weight for t in diracs], X)
+    keys = [(id(t.section), b.fibre_beta_to_total(t.beta)) for t in diracs]
     by_section = {}  # id(section) -> [term index, ...]
-    for k, term in enumerate(diracs):
-        by_section.setdefault(id(term.section), []).append(k)
-    paired = {}  # (id(section), total beta) -> (row -> live position, values per member)
+    for k, (section_id, _) in enumerate(keys):
+        by_section.setdefault(section_id, []).append(k)
+    paired = {}  # key -> values per member, 0 off the live rows
     for ks in by_section.values():
-        section = diracs[ks[0]].section
-        live = [i for i in range(len(rows)) if any(weights[k][i] != 0.0 for k in ks)]
-        if not live:
+        live = np.flatnonzero((weights[ks] != 0.0).any(axis=0))
+        if not live.size:
             continue
-        comps = ex.evaluate_many(section.components, [rows[i] for i in live])
-        at = [tuple(rows[i]) + s for i, s in zip(live, zip(*comps))]
-        where = {i: n for n, i in enumerate(live)}
-        betas = list(dict.fromkeys(b.fibre_beta_to_total(diracs[k].beta) for k in ks))
-        values = ex.evaluate_many([F.diff(beta) for beta in betas for F in members], at)
-        for n, beta in enumerate(betas):
-            paired[id(section), beta] = where, values[n * len(members):(n + 1) * len(members)]
-    for term, w in zip(diracs, weights):
-        key = id(term.section), b.fibre_beta_to_total(term.beta)
-        for i, c in enumerate(w):
-            if c != 0.0:
-                where, values = paired[key]
-                for row, v in zip(out, values):
-                    row[i] += c * v[where[i]]
-    if densities:
-        D = TransversalDistribution(b, tuple(densities))
-        for row, F in zip(out, members):
-            row[:] = [a + v for a, v in zip(row, evaluate(D, F, order).values(X).tolist())]
-    return np.array(out).reshape(len(members), len(rows))
+        section, rows = diracs[ks[0]].section, X[live]
+        at = np.concatenate([rows, ex.evaluate_many(section.components, rows).T], axis=1)
+        betas = list(dict.fromkeys(keys[k][1] for k in ks))
+        values = np.zeros((len(betas), len(members), X.shape[0]))
+        values[..., live] = ex.evaluate_many([F.diff(beta) for beta in betas for F in members],
+                                             at).reshape(len(betas), len(members), live.size)
+        paired.update(((id(section), beta), v) for beta, v in zip(betas, values))
+    out = np.zeros((len(members), X.shape[0]))
+    with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf and inf - inf, quietly
+        for key, w in zip(keys, weights):
+            v = paired.get(key)
+            if v is not None:  # a zero weight adds +0.0, which leaves every sum as it is
+                out += np.where(w != 0.0, w * v, 0.0)
+        if densities:
+            D = TransversalDistribution(b, tuple(densities))
+            out += values_at(X, *(evaluate(D, F, order) for F in members))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -324,20 +312,9 @@ class BaseFunction:
         return total
 
     def values(self, X) -> np.ndarray:
-        """The value at each row of an (M, l) array of base points.
-
-        One ``eval_array`` for the symbolic part and one grid pass per
-        block of base points for each quadrature or numeric part; each entry
-        equals ``value`` at its row, bit for bit.
-        """
-        X = np.asarray(X, dtype=float)
-        if X.ndim != 2 or X.shape[1] != self.bundle.base_dim:
-            raise DimensionError(f"expected base points of shape (M, {self.bundle.base_dim})")
-        total = (self.symbolic.eval_array(X) if self.symbolic is not None
-                 else np.zeros(X.shape[0]))
-        for part in self.quad_parts + self.numeric_parts:
-            total = total + part.values(X, self.order)
-        return total
+        """The value at each row of an (M, l) array of base points, each
+        equal to ``value`` at its row, bit for bit (``values_at``)."""
+        return values_at(X, self)[0]
 
     def __call__(self, x) -> float:
         return self.value(x)
@@ -382,8 +359,22 @@ class BaseFunction:
                             self.order or other.order)
 
 
-def base_function_from_expr(bundle: TrivialBundle, f: Expr) -> BaseFunction:
-    return BaseFunction(bundle, symbolic=f)
+def values_at(X, *bfs) -> np.ndarray:
+    """``bf.values(X)`` for each base function, shape (len(bfs), M): the
+    symbolic parts of all of them in one ``ex.evaluate_many`` pass, each
+    quadrature or numeric part in one ``integrate_rows`` pass.  Each entry
+    equals ``bf.value(x)`` bit for bit."""
+    X = np.asarray(X, dtype=float)
+    for bf in bfs:
+        if X.ndim != 2 or X.shape[1] != bf.bundle.base_dim:
+            raise DimensionError(f"expected base points of shape (M, {bf.bundle.base_dim})")
+    out = np.zeros((len(bfs), len(X)))
+    symbolic = [k for k, bf in enumerate(bfs) if bf.symbolic is not None]
+    out[symbolic] = ex.evaluate_many([bfs[k].symbolic for k in symbolic], X)
+    for row, bf in zip(out, bfs):
+        for part in bf.quad_parts + bf.numeric_parts:
+            row += part.values(X, bf.order)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -409,12 +400,6 @@ def evaluate(T: TransversalDistribution, F: Expr,
             quad_parts.append(QuadPart(b, integrand, fibre_box))
     sym = ex.add(*symbolic_terms) if symbolic_terms else None
     return BaseFunction(b, sym, tuple(quad_parts), order=order)
-
-
-def hat_pair(F: Expr, T: TransversalDistribution,
-             order: int | None = None) -> BaseFunction:
-    """The duality pairing F-hat applied to T; identical to evaluate(T, F)."""
-    return evaluate(T, F, order=order)
 
 
 def restrict(T: TransversalDistribution, x) -> PointDistribution:
@@ -583,7 +568,7 @@ def _split_polynomial_envelope(weight: Expr):
     return None, None
 
 
-def localize_decompose(T: TransversalDistribution, x, tol: float = 0.0):
+def localize_decompose(T: TransversalDistribution, x):
     """Decompose T with T_x = 0 as a finite sum of f_i . T_i with f_i(x) = 0.
 
     Requires every weight and density to factor as polynomial times an
@@ -593,7 +578,7 @@ def localize_decompose(T: TransversalDistribution, x, tol: float = 0.0):
     if len(x) != b.base_dim:
         raise DimensionError("base point dimension mismatched with bundle")
     vx = restrict(T, x)
-    if not vx.is_numerically_zero(tol=tol):
+    if not vx.is_numerically_zero():
         raise ExprError("localization requires the restriction at x to vanish")
     x = tuple(float(c) for c in x)
     pieces = []

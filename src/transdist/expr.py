@@ -327,16 +327,10 @@ class Expr:
         if any(b.ndim != 2 for b in blocks) or sum(b.shape[1] for b in blocks) != self.dim:
             raise DimensionError(f"expected point blocks of total width {self.dim}")
         ones = (1,) * len(blocks)
-        # contiguous copies: numpy's exp on reversed rows can differ in the last bit
         cols = [np.ascontiguousarray(c).reshape(ones[:i] + (-1,) + ones[i + 1:])
                 for i, b in enumerate(blocks) for c in b.T]
-        vals = []
-        append = vals.append
-        for node, args, dead in self._plan:
-            append((node or self)._eval_arr(cols, vals, args))
-            for i in dead:
-                vals[i] = None  # its last consumer has run
-        return np.broadcast_to(vals[-1], tuple(b.shape[0] for b in blocks)).flatten()
+        value = _values_over(self._plan, self, cols)[-1]
+        return np.broadcast_to(value, tuple(b.shape[0] for b in blocks)).flatten()
 
     def _eval(self, point, vals, args):
         """This node's value; its children's values are ``vals[i] for i in args``."""
@@ -357,16 +351,9 @@ class Expr:
         that walk the plan handle a node shared by many paths once, where a
         recursive pass would expand the DAG into its tree.
         """
-        nodes, args, _ = _number((self,))
+        nodes, args, at = _number((self,))
         nodes[-1] = None
-        last = [0] * len(nodes)
-        for pos, kids in enumerate(args):
-            for i in kids:
-                last[i] = pos
-        dead = [[] for _ in nodes]
-        for i, pos in enumerate(last[:-1]):
-            dead[pos].append(i)
-        return tuple(zip(nodes, args, map(tuple, dead)))
+        return tuple(zip(nodes, args, _dead(args, at)))
 
     # -- calculus -----------------------------------------------------------
 
@@ -960,31 +947,51 @@ class BumpRat(Expr):
         return f"bumprat({self.arg._text(0)}; {poly or '0'}; {self.pole_order})"
 
 
-def evaluate_many(roots, points) -> list:
-    """``[[r.evaluate(p) for p in points] for r in roots]``, over one plan.
+_ARRAY_MIN_ROWS = 32  # evaluate_many's crossover; see there
 
-    The union of the roots' DAGs is numbered once, so the nodes they share,
-    as the derivatives of one expression share most of theirs, are listed
-    once and evaluated once per point, each by the same ``_eval`` as in
-    ``evaluate``; every entry equals ``r.evaluate(p)`` bit for bit:
+
+def evaluate_many(roots, points) -> np.ndarray:
+    """``[[r.evaluate(p) for p in points] for r in roots]`` as an array, for
+    an (M, dim) array or a sequence of points, over one plan: the union of
+    the roots' DAGs, numbered once, so the nodes they share are listed once
+    (a lone root's is its memoized ``_plan``).
+
+    Under ``_ARRAY_MIN_ROWS`` points each point runs through the nodes'
+    scalar ``_eval``, from there up one ``_eval_arr`` pass takes them all;
+    the two cost the same at about 8 points on a 7-node weight, 17 on an
+    88-node table of derivatives and 40 on a 343-node one.  Either way every
+    entry equals ``r.evaluate(p)`` bit for bit:
 
     >>> e = parse("x0*exp(x0)", 1)
-    >>> evaluate_many([e, e.diff1(0)], [(0.0,), (1.0,)])
+    >>> evaluate_many([e, e.diff1(0)], [(0.0,), (1.0,)]).tolist()
     [[0.0, 2.718281828459045], [1.0, 5.43656365691809]]
     """
     roots = tuple(roots)
     if not roots:
-        return []
+        return np.empty((0, len(points)))
     dim = roots[0].dim
     if any(r.dim != dim for r in roots):
         raise DimensionError("roots over mixed ambient dimensions")
-    nodes, args, at = _number(roots)
-    plan = tuple(zip(nodes, args, itertools.repeat(())))
-    out = [[] for _ in roots]
-    for point in points:
-        vals = _values_at(plan, None, _float_point(point, dim))
+    X = (points.astype(float, copy=False) if isinstance(points, np.ndarray)
+         else np.array([_float_point(p, dim) for p in points], dtype=float).reshape(-1, dim))
+    if X.ndim != 2 or X.shape[1] != dim:
+        raise DimensionError(f"point has {X.shape[-1]} coordinates, ambient is {dim}")
+    scalar = X.shape[0] < _ARRAY_MIN_ROWS
+    if len(roots) == 1:
+        root, plan = roots[0], roots[0]._plan
+        at = [len(plan) - 1]
+    else:
+        root, (nodes, args, at) = None, _number(roots)
+        plan = tuple(zip(nodes, args, itertools.repeat(()) if scalar else _dead(args, at)))
+    out = np.empty((len(roots), X.shape[0]))
+    if scalar:
+        for m, point in enumerate(X.tolist()):
+            vals = _values_at(plan, root, tuple(point))
+            out[:, m] = [vals[i] for i in at]
+    else:
+        vals = _values_over(plan, root, [np.ascontiguousarray(c) for c in X.T])
         for row, i in zip(out, at):
-            row.append(vals[i])
+            row[:] = vals[i]
     return out
 
 
@@ -1002,6 +1009,35 @@ def _values_at(plan, root, point) -> list:
     for node, args, _ in plan:
         append((node or root)._eval(point, vals, args))
     return vals
+
+
+def _values_over(plan, root, cols) -> list:
+    """``_values_at`` over contiguous coordinate columns (numpy's exp on a
+    reversed one can differ in the last bit), each value dropped after its
+    last consumer."""
+    vals = []
+    append = vals.append
+    for node, args, dead in plan:
+        append((node or root)._eval_arr(cols, vals, args))
+        for i in dead:
+            vals[i] = None
+    return vals
+
+
+def _dead(args, roots):
+    """For each plan position, the positions it is the last to read, so
+    their values can be dropped after it runs; never a root's."""
+    last = [None] * len(args)
+    for pos, kids in enumerate(args):
+        for i in kids:
+            last[i] = pos
+    for i in roots:
+        last[i] = None
+    dead = [[] for _ in args]
+    for i, pos in enumerate(last):
+        if pos is not None:
+            dead[pos].append(i)
+    return map(tuple, dead)
 
 
 def _number(roots):

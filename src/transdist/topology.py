@@ -3,15 +3,18 @@
 Suprema are taken over a global lattice of pitch 2/(density-1), so the
 grid of a box is literally a subset of the grid of any enclosing box and
 the monotonicity of the seminorms in (K, m) holds as implemented, not
-just in the limit.  Grid suprema are lower bounds of the true suprema;
-failed membership checks come with an exact witness (point, multi-index,
-shell index).
+just in the limit.  A box thinner than the pitch may hold no lattice point
+on some axis; its grid is then empty and its supremum 0.  Grid suprema are
+lower bounds of the true suprema; failed membership checks come with an
+exact witness (point, multi-index, shell index).
 
-Every scan is an array pass.  A seminorm evaluates each derivative once
-over the lattice axes (``Expr.eval_grid``); a membership scan evaluates
-each (shell, multi-index) pair's lattice points in blocks of at most
-``quadrature.PAIR_BLOCK`` rows through ``BaseFunction.values`` or
-``pair_restrictions``.  Both equal the pointwise values bit for bit.
+Every scan takes its points in batches.  A seminorm evaluates each
+derivative once over the lattice axes (``Expr.eval_grid``); a membership
+scan evaluates each (shell, multi-index) pair's lattice points in blocks
+of at most ``quadrature.PAIR_BLOCK`` rows through ``BaseFunction.values``
+or ``pair_restrictions`` (whose Dirac terms go through ``pair_at``), both
+through ``expr.evaluate_many``.  Both equal the pointwise values bit for
+bit.
 Points are visited in the order of a per-point scan, which stops at the
 first point that fails, so verdicts and witnesses are those of that scan,
 and a rejection evaluates no block after its first failing one.  A NaN at
@@ -45,11 +48,9 @@ def lattice_pitch(density: int | None = None) -> float:
 
 
 def lattice_axis(lo: float, hi: float, pitch: float) -> np.ndarray:
-    """Lattice multiples of pitch inside [lo, hi]; midpoint fallback if none."""
+    """Lattice multiples of pitch inside [lo, hi]; empty if there are none."""
     i_min = math.ceil(lo / pitch - 1e-9)
     i_max = math.floor(hi / pitch + 1e-9)
-    if i_min > i_max:
-        return np.array([0.5 * (lo + hi)])
     return np.arange(i_min, i_max + 1) * pitch
 
 
@@ -245,8 +246,8 @@ def lfB_membership(profile: LFProfile, families, u: TransversalDistribution,
     ``families`` lists one BoundedFamily per shell (n-th entry used on the
     n-th shell); derivatives of the family are formed with
     family_derivative, restricted at the lattice points and paired with the
-    family in array passes (``pair_restrictions``).  The value at a point
-    is ``pB_eval`` of the restriction there.
+    family in batches (``pair_restrictions``).  The value at a point is
+    ``pB_eval`` of the restriction there.
     """
     families = tuple(families)
     if len(families) < profile.depth:

@@ -7,11 +7,12 @@ one in and confirm the suite notices; a suite that cannot fail verifies
 nothing.  A NaN or infinite error fails its case, with its point as the
 witness.
 
-Base functions are evaluated over a whole grid at a time (``_at_points``):
-the symbolic parts of all the base functions a check compares take one
-``evaluate_many`` pass, each quadrature part one pass over all the grid
-points, and the values are those of ``BaseFunction.value`` at each point,
-bit for bit.
+Base functions are evaluated over a whole grid at a time
+(``distribution.values_at``): the symbolic parts of all the base functions
+a check compares take one ``evaluate_many`` pass, each quadrature part one
+pass over all the grid points, and the values are those of
+``BaseFunction.value`` at each point, bit for bit.  They come back as Python
+floats (``tolist``), so witnesses print as they always have.
 """
 
 from __future__ import annotations
@@ -29,6 +30,12 @@ from . import expr as ex
 from .bundle import TrivialBundle, extend_base_function, restrict_function
 from .distribution import TransversalDistribution
 from .expr import Box, DimensionError, Expr, ExprError
+
+SMOOTHNESS_STEPS = (1e-2, 5e-3, 2.5e-3, 1.25e-3)  # check_smoothness's difference steps
+SMOOTHNESS_MIN_ORDER = 1.9  # the convergence order its differences must reach
+BUMP_MARGIN = 0.05  # it skips points this close to a bump's cutover
+DUALITY_CUTOFF = "bump(x0/2)"  # check_duality's module-linearity base function
+SUPPORT_SEED = 20240501  # seeds check_support's probe centres
 
 
 @dataclass
@@ -117,27 +124,6 @@ def _base_points(bundle: TrivialBundle, grid) -> np.ndarray:
     return np.array(grid, dtype=float).reshape(len(grid), bundle.base_dim)
 
 
-def _at_points(grid, *bfs) -> list:
-    """``[bf.value(x) for x in grid]`` for each base function, bit for bit.
-
-    The symbolic parts go through scalar ``evaluate``, which on a deep
-    derivative is many times cheaper than a one-row ``eval_array``, in one
-    ``evaluate_many`` pass over the grid, so the nodes they share are
-    evaluated once per point; each quadrature or numeric part takes one
-    ``integrate_rows`` pass over all the points.
-    """
-    X = _base_points(bfs[0].bundle, grid)
-    symbolic = iter(ex.evaluate_many([bf.symbolic for bf in bfs if bf.symbolic is not None],
-                                     X.tolist()))
-    out = []
-    for bf in bfs:
-        total = next(symbolic) if bf.symbolic is not None else [0.0] * len(X)
-        for part in bf.quad_parts + bf.numeric_parts:
-            total = [t + v for t, v in zip(total, part.values(X, bf.order).tolist())]
-        out.append(total)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Restriction compatibility: T_x applied to F|_{P_x} equals T(F) at x
 
@@ -148,7 +134,8 @@ def check_restriction_compat(T: TransversalDistribution, F: Expr, grid,
                              order: int | None = None) -> CheckReport:
     report = CheckReport("restriction_compat")
     worst, witness = 0.0, None
-    for x, want in zip(grid, _at_points(grid, dist.evaluate(T, F, order))[0]):
+    bf = dist.evaluate(T, F, order)
+    for x, want in zip(grid, dist.values_at(_base_points(T.bundle, grid), bf)[0].tolist()):
         lhs = dist.pair(dist.restrict(T, x), restrict_function(T.bundle, F, x), order)
         err = abs(lhs - want)
         if _worse(err, worst):
@@ -187,7 +174,7 @@ def check_leibniz(T: TransversalDistribution, F: Expr, alpha_max: int, grid,
                               [dF[gamma] for gamma in gammas], order)
         paired.update({(beta, gamma): row.tolist() for gamma, row in zip(gammas, values)})
     bf = dist.evaluate(T, F, order)
-    derivatives = _at_points(grid, *(bf.derivative(alpha) for alpha in alphas))
+    derivatives = dist.values_at(X, *(bf.derivative(alpha) for alpha in alphas)).tolist()
     for alpha, lhs in zip(alphas, derivatives):
         rhs = [0.0] * len(grid)
         for beta in ex.multi_indices_below(alpha):
@@ -227,13 +214,11 @@ def _stencil(alpha) -> list:
 
 @_timed
 def check_smoothness(T: TransversalDistribution, F: Expr, alpha, grid,
-                     h_sequence=(1e-2, 5e-3, 2.5e-3, 1.25e-3),
-                     min_order: float = 1.9, terminal_tolerance: float = 1e-5,
-                     boundary_margin: float = 0.05,
+                     terminal_tolerance: float = 1e-5,
                      order: int | None = None) -> CheckReport:
     """Central differences of T(F) against its exact derivative.
 
-    Points whose symbolic part sits within ``boundary_margin`` of a bump
+    Points whose symbolic part sits within ``BUMP_MARGIN`` of a bump
     transition are reported as skipped: finite differences straddling the
     cutover do not see a smooth function at these step sizes.  The
     stencils of every other point are evaluated in one pass.
@@ -243,14 +228,14 @@ def check_smoothness(T: TransversalDistribution, F: Expr, alpha, grid,
     alpha = ex.check_multi_index(alpha, T.bundle.base_dim)
     exact_fn = bf.derivative(alpha)
     live = [min(bf.bump_boundary_distance(x), exact_fn.bump_boundary_distance(x))
-            >= boundary_margin for x in grid]
+            >= BUMP_MARGIN for x in grid]
     checked = [x for x, ok in zip(grid, live) if ok]
     # an order above 2 per axis is an error only where a point uses it
     stencil = _stencil(alpha) if checked else []
     points = [tuple(xi + h * o for xi, o in zip(x, offsets))
-              for x in checked for h in h_sequence for offsets, _ in stencil]
-    values = iter(_at_points(points, bf)[0])
-    exact_values = iter(_at_points(checked, exact_fn)[0])
+              for x in checked for h in SMOOTHNESS_STEPS for offsets, _ in stencil]
+    values = iter(dist.values_at(_base_points(T.bundle, points), bf)[0].tolist())
+    exact_values = iter(dist.values_at(_base_points(T.bundle, checked), exact_fn)[0].tolist())
     for x, ok in zip(grid, live):
         case = f"alpha={alpha} x={tuple(map(float, x))}"
         if not ok:
@@ -258,7 +243,7 @@ def check_smoothness(T: TransversalDistribution, F: Expr, alpha, grid,
             continue
         exact = next(exact_values)
         errors = []
-        for h in h_sequence:
+        for h in SMOOTHNESS_STEPS:
             total = 0.0
             for _, weight in stencil:
                 total += weight * next(values)
@@ -271,8 +256,8 @@ def check_smoothness(T: TransversalDistribution, F: Expr, alpha, grid,
             observed = float("inf")
         else:
             observed = (math.log(errors[0] / terminal)
-                        / math.log(h_sequence[0] / h_sequence[-1]))
-        err_metric = terminal if observed >= min_order else 1.0
+                        / math.log(SMOOTHNESS_STEPS[0] / SMOOTHNESS_STEPS[-1]))
+        err_metric = terminal if observed >= SMOOTHNESS_MIN_ORDER else 1.0
         report.add(case, err_metric, terminal_tolerance,
                    {"x": tuple(map(float, x)), "observed_order": observed,
                     "errors": errors})
@@ -284,19 +269,20 @@ def check_smoothness(T: TransversalDistribution, F: Expr, alpha, grid,
 
 
 @_timed
-def check_duality(F_list, T_list, grid, cutoff: Expr | None = None,
-                  tolerance: float = 1e-10, probe_grid=None,
+def check_duality(F_list, T_list, grid, tolerance: float = 1e-10, probe_grid=None,
                   order: int | None = None) -> CheckReport:
-    """Bilinearity, two-sided module linearity, and probe injectivity."""
+    """Bilinearity, two-sided module linearity (acting by the base function
+    ``DUALITY_CUTOFF``), and probe injectivity."""
     report = CheckReport("duality")
     if not F_list or not T_list:
         report.add("empty input", 0.0, tolerance)
         return report
     b = T_list[0].bundle
-    f = cutoff if cutoff is not None else b.parse_base("bump(x0/2)")
+    f = b.parse_base(DUALITY_CUTOFF)
+    X = _base_points(b, grid)
 
     def at_points(*pairs):
-        return _at_points(grid, *(dist.hat_pair(F, T, order) for F, T in pairs))
+        return dist.values_at(X, *(dist.evaluate(T, F, order) for F, T in pairs)).tolist()
 
     worst_add, witness_add = 0.0, None
     for (F1, F2), T in itertools.product(itertools.combinations(F_list, 2), T_list):
@@ -384,14 +370,15 @@ def _bump_probe(bundle: TrivialBundle, centre, radius: float) -> Expr:
 
 @_timed
 def check_support(T: TransversalDistribution, probe_count: int = 50,
-                  tolerance: float = 1e-12, seed: int = 20240501,
+                  tolerance: float = 1e-12,
                   order: int | None = None) -> CheckReport:
     """Probes supported outside the support box must evaluate to zero,
-    and the base support must equal the base projection of the total one."""
+    and the base support must equal the base projection of the total one.
+    The probe centres are drawn from a generator seeded with SUPPORT_SEED."""
     report = CheckReport("support")
     b = T.bundle
     box = dist.total_support(T)
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(SUPPORT_SEED)
     radius = 0.25
     worst, witness = 0.0, None
     if probe_count:
@@ -400,7 +387,8 @@ def check_support(T: TransversalDistribution, probe_count: int = 50,
             xs = [centre[:b.base_dim],
                   tuple(0.5 * c for c in centre[:b.base_dim]),
                   (0.0,) * b.base_dim]
-            values = _at_points(xs, dist.evaluate(T, probe, order))[0]
+            bf = dist.evaluate(T, probe, order)
+            values = dist.values_at(_base_points(b, xs), bf)[0].tolist()
             for x, val in zip(xs, map(abs, values)):
                 if _worse(val, worst):
                     worst, witness = val, {"centre": centre,
@@ -447,7 +435,8 @@ def check_localization(T: TransversalDistribution, x,
     worst, witness = 0.0, None
     grid = [tuple(x), tuple(0.4 + xi for xi in x), tuple(-0.3 + xi for xi in x)]
     for G in probe_functions:
-        vT, vR = _at_points(grid, dist.evaluate(T, G, order), dist.evaluate(R, G, order))
+        vT, vR = dist.values_at(_base_points(b, grid), dist.evaluate(T, G, order),
+                                dist.evaluate(R, G, order)).tolist()
         for pt, a, c in zip(grid, vT, vR):
             err = abs(a - c)
             if _worse(err, worst):

@@ -6,6 +6,15 @@ from transdist.bundle import TrivialBundle
 from transdist.expr import Box
 
 
+def each_engine():
+    """Yield once with ``evaluate_many`` on its scalar engine for every
+    batch of points, and once on its array engine for every batch."""
+    for threshold in (10**9, 1):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ex, "_ARRAY_MIN_ROWS", threshold)
+            yield threshold
+
+
 @pytest.fixture
 def line_bundle():
     return TrivialBundle(1, 1)

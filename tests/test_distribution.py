@@ -3,13 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from conftest import fd_derivative, random_polynomial
+from conftest import each_engine, fd_derivative, random_polynomial
 from transdist import bundle as bd
 from transdist import distribution as dist
 from transdist import expr as ex
 from transdist import operators as op
 from transdist import quadrature as qd
-from transdist import verify as vf
 from transdist.expr import Box, ExprError
 from transdist.quadrature import BUMP_INTEGRAL
 
@@ -428,18 +427,11 @@ class TestLocalization:
 
 
 class TestHatPairing:
-    def test_alias_of_evaluate(self, line_bundle, T_dirac):
-        F = line_bundle.parse_total("1 + x0*y0")
-        a = dist.hat_pair(F, T_dirac)
-        c = dist.evaluate(T_dirac, F)
-        for x in (-0.4, 0.2):
-            assert a.value((x,)) == c.value((x,))
-
     def test_additivity_in_distribution(self, line_bundle, T_dirac, T_density):
         F = line_bundle.parse_total("x0 + y0^2")
-        s = dist.hat_pair(F, T_dirac + T_density)
-        a = dist.hat_pair(F, T_dirac)
-        c = dist.hat_pair(F, T_density)
+        s = dist.evaluate(T_dirac + T_density, F)
+        a = dist.evaluate(T_dirac, F)
+        c = dist.evaluate(T_density, F)
         for x in np.linspace(-1, 1, 9):
             assert s.value((x,)) == pytest.approx(a.value((x,)) + c.value((x,)),
                                                   abs=1e-12)
@@ -448,8 +440,8 @@ class TestHatPairing:
         F = line_bundle.parse_total("1 + y0")
         f = line_bundle.parse_base("bump(x0/2)")
         for T in (T_dirac, T_density):
-            lhs = dist.hat_pair(F, dist.module_action_base(f, T))
-            rhs = dist.hat_pair(F, T)
+            lhs = dist.evaluate(dist.module_action_base(f, T), F)
+            rhs = dist.evaluate(T, F)
             for x in np.linspace(-1, 1, 9):
                 assert lhs.value((x,)) == pytest.approx(f.evaluate((x,)) * rhs.value((x,)),
                                                         abs=1e-12)
@@ -591,8 +583,8 @@ class TestBaseFunctionValues:
         want = [[o.value(tuple(x)) for x in X] for o in bfs]
         monkeypatch.setattr(qd, "PAIR_BLOCK", block)
         for group in ([bf], bfs):
-            got = vf._at_points(X, *group)
-            assert len(got) == len(group) and all(map(same_floats, got, want))
+            got = dist.values_at(X, *group)
+            assert len(got) == len(group) and all(map(same_floats, got.tolist(), want))
         assert any(want[0]) and not all(want[0])
 
     def test_values_reject_a_wrong_shape(self, base_functions):
@@ -619,9 +611,10 @@ class TestPairRestrictions:
         want = [[dist.pair(dist.restrict(T, tuple(x)), g, 12) for x in X] for g in gs]
         if block is not None:
             monkeypatch.setattr(qd, "PAIR_BLOCK", block)
-        got = dist.pair_restrictions(T, X, gs, 12)
-        assert got.shape == (3, len(X))
-        assert all(same_floats(row.tolist(), w) for row, w in zip(got, want))
+        for _ in each_engine():
+            got = dist.pair_restrictions(T, X, gs, 12)
+            assert got.shape == (3, len(X))
+            assert all(same_floats(row.tolist(), w) for row, w in zip(got, want))
         assert np.count_nonzero(got) and not np.all(got)
 
 
@@ -722,13 +715,15 @@ class TestPairAt:
 
     @pytest.mark.parametrize("case", ["line_case", "plane_case"])
     def test_dirac_terms_are_the_per_row_values_bit_for_bit(self, request, case):
-        """Batched passes change no float: two sections, repeated betas and
-        zero-weight rows."""
+        """Batched passes change no float, on either engine: two sections,
+        repeated betas and zero-weight rows."""
         T, Fs, X = request.getfixturevalue(case)
         for n in range(3):
             Tn = dist.family_derivative(T, (n,) + (0,) * (T.bundle.base_dim - 1))
-            got, want = dist.pair_at(Tn, X, Fs), self.per_row(Tn, X, Fs)
-            assert all(map(same_floats, got.tolist(), want.tolist()))
+            want = self.per_row(Tn, X, Fs)
+            for _ in each_engine():
+                got = dist.pair_at(Tn, X, Fs)
+                assert all(map(same_floats, got.tolist(), want.tolist()))
 
     @pytest.mark.parametrize("case", ["line_case", "plane_case"])
     def test_density_and_mixed_terms(self, request, case):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import each_engine
 from reference_eval import ref_eval, ref_eval_array
 from reference_support import ref_support
 from transdist import expr as ex
@@ -177,23 +178,26 @@ def _bits(v: float) -> str:
        st.lists(st.tuples(block_coords, block_coords), max_size=6))
 def test_evaluate_many_is_evaluate_of_each_root(e, derivatives, pts):
     """Over one plan for all roots, every entry equals ``root.evaluate``
-    bit for bit.  The roots, an expression and several of its derivatives,
-    share subDAGs; the points reach both sides of a bump's edge."""
+    bit for bit, on the scalar and on the array engine.  The roots, an
+    expression and several of its derivatives, share subDAGs; the points
+    reach both sides of a bump's edge."""
     roots = [e] + [_differentiated(e, slots) for slots in derivatives]
     with warnings.catch_warnings(), np.errstate(all="ignore"):
         warnings.simplefilter("ignore")
-        got = ex.evaluate_many(roots, pts)
         want = [[r.evaluate(p) for p in pts] for r in roots]
-    assert [list(map(_bits, row)) for row in got] == [list(map(_bits, row)) for row in want]
+        for _ in each_engine():
+            got = ex.evaluate_many(roots, pts).tolist()
+            assert [list(map(_bits, row)) for row in got] == [list(map(_bits, row))
+                                                             for row in want]
 
 
 def test_evaluate_many_shapes_and_dimension_errors():
     e = ex.parse("x0*exp(x1)", DIM)
     roots = [e, e.diff1(0), e]
-    assert ex.evaluate_many(roots, []) == [[], [], []]
-    assert ex.evaluate_many([], [(0.0,)]) == []
+    assert ex.evaluate_many(roots, []).shape == (3, 0)
+    assert ex.evaluate_many([], [(0.0,)]).shape == (0, 1)
     got = ex.evaluate_many(roots, np.array([[1.0, 0.0], [2.0, 0.0]]))
-    assert got == [[1.0, 2.0], [1.0, 1.0], [1.0, 2.0]]
+    assert got.tolist() == [[1.0, 2.0], [1.0, 1.0], [1.0, 2.0]]
     with pytest.raises(ex.DimensionError, match="mixed ambient"):
         ex.evaluate_many([e, ex.parse("x0", 1)], [(0.0, 0.0)])
     for bad in ([(0.0, 0.0), (0.0,)], np.zeros((2, 3))):

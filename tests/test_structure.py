@@ -69,7 +69,7 @@ def test_no_module_rebinds_a_global():
 
 
 # Library calls that take a quadrature order or a grid density.
-SETTING_TAKERS = {"evaluate", "hat_pair", "pair", "pair_at", "apply", "compose",
+SETTING_TAKERS = {"evaluate", "pair", "pair_at", "apply", "compose",
                   "seminorm_eval", "lf_membership", "lfB_membership", "check_restriction_compat",
                   "check_leibniz", "check_smoothness", "check_duality", "check_support",
                   "check_localization"}
@@ -175,12 +175,12 @@ def test_leibniz_pairs_on_the_total_space():
 
 def test_verify_evaluates_base_functions_over_grids():
     """Every base function in ``verify.py`` is evaluated over a whole grid by
-    ``_at_points``, never by ``BaseFunction.value`` point by point."""
+    ``values_at``, never by ``BaseFunction.value`` point by point."""
     value_calls = calls_of("value")
     assert {module for module, _ in value_calls} >= {"cli.py", "distribution.py"}
     assert [hit for hit in value_calls
-            if hit[0] == "verify.py" and hit[1] != "_at_points"] == []
-    assert {scope for module, scope in calls_of("_at_points") if module == "verify.py"} >= {
+            if hit[0] == "verify.py" and hit[1] != "values_at"] == []
+    assert {scope for module, scope in calls_of("values_at") if module == "verify.py"} >= {
         "check_restriction_compat", "check_leibniz", "check_smoothness",
         "at_points",  # check_duality's local helper
         "check_support", "check_localization"}
@@ -200,3 +200,25 @@ def test_pair_at_evaluates_each_batch_of_roots_over_its_rows_at_once():
         hits = method_calls(name)
         assert {module for module, _ in hits} >= {"distribution.py"}  # the calls are seen
         assert in_pair_at not in hits
+
+
+def test_only_evaluate_many_chooses_between_scalar_and_array_evaluation():
+    """Batches of pairings and of base-function values have one path each:
+    ``pair_at`` and ``values_at`` evaluate their expressions through
+    ``ex.evaluate_many``, ``pair_restrictions`` pairs its Dirac terms
+    through ``pair_at``, and none of them calls ``.eval_array(`` or
+    ``.evaluate(``.  The row count picks the engine in ``expr.py`` alone."""
+    def method_calls(name):
+        return nodes_where(lambda n: isinstance(n, ast.Call)
+                           and isinstance(n.func, ast.Attribute) and n.func.attr == name)
+
+    batches = {("distribution.py", f) for f in ("pair_at", "pair_restrictions", "values_at")}
+    assert {("distribution.py", "pair_at"),
+            ("distribution.py", "values_at")} <= set(method_calls("evaluate_many"))
+    assert ("distribution.py", "pair_restrictions") in calls_of("pair_at")
+    assert ("distribution.py", "values") in calls_of("values_at")
+    for name in ("eval_array", "evaluate"):
+        hits = method_calls(name)
+        assert hits  # the calls are seen elsewhere
+        assert batches.isdisjoint(hits)
+    assert {module for module, _ in reads_of("_ARRAY_MIN_ROWS")} == {"expr.py"}

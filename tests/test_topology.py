@@ -48,6 +48,16 @@ class TestSeminorm:
         outer_set = {round(v / pitch) for v in outer[:, 0]}
         assert all(round(v / pitch) in outer_set for v in inner[:, 0])
 
+    def test_monotone_on_a_box_thinner_than_the_pitch(self):
+        """[0.01, 0.02] holds no lattice multiple, so the thin box scans no
+        point and its seminorm is 0, not x0*bump(y0) at the midpoint x0 =
+        0.015 (0.0055), which no enclosing box's lattice holds."""
+        F = ex.parse("x0*bump(y0)", 2, base_dim=1)
+        thin = tp.Seminorm(Box.of([(0.01, 0.02), (-0.5, 0.5)]), 0)
+        enclosing = tp.Seminorm(Box.of([(0.0, 0.02), (-0.5, 0.5)]), 0)
+        assert tp.lattice_points(thin.box).shape == (0, 2)
+        assert tp.seminorm_eval(thin, F) <= tp.seminorm_eval(enclosing, F) == 0.0
+
     def test_grid_density_override(self):
         box = Box.of([(-1, 1)])
         assert len(tp.lattice_points(box, 65)) == 65
@@ -99,19 +109,18 @@ class TestFamilySeminorm:
 class TestLFMembership:
     def test_zero_function_accepted(self, line_bundle):
         prof = tp.LFProfile(1, orders=(0,), epsilons=(0.1,))
-        f = dist.base_function_from_expr(line_bundle, line_bundle.parse_base("0"))
+        f = dist.BaseFunction(line_bundle, symbolic=line_bundle.parse_base("0"))
         assert tp.lf_membership(prof, f).accepted
 
     def test_bump_against_half(self, line_bundle):
         prof = tp.LFProfile(1, orders=(0, 0), epsilons=(0.5, 0.25))
-        f = dist.base_function_from_expr(line_bundle,
-                                         line_bundle.parse_base("bump(x0)"))
+        f = dist.BaseFunction(line_bundle, symbolic=line_bundle.parse_base("bump(x0)"))
         assert tp.lf_membership(prof, f).accepted
 
     def test_scaled_function_rejected_with_witness(self, line_bundle):
         prof = tp.LFProfile(1, orders=(0,), epsilons=(1e-6,))
-        f = dist.base_function_from_expr(
-            line_bundle, line_bundle.parse_base("1000000*bump(x0)"))
+        f = dist.BaseFunction(
+            line_bundle, symbolic=line_bundle.parse_base("1000000*bump(x0)"))
         res = tp.lf_membership(prof, f)
         assert not res.accepted
         assert res.witness is not None
@@ -119,8 +128,7 @@ class TestLFMembership:
         assert res.witness["shell"] == 1
 
     def test_monotone_in_epsilons(self, line_bundle):
-        f = dist.base_function_from_expr(line_bundle,
-                                         line_bundle.parse_base("bump(x0)*x0"))
+        f = dist.BaseFunction(line_bundle, symbolic=line_bundle.parse_base("bump(x0)*x0"))
         eps_values = (0.01, 0.05, 0.2, 1.0)
         accepted = [tp.lf_membership(
             tp.LFProfile(1, orders=(1,), epsilons=(e,)), f).accepted
@@ -130,8 +138,8 @@ class TestLFMembership:
 
     def test_far_support_beyond_depth_is_vacuous(self, line_bundle):
         prof = tp.LFProfile(1, orders=(0,), epsilons=(1e-9,))
-        f = dist.base_function_from_expr(
-            line_bundle, line_bundle.parse_base("bump(x0 - 10)"))
+        f = dist.BaseFunction(
+            line_bundle, symbolic=line_bundle.parse_base("bump(x0 - 10)"))
         # the single shell [-1, 1] misses the support entirely
         assert tp.lf_membership(prof, f).accepted
 
@@ -247,8 +255,8 @@ class TestArrayScans:
         s = bd.section_from_strings(b, ["x0/3 + x1/2"])
         u = (dist.dirac_section(s, b.parse_base(f"{ENV}/4"))
              + dist.dirac_section(s, b.parse_base(f"x0*{ENV}/8"), (1,)))
-        f = dist.base_function_from_expr(
-            b, b.parse_base(f"{ENV}*(1/2 + sin(x0)/3 + x0*x1/4)"))
+        f = dist.BaseFunction(
+            b, symbolic=b.parse_base(f"{ENV}*(1/2 + sin(x0)/3 + x0*x1/4)"))
         families = [tp.BoundedFamily(1, tuple(b.parse_fibre(t) for t in ts))
                     for ts in (["1", "y0"], ["1", "y0^2/2"], ["1/2", "y0/4", "y0^3/6"])]
         return f, u, families
@@ -303,8 +311,8 @@ class TestNaNAtALatticePoint:
             tp.seminorm_eval(p, W)
 
     def test_lf_membership(self, line_bundle):
-        f = dist.base_function_from_expr(
-            line_bundle, line_bundle.parse_base(f"bump(x0/3)*({self.NAN.format(v='x0')})"))
+        f = dist.BaseFunction(line_bundle, symbolic=line_bundle.parse_base(
+            f"bump(x0/3)*({self.NAN.format(v='x0')})"))
         prof = tp.LFProfile(1, (0, 1), (100.0, 50.0))
         with pytest.raises(ex.ExprError, match=r"NaN at lattice point \(1\.9375,\) "
                                                r"for multi-index \(0,\)"):
