@@ -435,6 +435,23 @@ def family_derivative(T: TransversalDistribution, alpha) -> TransversalDistribut
     return out
 
 
+def family_derivatives(T: TransversalDistribution, alpha_max: int) -> dict:
+    """``family_derivative(T, beta)`` for every beta of
+    ``multi_indices_up_to(base_dim, alpha_max)``, keyed by beta.
+
+    Each is one step from the D^(beta - e_s) T before it, s the last slot
+    with beta_s > 0: the step ``family_derivative`` takes last.  So every
+    entry has the same terms in the same order, and the tower builds each
+    product weight once instead of once per higher beta.
+    """
+    out = {}
+    for beta in ex.multi_indices_up_to(T.bundle.base_dim, alpha_max):
+        s = max((i for i, n in enumerate(beta) if n), default=None)
+        out[beta] = T if s is None else _family_derivative_1(
+            out[beta[:s] + (beta[s] - 1,) + beta[s + 1:]], s)
+    return out
+
+
 def _family_derivative_1(T: TransversalDistribution, slot: int) -> TransversalDistribution:
     b = T.bundle
     new_terms = []

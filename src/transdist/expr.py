@@ -340,6 +340,10 @@ class Expr:
         """This node's value over broadcast coordinate columns ``cols``."""
         raise NotImplementedError
 
+    def _jet(self, jets, vals, args):
+        """This node's Taylor coefficients, a ``_Jets`` array (see ``taylor``)."""
+        raise NotImplementedError
+
     @_memo
     def _plan(self) -> tuple:
         """Every distinct node of this DAG once, children before parents.
@@ -562,6 +566,9 @@ class Const(Expr):
     def _eval_arr(self, cols, vals, args):
         return self._float
 
+    def _jet(self, jets, vals, args):
+        return jets.const(self._float)
+
     def _diff1(self, slot):
         return Const(self.dim, Fraction(0))
 
@@ -596,6 +603,9 @@ class NamedConst(Expr):
     def _eval_arr(self, cols, vals, args):
         return self._float
 
+    def _jet(self, jets, vals, args):
+        return jets.const(self._float)
+
     def _diff1(self, slot):
         return Const(self.dim, Fraction(0))
 
@@ -620,6 +630,9 @@ class Var(Expr):
 
     def _eval_arr(self, cols, vals, args):
         return cols[self.slot]
+
+    def _jet(self, jets, vals, args):
+        return jets.var(self.slot)
 
     def _diff1(self, slot):
         return Const(self.dim, Fraction(1 if slot == self.slot else 0))
@@ -649,6 +662,8 @@ class Sum(Expr):
             with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN, quietly
                 return 0.0 + vals[args[0]] + vals[args[1]]
         return quadrature.row_fsum([vals[i] for i in args])
+
+    _jet = _eval_arr  # coefficients add as values do
 
     def _diff1(self, slot):
         return add(*(t.diff1(slot) for t in self.terms))
@@ -703,6 +718,9 @@ class Product(Expr):
                 zero = zero | (vals[i] == 0.0)
         return np.where(zero, 0.0, acc)
 
+    def _jet(self, jets, vals, args):
+        return reduce(jets.mul, [vals[i] for i in args])
+
     def _diff1(self, slot):
         # a factor free of the slot differentiates to 0, which mul would fold away
         terms = [mul(*self.factors[:i], f.diff1(slot), *self.factors[i + 1:])
@@ -747,6 +765,9 @@ class IntPow(Expr):
     def _eval_arr(self, cols, vals, args):
         return _power(vals[args[0]], self.exponent)
 
+    def _jet(self, jets, vals, args):
+        return _power(vals[args[0]], self.exponent, jets.mul)
+
     def _diff1(self, slot):
         n = self.exponent
         return mul(const(n, self.dim), int_pow(self.base, n - 1), self.base.diff1(slot))
@@ -773,16 +794,17 @@ class IntPow(Expr):
         return f"{self.base._text(3)}^{self.exponent}"
 
 
-def _power(v, n: int):
-    """v**n by binary powering: the same multiplications on a float or an array."""
+def _power(v, n: int, times=operator.mul):
+    """v**n by binary powering: the same multiplications on a float or an
+    array, or the same ``times`` products on a jet."""
     out = None
     while True:
         if n & 1:
-            out = v if out is None else out * v
+            out = v if out is None else times(out, v)
         n >>= 1
         if not n:
             return out
-        v = v * v
+        v = times(v, v)
 
 
 class _Unary(Expr):
@@ -823,6 +845,9 @@ class Exp(_Unary):
     _np_fn = np.exp
     _name = "exp"
 
+    def _jet(self, jets, vals, args):
+        return jets.exp(vals[args[0]])
+
     def _diff1(self, slot):
         return mul(self, self.arg.diff1(slot))
 
@@ -837,6 +862,9 @@ class Sin(_Unary):
     _np_fn = np.sin
     _name = "sin"
 
+    def _jet(self, jets, vals, args):
+        return jets.sin_cos(vals[args[0]])[0]
+
     def _diff1(self, slot):
         return mul(Cos(self.dim, self.arg), self.arg.diff1(slot))
 
@@ -849,6 +877,9 @@ class Cos(_Unary):
     arg: Expr
     _np_fn = np.cos
     _name = "cos"
+
+    def _jet(self, jets, vals, args):
+        return jets.sin_cos(vals[args[0]])[1]
 
     def _diff1(self, slot):
         return mul(const(-1, self.dim), Sin(self.dim, self.arg), self.arg.diff1(slot))
@@ -890,6 +921,23 @@ class BumpRat(Expr):
         for c in reversed(self._coeffs_float):
             p = p * u + c
         return np.where(inside, r * p, 0.0)
+
+    def _jet(self, jets, vals, args):
+        # the steps of _eval_arr on jets, with 1/s by the reciprocal recurrence
+        u = vals[args[0]]
+        inside = ~(np.abs(u[0]) >= 1.0)
+        u = np.where(inside, u, 0.0)
+        s = -jets.mul(u, u)
+        s[0] += 1.0
+        r = jets.exp(-jets.div(jets.const(1.0), s))
+        for _ in range(self.pole_order):
+            r = jets.div(r, s)
+        coeffs = self._coeffs_float
+        p = jets.const(coeffs[-1])
+        for c in reversed(coeffs[:-1]):
+            p = jets.mul(p, u)
+            p[0] += c
+        return np.where(inside, jets.mul(r, p), 0.0)
 
     def _diff1(self, slot):
         # d/du [bump(u) p(u) (1-u^2)^-q]
@@ -995,6 +1043,115 @@ def evaluate_many(roots, points) -> np.ndarray:
     return out
 
 
+def taylor(e: Expr, X, order: int) -> np.ndarray:
+    """The Taylor coefficients D^alpha e / alpha! at every row of an (M, dim)
+    array, for every alpha of ``multi_indices_up_to(e.dim, order)`` in that
+    order, as one (n_alpha, M) array.
+
+    Truncated Taylor arithmetic (Griewank & Walther, *Evaluating
+    Derivatives*, 2nd ed., SIAM 2008, ch. 13): one ``_jet`` pass over the
+    plan, children first, so no derivative DAG is built and a shared node
+    is expanded once.  Products are Cauchy products; exp, sin and cos, and
+    the 1/s of a ``BumpRat``, follow the standard recurrences.  A
+    coefficient product with an exactly zero factor is +0.0, as in
+    ``Product._eval``, so a weight whose jet vanishes at a row zeroes the
+    product's jet there whatever the other factor holds; a ``BumpRat``'s jet
+    is 0 where its argument has |u| >= 1, and a NaN argument stays NaN.
+    Coefficient times alpha! equals ``e.diff(alpha).evaluate(x)`` to
+    rounding, not bit for bit:
+
+    >>> e = parse("x0*exp(x0)", 1)
+    >>> taylor(e, [[0.0], [1.0]], 2).tolist()
+    [[0.0, 2.718281828459045], [1.0, 5.43656365691809], [1.0, 4.077422742688568]]
+    >>> e.diff((2,)).evaluate((1.0,)) / 2
+    4.077422742688568
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2 or X.shape[1] != e.dim:
+        raise DimensionError(f"expected points of shape (M, {e.dim})")
+    if order < 0:
+        raise ExprError(f"Taylor order must be nonnegative, got {order}")
+    jets = _Jets(X, order)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
+        return _values_over(e._plan, e, jets, "_jet")[-1]
+
+
+def _times(a, b):
+    """a * b, +0.0 wherever a factor is exactly zero (``Product._eval``)."""
+    product = a * b
+    product[(a == 0.0) | (b == 0.0)] = 0.0
+    return product
+
+
+class _Jets:
+    """The multi-index tables of one ``taylor`` call and the arithmetic of
+    its jets: (n_alpha, M) arrays whose row k holds the coefficient of
+    ``alphas[k]`` at every point."""
+
+    def __init__(self, X, order: int):
+        self.X = X
+        alphas = multi_indices_up_to(X.shape[1], order)
+        self.shape = (len(alphas), X.shape[0])
+        index = {a: k for k, a in enumerate(alphas)}
+        self.unit = {a.index(1): k for a, k in index.items() if sum(a) == 1}
+        # per alpha, each (beta, alpha - beta) pair with beta <= alpha
+        pairs = [[(index[b], index[tuple(map(operator.sub, a, b))])
+                  for b in multi_indices_below(a)] for a in alphas]
+        self.left, self.right = map(np.array, zip(*itertools.chain(*pairs)))
+        self.starts = np.cumsum([0] + [len(p) for p in pairs[:-1]])
+        # per alpha != 0: the pairs with beta != 0 (the reciprocal), and
+        # those with beta_s > 0 for the first slot s that alpha_s > 0, each
+        # weighted beta_s / alpha_s (d/dx_s h = h' du/dx_s of exp, sin, cos)
+        self.nonzero, self.along = [], []
+        for a, ps in zip(alphas[1:], pairs[1:]):
+            s = next(i for i, n in enumerate(a) if n)
+            self.nonzero.append(tuple(map(np.array, zip(*ps[1:]))))
+            ps = [(i, j) for i, j in ps if alphas[i][s]]
+            w = np.array([[alphas[i][s] / a[s]] for i, _ in ps])
+            self.along.append((*map(np.array, zip(*ps)), w))
+
+    def const(self, value: float) -> np.ndarray:
+        jet = np.zeros(self.shape)
+        jet[0] = value
+        return jet
+
+    def var(self, slot: int) -> np.ndarray:
+        jet = self.const(self.X[:, slot])
+        if slot in self.unit:
+            jet[self.unit[slot]] = 1.0
+        return jet
+
+    def mul(self, f, g) -> np.ndarray:
+        """The Cauchy product: coefficient alpha sums f_beta g_(alpha - beta)."""
+        return np.add.reduceat(_times(f[self.left], g[self.right]), self.starts, axis=0)
+
+    def div(self, f, g) -> np.ndarray:
+        """f / g, each coefficient solved from g * (f / g) = f; an exactly
+        zero one stays +0.0 even where g_0 is 0 or NaN."""
+        q = np.empty(self.shape)
+        q[0] = f[0] / g[0]
+        for k, (b, rest) in enumerate(self.nonzero, 1):
+            top = f[k] - _times(g[b], q[rest]).sum(axis=0)
+            q[k] = np.where(top == 0.0, 0.0, top / g[0])
+        return q
+
+    def exp(self, u) -> np.ndarray:
+        h = np.empty(self.shape)
+        h[0] = np.exp(u[0])
+        for k, (b, rest, w) in enumerate(self.along, 1):
+            h[k] = _times(w * u[b], h[rest]).sum(axis=0)
+        return h
+
+    def sin_cos(self, u):
+        s, c = np.empty(self.shape), np.empty(self.shape)
+        s[0], c[0] = np.sin(u[0]), np.cos(u[0])
+        for k, (b, rest, w) in enumerate(self.along, 1):
+            du = w * u[b]
+            s[k] = _times(du, c[rest]).sum(axis=0)
+            c[k] = -_times(du, s[rest]).sum(axis=0)
+        return s, c
+
+
 def _float_point(point, dim: int) -> tuple:
     if len(point) != dim:
         raise DimensionError(f"point has {len(point)} coordinates, ambient is {dim}")
@@ -1011,14 +1168,14 @@ def _values_at(plan, root, point) -> list:
     return vals
 
 
-def _values_over(plan, root, cols) -> list:
+def _values_over(plan, root, cols, method="_eval_arr") -> list:
     """``_values_at`` over contiguous coordinate columns (numpy's exp on a
     reversed one can differ in the last bit), each value dropped after its
-    last consumer."""
+    last consumer; ``taylor`` passes its ``_Jets`` and ``"_jet"`` instead."""
     vals = []
     append = vals.append
     for node, args, dead in plan:
-        append((node or root)._eval_arr(cols, vals, args))
+        append(getattr(node or root, method)(cols, vals, args))
         for i in dead:
             vals[i] = None
     return vals

@@ -487,6 +487,21 @@ class TestLeibnizIdentity:
             lhs = direct.value((x,))
             assert abs(lhs - rhs) / max(abs(lhs), abs(rhs), 1.0) < 1e-8
 
+    def test_family_tower_equals_family_derivative_term_for_term(self, plane_bundle):
+        b = plane_bundle
+        s = bd.section_from_strings(b, ["x0*x1 + sin(x0)/3"])
+        T = (dist.dirac_section(s, b.parse_base("bump(x0)*bump(x1)*x1"), (1,))
+             + dist.density(b, b.parse_total("bump(x0)*bump(x1)*bump(y0)*(y0 + x0*x1)")))
+        tower = dist.family_derivatives(T, 3)
+        assert list(tower) == ex.multi_indices_up_to(2, 3)
+        assert tower[(0, 0)] is T
+        for beta, D in tower.items():
+            want = dist.family_derivative(T, beta).terms
+            assert len(D.terms) == len(want)
+            for got, term in zip(D.terms, want):
+                assert got == term, beta
+                assert str(getattr(got, "weight", None)) == str(getattr(term, "weight", None))
+
     def test_uncoefficiented_rule_fails(self, line_bundle, diag_section):
         # the bare sum over splittings undercounts the cross term of alpha=2
         T = dist.dirac_section(diag_section, line_bundle.parse_base("x0*bump(x0)"))

@@ -371,3 +371,106 @@ def test_concurrent_differentiation_matches_sequential():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * 4
+
+
+# ---------------------------------------------------------------------------
+# Taylor jets against the symbolic derivatives
+
+# Bound on |jet * alpha! - e.diff(alpha).evaluate(p)| / max(|either|, 1), the
+# relative error check_leibniz measures.  The two sides multiply and add the
+# same elementary values, grouped differently (a Cauchy product or a
+# recurrence against an expanded product rule), so they differ by rounding
+# alone, and this bound keeps that rounding at a tenth of check_leibniz's
+# default tolerance of 1e-8: the jets may spend no more of the suite's error
+# budget than that.  On this strategy the differences measured stay under
+# 1e-13 (4,000 examples), so a real fault (a wrong coefficient or recurrence
+# weight moves an entry by a whole term) cannot hide under it.
+JET_REL = 1e-9
+
+near_edge = st.floats(0.9, 1.0, exclude_max=True).flatmap(lambda t: st.sampled_from((t, -t)))
+jet_coords = st.one_of(coords, near_edge, st.sampled_from(NEAR_ONE))
+
+
+def _factorial(alpha) -> int:
+    return math.prod(map(math.factorial, alpha))
+
+
+@settings(max_examples=60, deadline=None)
+@given(expressions, st.integers(0, 6),
+       st.lists(st.tuples(jet_coords, jet_coords), min_size=1, max_size=3))
+def test_taylor_coefficients_times_alpha_factorial_are_the_derivatives(e, order, pts):
+    """Every coefficient up to order 6, at points on and near a bump's edge.
+
+    Entries where a side is not finite are not compared: there an
+    intermediate overflowed, and which side that happens on depends on the
+    grouping (the symbolic 2*exp(x1^2 + 1419/2)*... passes the largest float
+    where the jet's coefficient of the same derivative stays near 1e42).
+    The non-finite cases that must agree have their own tests below."""
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        jets = ex.taylor(e, np.array(pts), order)
+        alphas = ex.multi_indices_up_to(DIM, order)
+        assert jets.shape == (len(alphas), len(pts))
+        for alpha, row in zip(alphas, jets.tolist()):
+            d = e.diff(alpha)
+            for p, jet in zip(pts, row):
+                got, want = jet * _factorial(alpha), d.evaluate(p)
+                if math.isfinite(got) and math.isfinite(want):
+                    assert abs(got - want) <= JET_REL * max(abs(got), abs(want), 1.0), (
+                        alpha, p, got, want)
+
+
+def test_taylor_of_order_zero_is_the_value():
+    e = ex.parse(REFERENCE + " + x1*sin(x0*x1)", DIM)
+    pts = np.random.default_rng(3).uniform(-1.5, 1.5, (7, DIM))
+    jets = ex.taylor(e, pts, 0)
+    assert jets.shape == (1, 7)
+    assert jets[0].tolist() == e.eval_array(pts).tolist()
+
+
+def test_taylor_of_a_constant_has_only_its_value():
+    for e in (ex.parse("2*pi - 1/3", DIM), ex.const(0, DIM)):
+        want = e.evaluate((0.0, 0.0))
+        jets = ex.taylor(e, [[0.5, -1.0], [3.0, 2.0]], 4)
+        assert jets[0].tolist() == [want, want]
+        assert not jets[1:].any()
+
+
+def test_taylor_in_three_dimensions():
+    e = ex.parse("exp(x0*x1)*sin(x2) + bump(x0/2)*x2^3 - cos(x1 + x2)*x0^2", 3)
+    pts = [(0.3, -0.4, 0.7), (-1.1, 0.2, 0.05)]
+    jets = ex.taylor(e, pts, 4)
+    alphas = ex.multi_indices_up_to(3, 4)
+    assert jets.shape == (35, 2) and len(alphas) == 35
+    for alpha, row in zip(alphas, jets.tolist()):
+        for p, jet in zip(pts, row):
+            want = e.diff(alpha).evaluate(p)
+            assert abs(jet * _factorial(alpha) - want) <= 1e-13 * max(abs(want), 1.0)
+
+
+def test_a_vanishing_weight_zeroes_an_overflowing_factor():
+    """As in ``evaluate``: bump(x0) is 0 off (-1, 1), so the product's jet is
+    0 there although exp(800*x1) is inf; inside the support it is not finite."""
+    e = ex.parse("bump(x0)*exp(800*x1)", DIM)
+    pts = [(1.5, 1.0), (0.5, 1.0)]
+    with np.errstate(all="ignore"):
+        jets = ex.taylor(e, pts, 3)
+        want = [[e.diff(a).evaluate(p) for p in pts] for a in ex.multi_indices_up_to(DIM, 3)]
+    assert [row[0] for row in want] == [0.0] * 10
+    assert jets[:, 0].tolist() == [0.0] * 10
+    assert not np.isfinite(jets[:, 1]).any()
+
+
+def test_a_nan_argument_stays_nan():
+    e = ex.parse("bump(x0)*exp(x1) + sin(x0)", DIM)
+    jets = ex.taylor(e, [(math.nan, 0.5)], 3)
+    for alpha, (jet,) in zip(ex.multi_indices_up_to(DIM, 3), jets.tolist()):
+        assert math.isnan(jet) and math.isnan(e.diff(alpha).evaluate((math.nan, 0.5)))
+
+
+def test_taylor_rejects_bad_shapes_and_orders():
+    e = ex.parse("x0*x1", DIM)
+    with pytest.raises(ex.DimensionError):
+        ex.taylor(e, np.zeros((2, 3)), 2)
+    with pytest.raises(ex.ExprError):
+        ex.taylor(e, np.zeros((2, 2)), -1)

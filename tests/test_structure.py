@@ -165,8 +165,10 @@ def test_seminorm_evaluates_over_lattice_axes():
 
 def test_leibniz_pairs_on_the_total_space():
     """``check_leibniz`` restricts nothing: it pairs each family derivative
-    with the total-space derivatives of F (``distribution.pair_at``)."""
+    with the total-space derivatives of F (``distribution.pair_at``), and
+    takes D^alpha T(F) from Taylor jets (``expr.taylor``)."""
     assert ("verify.py", "check_leibniz") in calls_of("pair_at")
+    assert ("verify.py", "check_leibniz") in calls_of("taylor")
     for name in ("restrict", "restrict_function", "pair"):
         hits = calls_of(name)
         assert hits  # the calls are seen elsewhere

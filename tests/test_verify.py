@@ -76,6 +76,55 @@ class TestLeibniz:
         report = vf.check_leibniz(T, F, 2, GRID)
         assert not report.passed
 
+    def test_left_side_builds_no_derivative_of_a_symbolic_part(self, setup, monkeypatch):
+        """check_leibniz takes its left side from Taylor jets, so it asks no
+        base function with a symbolic part for a derivative; check_smoothness
+        still differentiates T(F) symbolically."""
+        b, T_dirac, T_density, F = setup
+        derivative, symbolic_calls = dist.BaseFunction.derivative, []
+
+        def counting(bf, alpha):
+            if bf.symbolic is not None:
+                symbolic_calls.append(alpha)
+            return derivative(bf, alpha)
+
+        monkeypatch.setattr(dist.BaseFunction, "derivative", counting)
+        assert vf.check_leibniz(T_dirac + T_density, F, 3, GRID).passed
+        assert symbolic_calls == []
+        assert vf.check_smoothness(T_dirac, F, (1,), SMOOTH_GRID).passed
+        assert symbolic_calls
+
+    def test_scaled_second_order_jets_fail_at_alpha_two(self, setup, monkeypatch):
+        b, T_dirac, _, F = setup
+        taylor = ex.taylor
+
+        def tampered(e, X, order):
+            jets = taylor(e, X, order)
+            for k, alpha in enumerate(ex.multi_indices_up_to(e.dim, order)):
+                if ex.order(alpha) == 2:
+                    jets[k] *= 1.01
+            return jets
+
+        monkeypatch.setattr(ex, "taylor", tampered)
+        report = vf.check_leibniz(T_dirac, F, 3, GRID)
+        assert [c.passed for c in report.cases] == [True, True, False, True]
+        assert report.cases[2].case_id == "alpha=(2,)"
+        assert report.cases[2].witness["alpha"] == (2,)
+
+    def test_family_derivative_without_its_section_term_fails(self, setup, monkeypatch):
+        """Dropping the (sigma, f d sigma_j, beta + e_j) terms of each step
+        leaves the right side without the fibre derivatives of F."""
+        b, T_dirac, _, F = setup
+
+        def tampered(T, slot):
+            return dist.TransversalDistribution(T.bundle, tuple(
+                dist.DiracSectionTerm(t.section, t.weight.diff1(slot), t.beta)
+                for t in T.terms))
+
+        monkeypatch.setattr(dist, "_family_derivative_1", tampered)
+        report = vf.check_leibniz(T_dirac, F, 2, GRID)
+        assert [c.passed for c in report.cases] == [True, False, False]
+
     def test_two_dimensional_base(self, plane_bundle):
         s = bd.section_from_strings(plane_bundle, ["x0 + x1"])
         T = dist.dirac_section(s, plane_bundle.parse_base("bump(x0)*bump(x1)"))
