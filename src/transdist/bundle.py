@@ -113,11 +113,18 @@ def restrict_function(bundle: TrivialBundle, F: Expr, x) -> Expr:
 
 
 def extend_function(bundle: TrivialBundle, g: Expr) -> Expr:
-    """The base-constant extension of a fibre function to the total space."""
+    """The base-constant extension of a fibre function to the total space.
+
+    Memoized on g, so extending g to one bundle again returns the same DAG,
+    with the derivatives already taken of it."""
     if g.dim != bundle.fibre_dim:
         raise DimensionError("extend_function expects a fibre function")
-    return g.substitute({j: bundle.base_dim + j for j in range(bundle.fibre_dim)},
-                        bundle.total_dim)
+    memo = g._extensions
+    G = memo.get(bundle)
+    if G is None:
+        G = memo.setdefault(bundle, g.substitute(
+            {j: bundle.base_dim + j for j in range(bundle.fibre_dim)}, bundle.total_dim))
+    return G
 
 
 def extend_base_function(bundle: TrivialBundle, f: Expr) -> Expr:

@@ -205,7 +205,7 @@ def _field(scene_path: str, where: str, build, *args):
         return build(*args)
     except DimensionError:
         raise
-    except (ValueError, TypeError) as err:
+    except (ValueError, TypeError, argparse.ArgumentTypeError) as err:
         raise SceneParseError(f"{scene_path}: {where}: {err}") from err
 
 
@@ -213,9 +213,24 @@ def _points(value) -> list:
     return [tuple(float(c) for c in p) for p in value]
 
 
+def _at_least(minimum: int, kind=int):
+    """A finite ``kind`` (int or float) no smaller than ``minimum``: an argparse
+    type, and the reader of a count in a scene's ``checks``."""
+    def parse(text: str):
+        value = kind(text)
+        if not -math.inf < value < math.inf:
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
+        return value
+    parse.__name__ = kind.__name__  # argparse names the type when kind() fails
+    return parse
+
+
 # the value of each key of "checks", as the suites read it
-_CHECK_FIELDS = {"alpha_max": int, "probe_count": int, "grid": _points, "smooth_grid": _points,
-                 "localize_at": _points, "smooth_alpha": lambda a: tuple(map(int, a))}
+_CHECK_FIELDS = {"alpha_max": _at_least(0), "probe_count": _at_least(0), "grid": _points,
+                 "smooth_grid": _points, "localize_at": _points,
+                 "smooth_alpha": lambda a: tuple(map(int, a))}
 
 
 def _load_checks(scene_path: str, checks) -> dict:
@@ -586,19 +601,6 @@ def _cmd_check(scene: Scene, args) -> tuple:
 
 # ---------------------------------------------------------------------------
 # Entry point
-
-
-def _at_least(minimum: int, kind=int):
-    """An argparse type: a finite ``kind`` (int or float) no smaller than ``minimum``."""
-    def parse(text: str):
-        value = kind(text)
-        if not -math.inf < value < math.inf:
-            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {text}")
-        return value
-    parse.__name__ = kind.__name__  # argparse names the type when kind() fails
-    return parse
 
 
 def _multi_index(text: str) -> tuple:

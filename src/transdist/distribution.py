@@ -14,13 +14,17 @@ of the Dirac section action above.
 
 Compactness of supports is a constructor invariant: weights and densities
 must have bounded support boxes, so every value of the calculus stays a
-compactly supported smooth function of the base point.
+compactly supported smooth function of the base point.  The public
+constructors compute each box and check it; a Dirac term keeps the box it
+was checked against.  The Dirac terms of a family derivative, whose
+weights vanish wherever their parent's does, are checked against the
+parent's kept box instead, without walking their new weight DAGs.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -40,18 +44,32 @@ class DiracSectionTerm:
     section: Section
     weight: Expr  # base variables, compactly supported
     beta: tuple  # fibre multi-index
+    # the checked base box outside which the weight vanishes
+    _bound: Box = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        self._check(self.weight.support_box())
+
+    def _check(self, bound: Box):
+        """Check the term against a box holding its weight's support, and keep it."""
         b = self.section.bundle
         if self.weight.dim != b.base_dim:
             raise DimensionError("Dirac weight must be a base function")
         object.__setattr__(self, "beta", ex.check_multi_index(self.beta, b.fibre_dim))
-        wbox = self.weight.support_box()
-        if not wbox.is_bounded:
+        if not bound.is_bounded:
             raise ExprError("Dirac weight must have a bounded support box")
-        if self.section.domain is not None and not wbox.is_empty:
-            if wbox.intersect(self.section.domain) != wbox:
+        if self.section.domain is not None and not bound.is_empty:
+            if bound.intersect(self.section.domain) != bound:
                 raise ExprError("Dirac weight must be supported inside the section domain")
+        object.__setattr__(self, "_bound", bound)
+
+    def _derived(self, weight: Expr, beta) -> "DiracSectionTerm":
+        """A term on this section whose weight vanishes wherever this one's
+        does, checked against this term's box: its DAG is not walked."""
+        term = object.__new__(DiracSectionTerm)
+        vars(term).update(section=self.section, weight=weight, beta=beta)
+        term._check(self._bound)
+        return term
 
     @property
     def bundle(self) -> TrivialBundle:
@@ -457,16 +475,15 @@ def _family_derivative_1(T: TransversalDistribution, slot: int) -> TransversalDi
     new_terms = []
     for term in T.terms:
         if isinstance(term, DiracSectionTerm):
-            new_terms.append(DiracSectionTerm(term.section,
-                                              term.weight.diff1(slot), term.beta))
+            # both new weights vanish wherever term.weight does
+            new_terms.append(term._derived(term.weight.diff1(slot), term.beta))
             for j, comp in enumerate(term.section.components):
                 dcomp = comp.diff1(slot)
                 if ex.constant_value(dcomp) == 0:
                     continue
                 beta_j = tuple(bb + (1 if idx == j else 0)
                                for idx, bb in enumerate(term.beta))
-                new_terms.append(DiracSectionTerm(term.section,
-                                                  ex.mul(term.weight, dcomp), beta_j))
+                new_terms.append(term._derived(ex.mul(term.weight, dcomp), beta_j))
         else:
             new_terms.append(DensityTerm(b, term.phi.diff1(slot)))
     return TransversalDistribution(b, tuple(new_terms))

@@ -19,9 +19,10 @@ could ever divide by zero.
 Nodes are immutable and freely shared, so an expression is a DAG: the
 derivative rules reuse the node being differentiated and its children, and
 a high-order derivative has far fewer distinct nodes than its tree has
-paths.  The code treats it as one.  ``diff1`` and ``support_box`` are
-memoized on each node, so ``D^alpha`` reuses ``D^(alpha - e_i)`` and asking
-again returns the identical object.  Evaluation (scalar and array),
+paths.  The code treats it as one.  ``diff1``, ``support_box`` and a
+fibre function's extension to a bundle's total space are memoized on each
+node, so ``D^alpha`` reuses ``D^(alpha - e_i)`` and asking again returns
+the identical object.  Evaluation (scalar and array),
 substitution and the bump-boundary scan walk a per-node plan
 that lists every distinct node once, children first; ``interval`` keeps
 a per-call memo.  Each node still applies the same float operation, in the
@@ -371,6 +372,11 @@ class Expr:
 
     @_memo
     def _derivatives(self) -> dict:
+        return {}
+
+    @_memo
+    def _extensions(self) -> dict:
+        """``bundle.extend_function`` of this fibre function, by bundle."""
         return {}
 
     def _diff1(self, slot):

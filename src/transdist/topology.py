@@ -31,7 +31,7 @@ import numpy as np
 
 from . import quadrature
 from .distribution import (BaseFunction, PointDistribution, TransversalDistribution,
-                           base_support, family_derivative, pair, pair_restrictions)
+                           base_support, family_derivatives, pair, pair_restrictions)
 from .expr import Box, DimensionError, Expr, ExprError, multi_indices_up_to
 from .quadrature import tensor_grid
 
@@ -244,10 +244,10 @@ def lfB_membership(profile: LFProfile, families, u: TransversalDistribution,
     """Membership of a distribution in V_{B, m, e} via family seminorms.
 
     ``families`` lists one BoundedFamily per shell (n-th entry used on the
-    n-th shell); derivatives of the family are formed with
-    family_derivative, restricted at the lattice points and paired with the
-    family in batches (``pair_restrictions``).  The value at a point is
-    ``pB_eval`` of the restriction there.
+    n-th shell); the derivatives of the family come from one
+    ``family_derivatives`` tower and are restricted at the lattice points
+    and paired with the family in batches (``pair_restrictions``).  The
+    value at a point is ``pB_eval`` of the restriction there.
     """
     families = tuple(families)
     if len(families) < profile.depth:
@@ -255,7 +255,7 @@ def lfB_membership(profile: LFProfile, families, u: TransversalDistribution,
     supp = base_support(u)
     if supp.is_empty:
         return MembershipResult(True)
-    derivatives = {}
+    derivatives = family_derivatives(u, max(profile.orders))
     for n in range(1, profile.depth + 1):
         pts = _shell_points(profile, n, supp, density)
         if pts.shape[0] == 0:
@@ -263,11 +263,8 @@ def lfB_membership(profile: LFProfile, families, u: TransversalDistribution,
         eps = profile.epsilons[n - 1]
         B = families[n - 1]
         for alpha in multi_indices_up_to(profile.base_dim, profile.orders[n - 1]):
-            if alpha not in derivatives:
-                derivatives[alpha] = family_derivative(u, alpha)
-            du = derivatives[alpha]
             for block in _blocks(pts):
-                pairings = pair_restrictions(du, block, B.members, order)
+                pairings = pair_restrictions(derivatives[alpha], block, B.members, order)
                 vals = np.abs(pairings).max(axis=0)  # pB_eval's; NaN if any pairing is
                 rejected = _first_failure(block, vals, eps, n, alpha, "lfB_membership")
                 if rejected is not None:

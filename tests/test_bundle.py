@@ -77,6 +77,16 @@ class TestExtendFunction:
         assert G.evaluate((9.0, 2.0, 3.0)) == 6.0
         assert bd.restrict_function(b, G, (4.0,)) == g
 
+    def test_each_bundle_extends_a_function_once(self):
+        g = ex.parse("bump(y0)*y0", 1, base_dim=0)
+        line, plane = bd.TrivialBundle(1, 1), bd.TrivialBundle(2, 1)
+        G = bd.extend_function(line, g)
+        assert bd.extend_function(bd.TrivialBundle(1, 1), g) is G
+        assert G.diff((0, 2)) is bd.extend_function(line, g).diff((0, 2))
+        H = bd.extend_function(plane, g)
+        assert H is not G and H.dim == 3 and str(H) == str(G)
+        assert bd.extend_function(line, ex.parse("bump(y0)*y0", 1, base_dim=0)) is not G
+
 
 class TestSectionGraphSupport:
     def test_identity_section(self, line_bundle):

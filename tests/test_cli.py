@@ -153,6 +153,9 @@ class TestExitCodes:
          ["member", "P", "--distribution", "T"], "profiles.P.families"),
         ({"profiles": {"P": {**PROFILE, "families": ["12"]}}},
          ["member", "P", "--distribution", "T"], "profiles.P.families[0]"),
+        ({"checks": {"alpha_max": -1}}, ["check"], "checks.alpha_max"),
+        ({"checks": {"probe_count": -3}}, ["check"], "checks.probe_count"),
+        ({"checks": {"probe_count": -3}}, ["eval", "T", "F"], "checks.probe_count"),
     ])
     def test_malformed_scene_field_is_exit_5(self, capsys, tmp_path, edit, argv, field):
         path = tmp_path / "scene.json"
@@ -162,6 +165,14 @@ class TestExitCodes:
         code, out = run_cli(capsys, argv[0], str(path), *argv[1:])
         assert code == 5
         assert f": {field}: " in json.loads(out)["error"]
+
+    def test_zero_check_counts_are_accepted(self, capsys, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({**SMALL_SCENE,
+                                    "checks": {"alpha_max": 0, "probe_count": 0}}))
+        code, out = run_cli(capsys, "check", str(path), "--suite", "leibniz")
+        assert code == 0
+        assert [c["id"] for c in json.loads(out)["suites"][0]["cases"]] == ["alpha=(0,)"]
 
     def test_unknown_name_in_command_is_exit_3(self, capsys, dirac_scene):
         code, _ = run_cli(capsys, "eval", dirac_scene, "NOPE", "F", "--at", "0")

@@ -179,6 +179,42 @@ class TestFamilyDerivative:
             assert got == pytest.approx(fd_derivative(lambda p: value(p[0]), (x,), 0),
                                         rel=1e-6, abs=1e-8)
 
+    @pytest.fixture
+    def deep(self, line_bundle):
+        """A Dirac term shaped like the dirac-deep benchmark's, on a section domain."""
+        b = line_bundle
+        s = bd.Section(b, (b.parse_base("x0/2 + sin(x0)/3"),), Box.of([(-1.5, 1.5)]))
+        return dist.dirac_section(s, b.parse_base("bump(x0)*exp(sin(2*x0/5))*cos(x0^2)"), (1,))
+
+    def test_tower_terms_lie_inside_their_checked_box(self, deep):
+        (root,) = deep.terms
+        terms = [t for D in dist.family_derivatives(deep, 4).values() for t in D.terms]
+        assert len(terms) == 1 + 2 + 4 + 8 + 16
+        for t in terms:
+            box = t.weight.support_box()
+            assert box.is_bounded
+            assert box.intersect(t._bound) == box
+            assert box.intersect(t.section.domain) == box
+            assert t._bound is root._bound
+
+    def test_tower_walks_no_new_weight(self, deep, monkeypatch):
+        calls = []
+        support_box = ex.Expr.support_box
+        monkeypatch.setattr(ex.Expr, "support_box",
+                            lambda e: calls.append(e) or support_box(e))
+        dist.family_derivatives(deep, 4)
+        assert calls == []
+
+    def test_kept_box_is_not_part_of_the_term(self, deep):
+        (root,) = deep.terms
+        derived = dist.family_derivative(deep, (1,)).terms
+        rebuilt = [dist.DiracSectionTerm(t.section, t.weight, t.beta) for t in derived]
+        assert rebuilt == list(derived)
+        assert [hash(t) for t in rebuilt] == [hash(t) for t in derived]
+        assert [repr(t) for t in rebuilt] == [repr(t) for t in derived]
+        assert "_bound" not in repr(root)
+        assert all(t._bound is t.weight.support_box() for t in rebuilt)
+
 
 class TestModuleActions:
     def test_constant_one_is_identity(self, line_bundle, T_dirac):
@@ -532,6 +568,13 @@ class TestConstruction:
         s = bd.section_from_strings(line_bundle, ["x0"], domain=Box.of([(0, 0.5)]))
         with pytest.raises(ExprError):
             dist.dirac_section(s, line_bundle.parse_base("bump(x0)"))
+
+    @pytest.mark.parametrize("weight, message", [
+        ("exp(x0)", "bounded support"), ("bump(x0 - 3)", "inside the section domain")])
+    def test_constructor_checks_the_weight_it_is_given(self, line_bundle, weight, message):
+        s = bd.section_from_strings(line_bundle, ["x0"], domain=Box.of([(-1.5, 1.5)]))
+        with pytest.raises(ExprError, match=message):
+            dist.DiracSectionTerm(s, line_bundle.parse_base(weight), (0,))
 
     def test_mixed_bundles_rejected(self, line_bundle, T_dirac):
         other = dist.density(bd.TrivialBundle(2, 1),

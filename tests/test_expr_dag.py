@@ -310,10 +310,12 @@ def _box_bits(box):
     return box.dim, ivs if ivs is None else tuple((lo.hex(), hi.hex()) for lo, hi in ivs)
 
 
+supported_expressions = st.recursive(
+    st.one_of(_leaves(), st.just(ex.const(0, DIM)), _affine_bumps), _support_extend, max_leaves=8)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.recursive(st.one_of(_leaves(), st.just(ex.const(0, DIM)), _affine_bumps),
-                   _support_extend, max_leaves=8),
-       st.lists(st.integers(0, DIM - 1), max_size=2))
+@given(supported_expressions, st.lists(st.integers(0, DIM - 1), max_size=2))
 def test_support_box_matches_tree_reference(e, slots):
     """Memoized support boxes with their fast paths equal a plain recursive
     walk, bit for bit, on DAGs with shared subtrees, zero constants and
@@ -323,6 +325,23 @@ def test_support_box_matches_tree_reference(e, slots):
         d = d if slot is None else d.diff1(slot)
         got, want = d.support_box(), ref_support(d)
         assert got == want and _box_bits(got) == _box_bits(want), (str(d), got, want)
+
+
+def _inside(inner, outer) -> bool:
+    return inner.intersect(outer) == inner
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(expressions, supported_expressions),
+       st.one_of(expressions, supported_expressions))
+def test_derivatives_and_multiples_stay_inside_the_support_box(e, g):
+    """What a family derivative's Dirac terms rely on to be checked against
+    their parent's box: D_s e and e * g vanish wherever e does, and their
+    computed boxes say so."""
+    box = e.support_box()
+    for s in range(DIM):
+        assert _inside(e.diff1(s).support_box(), box), (str(e), s)
+    assert _inside(ex.mul(e, g).support_box(), box), (str(e), str(g))
 
 
 def test_bump_derivatives_share_their_argument_affine_form(monkeypatch):

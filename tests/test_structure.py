@@ -224,3 +224,15 @@ def test_only_evaluate_many_chooses_between_scalar_and_array_evaluation():
         assert hits  # the calls are seen elsewhere
         assert batches.isdisjoint(hits)
     assert {module for module, _ in reads_of("_ARRAY_MIN_ROWS")} == {"expr.py"}
+
+
+def test_family_derivative_steps_walk_no_weight_dag():
+    """Each new Dirac term of a family derivative is checked against the box
+    of the term it comes from, so a step computes no support box."""
+    for scope in ("_family_derivative_1", "_derived"):
+        assert ("distribution.py", scope) not in calls_of("support_box")
+
+
+def test_lfB_membership_takes_one_family_derivative_tower():
+    assert ("topology.py", "lfB_membership") in calls_of("family_derivatives")
+    assert ("topology.py", "lfB_membership") not in calls_of("family_derivative")
