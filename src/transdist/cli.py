@@ -214,8 +214,7 @@ def _points(value) -> list:
 
 
 def _at_least(minimum: int, kind=int):
-    """A finite ``kind`` (int or float) no smaller than ``minimum``: an argparse
-    type, and the reader of a count in a scene's ``checks``."""
+    """An argparse type: a finite ``kind`` (int or float) no smaller than ``minimum``."""
     def parse(text: str):
         value = kind(text)
         if not -math.inf < value < math.inf:
@@ -227,10 +226,22 @@ def _at_least(minimum: int, kind=int):
     return parse
 
 
+def _count(value) -> int:
+    """A JSON integer >= 0: not a boolean, float or string."""
+    if type(value) is not int or value < 0:
+        raise ValueError(f"expected an integer >= 0, got {json.dumps(value)}")
+    return value
+
+
+def _counts(value) -> tuple:
+    if not isinstance(value, list):
+        raise ValueError(f"expected a list of integers >= 0, got {json.dumps(value)}")
+    return tuple(map(_count, value))
+
+
 # the value of each key of "checks", as the suites read it
-_CHECK_FIELDS = {"alpha_max": _at_least(0), "probe_count": _at_least(0), "grid": _points,
-                 "smooth_grid": _points, "localize_at": _points,
-                 "smooth_alpha": lambda a: tuple(map(int, a))}
+_CHECK_FIELDS = {"alpha_max": _count, "probe_count": _count, "grid": _points,
+                 "smooth_grid": _points, "localize_at": _points, "smooth_alpha": _counts}
 
 
 def _load_checks(scene_path: str, checks) -> dict:

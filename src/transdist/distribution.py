@@ -334,9 +334,6 @@ class BaseFunction:
         equal to ``value`` at its row, bit for bit (``values_at``)."""
         return values_at(X, self)[0]
 
-    def __call__(self, x) -> float:
-        return self.value(x)
-
     def derivative(self, alpha) -> "BaseFunction":
         alpha = ex.check_multi_index(alpha, self.bundle.base_dim)
         if self.numeric_parts and any(alpha):
@@ -361,20 +358,6 @@ class BaseFunction:
         if self.symbolic is None:
             return math.inf
         return self.symbolic.bump_boundary_distance(tuple(float(c) for c in x))
-
-    def plus(self, other: "BaseFunction") -> "BaseFunction":
-        if other.bundle != self.bundle:
-            raise DimensionError("cannot add base functions on different bundles")
-        if self.symbolic is None:
-            sym = other.symbolic
-        elif other.symbolic is None:
-            sym = self.symbolic
-        else:
-            sym = ex.add(self.symbolic, other.symbolic)
-        return BaseFunction(self.bundle, sym,
-                            self.quad_parts + other.quad_parts,
-                            self.numeric_parts + other.numeric_parts,
-                            self.order or other.order)
 
 
 def values_at(X, *bfs) -> np.ndarray:

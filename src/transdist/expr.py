@@ -58,6 +58,7 @@ from __future__ import annotations
 import itertools
 import math
 import operator
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cache, reduce
@@ -511,45 +512,6 @@ class Expr:
 
     def _children(self):
         return ()
-
-    # -- operator sugar -----------------------------------------------------
-
-    def _coerce(self, other) -> "Expr":
-        if isinstance(other, Expr):
-            return other
-        if isinstance(other, (int, Fraction, float)):
-            return const(other, self.dim)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        return add(self, other) if other is not NotImplemented else NotImplemented
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return sub(self, other) if other is not NotImplemented else NotImplemented
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        return sub(other, self) if other is not NotImplemented else NotImplemented
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        return mul(self, other) if other is not NotImplemented else NotImplemented
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        return div(self, other) if other is not NotImplemented else NotImplemented
-
-    def __pow__(self, n):
-        return int_pow(self, n)
-
-    def __neg__(self):
-        return neg(self)
 
     def __str__(self):
         return self._text(0)
@@ -1460,53 +1422,29 @@ def polynomial_to_expr(poly, dim: int, names=None) -> Expr:
 _FUNCS = {"exp": exp, "sin": sin, "cos": cos, "bump": bump}
 
 
-class _Tokenizer:
-    def __init__(self, text: str):
-        self.text = text
-        self.pos = 0
-
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def next(self):
-        self._skip_ws()
-        start = self.pos
-        if self.pos >= len(self.text):
-            return ("end", "", start)
-        ch = self.text[self.pos]
-        if ch in "+-*/^()":
-            self.pos += 1
-            return ("op", ch, start)
-        if ch.isdigit() or ch == ".":
-            while self.pos < len(self.text) and (self.text[self.pos].isdigit()
-                                                 or self.text[self.pos] == "."):
-                self.pos += 1
-            lit = self.text[start:self.pos]
-            if lit.count(".") > 1:
-                raise ExprSyntaxError(f"malformed number {lit!r}", start)
-            return ("number", lit, start)
-        if ch.isalpha():
-            while self.pos < len(self.text) and self.text[self.pos].isalpha():
-                self.pos += 1
-            letters = self.text[start:self.pos]
-            dstart = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            digits = self.text[dstart:self.pos]
-            return ("ident", letters + digits, start)
-        raise ExprSyntaxError(f"unexpected character {ch!r}", start)
+# One token per match, of the kind named by the group that matched; the last
+# is "end".  Tokens are ASCII and any whitespace between them is skipped.  A
+# stray character is a token too, so its error is raised only when reached.
+_TOKEN = re.compile(r"\s*(?:(?P<number>[0-9.]+)|(?P<name>[A-Za-z]+[0-9]*)"
+                    r"|(?P<op>[-+*/^()])|(?P<bad>\S)|(?P<end>\Z))")
 
 
 class _Parser:
     def __init__(self, text: str, ambient_dim: int, base_dim):
-        self.tok = _Tokenizer(text)
+        self.tokens = _TOKEN.finditer(text)
         self.ambient = ambient_dim
         self.base_dim = base_dim
-        self.current = self.tok.next()
+        self.advance()
 
     def advance(self):
-        self.current = self.tok.next()
+        m = next(self.tokens)
+        kind = m.lastgroup
+        val, pos = m[kind], m.start(kind)
+        if kind == "bad":
+            raise ExprSyntaxError(f"unexpected character {val!r}", pos)
+        if kind == "number" and val.count(".") > 1:
+            raise ExprSyntaxError(f"malformed number {val!r}", pos)
+        self.current = (kind, val, pos)
 
     def expect_op(self, op: str):
         kind, val, pos = self.current
@@ -1584,7 +1522,7 @@ class _Parser:
             e = self.parse_expr()
             self.expect_op(")")
             return e
-        if kind == "ident":
+        if kind == "name":
             letters = val.rstrip("0123456789")
             digits = val[len(letters):]
             if letters in _FUNCS and not digits:
@@ -1604,18 +1542,12 @@ class _Parser:
 
     def _make_var(self, kind: str, index: int, pos: int) -> Expr:
         base_dim = self.ambient if self.base_dim is None else self.base_dim
-        if kind == "x":
-            if index >= base_dim:
-                raise ExprSyntaxError(
-                    f"variable x{index} out of range (base dimension {base_dim})", pos)
-            slot = index
-        else:
-            fibre_dim = self.ambient - base_dim
-            if index >= fibre_dim:
-                raise ExprSyntaxError(
-                    f"variable y{index} out of range (fibre dimension {fibre_dim})", pos)
-            slot = base_dim + index
-        return Var(self.ambient, slot, f"{kind}{index}")
+        part, size, first = (("base", base_dim, 0) if kind == "x"
+                             else ("fibre", self.ambient - base_dim, base_dim))
+        if index >= size:
+            raise ExprSyntaxError(
+                f"variable {kind}{index} out of range ({part} dimension {size})", pos)
+        return Var(self.ambient, first + index, f"{kind}{index}")
 
 
 def parse(text: str, ambient_dim: int, base_dim: int | None = None) -> Expr:

@@ -43,8 +43,11 @@ MAX_LATTICE_POINTS = 5_000_000
 
 
 def lattice_pitch(density: int | None = None) -> float:
-    """2/(density-1); None means DEFAULT_GRID_DENSITY."""
-    return 2.0 / ((density or DEFAULT_GRID_DENSITY) - 1)
+    """2/(density-1); None means DEFAULT_GRID_DENSITY, and a density is at least 3."""
+    density = DEFAULT_GRID_DENSITY if density is None else density
+    if density < 3:
+        raise ValueError(f"grid density must be at least 3, got {density}")
+    return 2.0 / (density - 1)
 
 
 def lattice_axis(lo: float, hi: float, pitch: float) -> np.ndarray:
@@ -201,18 +204,27 @@ def _blocks(pts: np.ndarray):
             for i in range(0, pts.shape[0], quadrature.PAIR_BLOCK))
 
 
-def _first_failure(block: np.ndarray, vals: np.ndarray, eps: float, n: int,
-                   alpha, what: str) -> MembershipResult | None:
-    """The rejection at the first row whose |value| is not below eps, if any."""
-    bad = np.flatnonzero(~(np.abs(vals) < eps))
-    if bad.size == 0:
-        return None
-    i = bad[0]
-    if np.isnan(vals[i]):
-        _raise_nan(block[i], alpha, what)
-    return MembershipResult(False, {
-        "shell": n, "point": tuple(block[i].tolist()),
-        "alpha": alpha, "value": float(vals[i]), "epsilon": eps})
+def _scan(profile: LFProfile, supp: Box, density: int | None, what: str,
+          values) -> MembershipResult:
+    """A membership scan, shell by shell, multi-index by multi-index and block
+    by block: the first row whose |value| is not below the shell's epsilon
+    rejects, where ``values(n, alpha, block)`` gives a block's values."""
+    for n in range(1, profile.depth + 1):
+        pts = _shell_points(profile, n, supp, density)
+        eps = profile.epsilons[n - 1]
+        for alpha in multi_indices_up_to(profile.base_dim, profile.orders[n - 1]):
+            for block in _blocks(pts):
+                vals = values(n, alpha, block)
+                bad = np.flatnonzero(~(np.abs(vals) < eps))
+                if bad.size == 0:
+                    continue
+                i = bad[0]
+                if np.isnan(vals[i]):
+                    _raise_nan(block[i], alpha, what)
+                return MembershipResult(False, {
+                    "shell": n, "point": tuple(block[i].tolist()),
+                    "alpha": alpha, "value": float(vals[i]), "epsilon": eps})
+    return MembershipResult(True)
 
 
 def lf_membership(profile: LFProfile, f: BaseFunction,
@@ -223,19 +235,8 @@ def lf_membership(profile: LFProfile, f: BaseFunction,
         return MembershipResult(True)
     if f.bundle.base_dim != profile.base_dim:
         raise DimensionError("profile and function base dimensions differ")
-    for n in range(1, profile.depth + 1):
-        pts = _shell_points(profile, n, supp, density)
-        if pts.shape[0] == 0:
-            continue
-        eps = profile.epsilons[n - 1]
-        for alpha in multi_indices_up_to(profile.base_dim, profile.orders[n - 1]):
-            df = f.derivative(alpha)
-            for block in _blocks(pts):
-                rejected = _first_failure(block, df.values(block), eps, n, alpha,
-                                          "lf_membership")
-                if rejected is not None:
-                    return rejected
-    return MembershipResult(True)
+    return _scan(profile, supp, density, "lf_membership",
+                 lambda n, alpha, block: f.derivative(alpha).values(block))
 
 
 def lfB_membership(profile: LFProfile, families, u: TransversalDistribution,
@@ -256,17 +257,6 @@ def lfB_membership(profile: LFProfile, families, u: TransversalDistribution,
     if supp.is_empty:
         return MembershipResult(True)
     derivatives = family_derivatives(u, max(profile.orders))
-    for n in range(1, profile.depth + 1):
-        pts = _shell_points(profile, n, supp, density)
-        if pts.shape[0] == 0:
-            continue
-        eps = profile.epsilons[n - 1]
-        B = families[n - 1]
-        for alpha in multi_indices_up_to(profile.base_dim, profile.orders[n - 1]):
-            for block in _blocks(pts):
-                pairings = pair_restrictions(derivatives[alpha], block, B.members, order)
-                vals = np.abs(pairings).max(axis=0)  # pB_eval's; NaN if any pairing is
-                rejected = _first_failure(block, vals, eps, n, alpha, "lfB_membership")
-                if rejected is not None:
-                    return rejected
-    return MembershipResult(True)
+    return _scan(profile, supp, density, "lfB_membership",  # pB_eval's; NaN if any pairing is
+                 lambda n, alpha, block: np.abs(pair_restrictions(
+                     derivatives[alpha], block, families[n - 1].members, order)).max(axis=0))

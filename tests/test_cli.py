@@ -156,6 +156,17 @@ class TestExitCodes:
         ({"checks": {"alpha_max": -1}}, ["check"], "checks.alpha_max"),
         ({"checks": {"probe_count": -3}}, ["check"], "checks.probe_count"),
         ({"checks": {"probe_count": -3}}, ["eval", "T", "F"], "checks.probe_count"),
+        ({"checks": {"alpha_max": 2.7}}, ["check"], "checks.alpha_max"),
+        ({"checks": {"alpha_max": True}}, ["check"], "checks.alpha_max"),
+        ({"checks": {"alpha_max": "2"}}, ["check"], "checks.alpha_max"),
+        ({"checks": {"probe_count": 1.0}}, ["check"], "checks.probe_count"),
+        ({"checks": {"probe_count": False}}, ["eval", "T", "F"], "checks.probe_count"),
+        ({"checks": {"smooth_alpha": [-1]}}, ["check"], "checks.smooth_alpha"),
+        ({"checks": {"smooth_alpha": [1.5]}}, ["check"], "checks.smooth_alpha"),
+        ({"checks": {"smooth_alpha": [True]}}, ["check"], "checks.smooth_alpha"),
+        ({"checks": {"smooth_alpha": "1"}}, ["check"], "checks.smooth_alpha"),
+        ({"checks": {"smooth_alpha": 1}}, ["check"], "checks.smooth_alpha"),
+        ({"checks": {"smooth_alpha": {}}}, ["check"], "checks.smooth_alpha"),
     ])
     def test_malformed_scene_field_is_exit_5(self, capsys, tmp_path, edit, argv, field):
         path = tmp_path / "scene.json"
@@ -173,6 +184,19 @@ class TestExitCodes:
         code, out = run_cli(capsys, "check", str(path), "--suite", "leibniz")
         assert code == 0
         assert [c["id"] for c in json.loads(out)["suites"][0]["cases"]] == ["alpha=(0,)"]
+
+    def test_wrong_smooth_alpha_length_is_a_dimension_error(self, capsys, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({**SMALL_SCENE, "checks": {"smooth_alpha": [1, 0]}}))
+        assert run_cli(capsys, "check", str(path), "--suite", "smoothness")[0] == 6
+
+    def test_non_ascii_expression_is_exit_5(self, capsys, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({**SMALL_SCENE, "functions": {"F": "x0^\u00b2"}}))
+        code, out = run_cli(capsys, "support", str(path), "T")
+        assert code == cli.EXIT_PARSE
+        assert "functions.F" in json.loads(out)["error"]
+        assert "unexpected character '\u00b2' at offset 3" in json.loads(out)["error"]
 
     def test_unknown_name_in_command_is_exit_3(self, capsys, dirac_scene):
         code, _ = run_cli(capsys, "eval", dirac_scene, "NOPE", "F", "--at", "0")

@@ -53,6 +53,52 @@ class TestParse:
     def test_named_constant_pi(self):
         assert ex.parse("pi", 1).evaluate((0.0,)) == math.pi
 
+    @pytest.mark.parametrize("text, dims, message, position", [
+        ("x0 + $", (1,), "unexpected character '$'", 5),
+        ("x0 + ) $", (1,), "expected a term", 5),  # errors are raised in reading order
+        ("1.2.3", (1,), "malformed number '1.2.3'", 0),
+        ("x0 + 1..", (1,), "malformed number '1..'", 5),
+        ("exp x0", (1,), "expected '('", 4),
+        ("exp(x0", (1,), "expected ')'", 6),
+        ("(x0", (1,), "expected ')'", 3),
+        ("", (1,), "expected a term", 0),
+        ("  \t ", (1,), "expected a term", 4),
+        ("x0 +", (1,), "expected a term", 4),
+        ("x0 x0", (1,), "unexpected trailing input 'x0'", 3),
+        ("1e400", (1,), "unexpected trailing input 'e400'", 1),
+        ("0xy2", (1,), "unexpected trailing input 'xy2'", 1),
+        ("2 x01", (2,), "unexpected trailing input 'x01'", 2),
+        ("x0^y0", (2, 1), "expected an integer exponent", 3),
+        ("x0^1.5", (1,), "expected an integer exponent", 3),
+        ("x0^", (1,), "expected an integer exponent", 3),
+        ("foo(x0)", (1,), "unknown identifier 'foo'", 0),
+        ("pi2", (1,), "unknown identifier 'pi2'", 0),
+        ("exp2(x0)", (1,), "unknown identifier 'exp2'", 0),
+        ("x", (1,), "unknown identifier 'x'", 0),
+        ("x2", (2,), "variable x2 out of range (base dimension 2)", 0),
+        ("x01", (1,), "variable x1 out of range (base dimension 1)", 0),
+        ("y1", (2, 1), "variable y1 out of range (fibre dimension 1)", 0),
+        ("y0", (1,), "variable y0 out of range (fibre dimension 0)", 0),
+        ("1/(x0)", (1,),
+         "denominator must fold to a constant (nonvanishing by construction)", 1),
+        ("0^-1", (1,), "zero raised to a negative power", 3),
+        ("(0)^-2", (1,), "zero raised to a negative power", 5),
+        # the grammar is ASCII: other digits, letters and symbols are stray characters
+        ("²", (1,), "unexpected character '²'", 0),
+        ("x0^²", (1,), "unexpected character '²'", 3),
+        ("x0 + ５", (1,), "unexpected character '５'", 5),
+        ("١ + x0", (1,), "unexpected character '١'", 0),
+        ("x0 * é", (1,), "unexpected character 'é'", 5),
+    ])
+    def test_syntax_error_message_and_offset(self, text, dims, message, position):
+        with pytest.raises(ExprSyntaxError) as err:
+            ex.parse(text, *dims)
+        assert str(err.value) == f"{message} at offset {position}"
+        assert err.value.position == position
+
+    def test_whitespace_around_tokens_is_skipped(self):
+        assert ex.parse(" x0\t+\n1 ", 1) == ex.parse("x0+1", 1)
+
     @pytest.mark.parametrize("text", [
         "x0^2 * y0", "bump(x0)", "1 + 2*x0 - x0^3", "sin(x0)*cos(y0) + exp(x0)",
         "bump(2*x0) * (y0 + 1/2)", "-x0 + (x0 - 3)^2",

@@ -134,9 +134,17 @@ def test_no_loop_in_topology_runs_over_lattice_points():
         return [hit for hit in nodes_where(match) if hit[0] == "topology.py"]
 
     blocked = in_topology(lambda n: loops(n) and cuts_into_blocks(n.iter))
-    assert {scope for _, scope in blocked} == {"_blocks", "lf_membership",
-                                               "lfB_membership"}  # loops are seen
+    assert {scope for _, scope in blocked} == {"_blocks", "_scan"}  # loops are seen
     assert in_topology(loops_over_points) == []
+
+
+def test_membership_checks_share_one_scan():
+    """Both LF membership checks hand their values to ``_scan`` and loop
+    over nothing themselves."""
+    for name in ("lf_membership", "lfB_membership"):
+        assert ("topology.py", name) in calls_of("_scan")
+        assert ("topology.py", name) not in nodes_where(
+            lambda n: isinstance(n, (ast.For, ast.While, ast.comprehension)))
 
 
 def test_one_tensor_grid_helper():

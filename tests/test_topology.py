@@ -68,6 +68,29 @@ class TestSeminorm:
                                                                   rel=1e-15)
         assert tp.seminorm_eval(p, F) == pytest.approx(math.exp(-1), rel=1e-15)
 
+    @pytest.mark.parametrize("density", [0, 1, -1, 2])
+    def test_grid_density_below_3_is_rejected(self, line_bundle, density):
+        """Only None means the default; 0 is not a stand-in for it."""
+        message = f"grid density must be at least 3, got {density}"
+        with pytest.raises(ValueError, match=message):
+            tp.lattice_pitch(density)
+        with pytest.raises(ValueError, match=message):
+            tp.seminorm_eval(tp.Seminorm(Box.of([(-1, 1)]), 0), ex.parse("bump(x0)", 1),
+                             density)
+        prof = tp.LFProfile(1, orders=(0,), epsilons=(1.0,))
+        f = dist.BaseFunction(line_bundle, symbolic=line_bundle.parse_base("bump(x0)"))
+        with pytest.raises(ValueError, match=message):
+            tp.lf_membership(prof, f, density)
+        T = dist.dirac_section(bd.section_from_strings(line_bundle, ["x0"]),
+                               line_bundle.parse_base("bump(x0)"))
+        family = tp.BoundedFamily(1, (line_bundle.parse_fibre("1"),))
+        with pytest.raises(ValueError, match=message):
+            tp.lfB_membership(prof, [family], T, density)
+
+    def test_grid_density_3_is_the_smallest_lattice(self):
+        assert tp.lattice_pitch(3) == 1.0
+        assert tp.lattice_points(Box.of([(-1, 1)]), 3)[:, 0].tolist() == [-1.0, 0.0, 1.0]
+
     def test_lattice_over_budget_is_rejected_before_allocating(self):
         assert tp.MAX_LATTICE_POINTS >= 100 * 73 * 17 * 33
         for box in (Box.of([(0, 1e308), (0, 1)]), Box.of([(0, 1e4), (0, 1e4)]),
