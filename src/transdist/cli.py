@@ -205,12 +205,18 @@ def _field(scene_path: str, where: str, build, *args):
         return build(*args)
     except DimensionError:
         raise
-    except (ValueError, TypeError, argparse.ArgumentTypeError) as err:
+    except (ValueError, TypeError, OverflowError, argparse.ArgumentTypeError) as err:
         raise SceneParseError(f"{scene_path}: {where}: {err}") from err
 
 
-def _points(value) -> list:
-    return [tuple(float(c) for c in p) for p in value]
+def _point(value) -> tuple:
+    """A JSON list of finite numbers: not booleans, strings or nulls."""
+    if not isinstance(value, list) or any(type(c) not in (int, float) for c in value):
+        raise ValueError(f"expected a list of numbers, got {json.dumps(value)}")
+    point = tuple(map(float, value))
+    if not all(map(math.isfinite, point)):
+        raise ValueError(f"expected finite coordinates, got {json.dumps(value)}")
+    return point
 
 
 def _at_least(minimum: int, kind=int):
@@ -239,17 +245,29 @@ def _counts(value) -> tuple:
     return tuple(map(_count, value))
 
 
-# the value of each key of "checks", as the suites read it
-_CHECK_FIELDS = {"alpha_max": _count, "probe_count": _count, "grid": _points,
-                 "smooth_grid": _points, "localize_at": _points, "smooth_alpha": _counts}
+# the value of each key of "checks", as the suites read it; a list of
+# points is read point by point, each named by its index
+_CHECK_FIELDS = {"alpha_max": _count, "probe_count": _count, "smooth_alpha": _counts}
+_POINT_FIELDS = ("grid", "smooth_grid", "localize_at")
 
 
 def _load_checks(scene_path: str, checks) -> dict:
     if not isinstance(checks, dict):
         raise SceneParseError(f"{scene_path}: checks: expected an object")
-    return {key: _field(scene_path, f"checks.{key}", _CHECK_FIELDS[key], value)
-            if key in _CHECK_FIELDS else value
+    return {key: _check_field(scene_path, key, value)
             for key, value in checks.items() if value is not None}  # null means unset
+
+
+def _check_field(scene_path: str, key: str, value):
+    where = f"checks.{key}"
+    if key in _CHECK_FIELDS:
+        return _field(scene_path, where, _CHECK_FIELDS[key], value)
+    if key not in _POINT_FIELDS:
+        return value
+    if not isinstance(value, list):
+        raise SceneParseError(f"{scene_path}: {where}: expected a list of points, "
+                              f"got {json.dumps(value)}")
+    return [_field(scene_path, f"{where}[{i}]", _point, p) for i, p in enumerate(value)]
 
 
 def _load_section(scene: Scene, spec, where: str) -> Section:

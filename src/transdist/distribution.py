@@ -19,11 +19,27 @@ constructors compute each box and check it; a Dirac term keeps the box it
 was checked against.  The Dirac terms of a family derivative, whose
 weights vanish wherever their parent's does, are checked against the
 parent's kept box instead, without walking their new weight DAGs.
+
+Equal fibre integrals are computed once.  A density term keeps its last
+product phi * F (``DensityTerm.integrand``) and returns the same node
+while it meets the same F, checked by identity and held by a weak
+reference, so every base function built from it shares the product's
+plan, support box and derivatives.  ``QuadPart.values`` keeps, on the
+integrand node, the last row it computed, keyed on the fibre box, the
+order and X's exact shape, dtype and bytes (not ``id(X)``, which a caller
+may change in place, nor ``np.array_equal``, which takes -0.0 for 0.0),
+and returns that read-only row, a hit as a miss, with no copy.  Memory
+stays bounded: one product per density term, one (M,) row per integrand
+node.  Neither needs a lock: each entry is read once and replaced by a
+single assignment of a (key, value) pair, so racing threads compute an
+equal product or the same row twice at worst, and a hit returns the
+floats the same pass computed.
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -80,12 +96,26 @@ class DiracSectionTerm:
 class DensityTerm:
     bundle: TrivialBundle
     phi: Expr  # total-space function, compactly supported
+    # (a weak reference to the last F this term met, phi * F)
+    _product: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.phi.dim != self.bundle.total_dim:
             raise DimensionError("density must be a total-space function")
         if not self.phi.support_box().is_bounded:
             raise ExprError("density must have a bounded support box")
+
+    def integrand(self, F: Expr) -> Expr:
+        """phi * F, the same node again while this term meets the same F."""
+        entry = self._product  # read once: another thread may replace it
+        if entry is not None and entry[0]() is F:
+            return entry[1]
+        product = ex.mul(self.phi, F)
+        object.__setattr__(self, "_product", (weakref.ref(F), product))
+        return product
+
+    def __getstate__(self):
+        return {**vars(self), "_product": None}  # a weak reference does not pickle
 
 
 @dataclass(frozen=True)
@@ -270,10 +300,19 @@ class QuadPart:
     fibre_box: Box  # fixed fibre integration box
 
     def values(self, X: np.ndarray, order) -> np.ndarray:
-        """The fibre integral at each row of an (M, l) array of base points."""
-        return quadrature.integrate_rows(
-            lambda i, j, r: self.integrand.eval_grid((X[i:j], *r.axes)).reshape(j - i, -1),
-            self.fibre_box, X.shape[0], order)
+        """The fibre integral at each row of an (M, l) array of base points,
+        read-only: the integrand node keeps the last one (see the module
+        docstring)."""
+        key = (self.fibre_box, order, X.shape, X.dtype.str, X.tobytes())
+        memo = vars(self.integrand)
+        entry = memo.get("_fibre_integral")  # read once: another thread may replace it
+        if entry is None or entry[0] != key:
+            row = quadrature.integrate_rows(
+                lambda i, j, r: self.integrand.eval_grid((X[i:j], *r.axes)).reshape(j - i, -1),
+                self.fibre_box, X.shape[0], order)
+            row.flags.writeable = False
+            memo["_fibre_integral"] = entry = (key, row)
+        return entry[1]
 
     def diff_base(self, alpha) -> "QuadPart":
         total_alpha = self.bundle.base_alpha_to_total(alpha)
@@ -396,7 +435,7 @@ def evaluate(T: TransversalDistribution, F: Expr,
             symbolic_terms.append(ex.mul(term.weight,
                                          pullback_along_section(b, dF, term.section)))
         else:
-            integrand = ex.mul(term.phi, F)
+            integrand = term.integrand(F)
             fibre_box = integrand.support_box().project(b.fibre_slots)
             quad_parts.append(QuadPart(b, integrand, fibre_box))
     sym = ex.add(*symbolic_terms) if symbolic_terms else None

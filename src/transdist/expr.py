@@ -28,8 +28,10 @@ that lists every distinct node once, children first; ``interval`` keeps
 a per-call memo.  Each node still applies the same float operation, in the
 same order, to the same child values as a tree walk would, so results do
 not depend on how much is shared.  The memos hold only values that are pure
-functions of their node and die with it; there is no intern table, so
-structurally equal nodes built separately stay distinct objects.
+functions of their node and die with it (so does the last fibre
+integral that ``distribution.QuadPart.values`` keeps on an integrand
+node); there is no intern table, so structurally equal nodes built
+separately stay distinct objects.
 
 Array evaluation is grid evaluation: ``eval_grid`` takes point blocks
 whose columns broadcast along one axis each, so every node runs at the

@@ -230,6 +230,7 @@ def _scan(profile: LFProfile, supp: Box, density: int | None, what: str,
 def lf_membership(profile: LFProfile, f: BaseFunction,
                   density: int | None = None) -> MembershipResult:
     """Grid-certified membership of f in the LF neighbourhood V_{m, e}."""
+    lattice_pitch(density)  # a bad density is an error even where nothing is scanned
     supp = f.support_box()
     if supp.is_empty:
         return MembershipResult(True)
@@ -250,6 +251,7 @@ def lfB_membership(profile: LFProfile, families, u: TransversalDistribution,
     and paired with the family in batches (``pair_restrictions``).  The
     value at a point is ``pB_eval`` of the restriction there.
     """
+    lattice_pitch(density)  # a bad density is an error even where nothing is scanned
     families = tuple(families)
     if len(families) < profile.depth:
         raise ValueError("need one bounded family per shell")

@@ -158,13 +158,17 @@ def check_leibniz(T: TransversalDistribution, F: Expr, alpha_max: int, grid,
     """D^alpha of T(F) against sum over beta <= alpha of
     C(alpha, beta) (D^beta T)(D^(alpha - beta) F), on the grid.
 
-    The two sides are computed independently.  The left takes the Taylor
-    coefficients of T(F)'s symbolic part (``ex.taylor``) times alpha!, plus
-    its quadrature parts differentiated under the integral; no derivative
-    of T(F) is built.  On the right each family derivative D^beta T, built
-    from the one below it (``family_derivatives``), is paired once on the
-    total space (``pair_at``) with every D^gamma F it meets, |beta| +
-    |gamma| <= alpha_max; each alpha then sums its terms from that table.
+    The two sides are computed separately, but not independently: at
+    alpha = 0 the sum has one term, T(F) itself, so the quadrature parts of
+    both sides integrate the same node phi * F over the same grid and share
+    one fibre-integral pass (``DensityTerm.integrand``, ``QuadPart.values``).
+    The left takes the Taylor coefficients of T(F)'s symbolic part
+    (``ex.taylor``) times alpha!, plus its quadrature parts differentiated
+    under the integral; no derivative of T(F) is built.  On the right each
+    family derivative D^beta T, built from the one below it
+    (``family_derivatives``), is paired once on the total space
+    (``pair_at``) with every D^gamma F it meets, |beta| + |gamma| <=
+    alpha_max; each alpha then sums its terms from that table.
     """
     report = CheckReport("leibniz")
     b = T.bundle

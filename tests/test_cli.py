@@ -145,8 +145,8 @@ class TestExitCodes:
         ({"distributions": {"T": [{**DIRAC_TERM, "beta": ["a"]}]}},
          ["support", "T"], "distributions.T[0].beta"),
         ({"checks": {"alpha_max": "two"}}, ["check"], "checks.alpha_max"),
-        ({"checks": {"grid": [["x"]]}}, ["check"], "checks.grid"),
-        ({"checks": {"grid": [["x"]]}}, ["eval", "T", "F"], "checks.grid"),
+        ({"checks": {"grid": [["x"]]}}, ["check"], "checks.grid[0]"),
+        ({"checks": {"grid": [["x"]]}}, ["eval", "T", "F"], "checks.grid[0]"),
         ({"profiles": {"P": {**PROFILE, "families": [[]]}}},
          ["support", "T"], "profiles.P.families[0]"),
         ({"profiles": {"P": {"orders": [0, 1], "epsilons": [1, 0.5], "families": [["1"]]}}},
@@ -167,6 +167,16 @@ class TestExitCodes:
         ({"checks": {"smooth_alpha": "1"}}, ["check"], "checks.smooth_alpha"),
         ({"checks": {"smooth_alpha": 1}}, ["check"], "checks.smooth_alpha"),
         ({"checks": {"smooth_alpha": {}}}, ["check"], "checks.smooth_alpha"),
+        ({"checks": {"grid": ["5"]}}, ["check"], "checks.grid[0]"),
+        ({"checks": {"grid": [[True]]}}, ["check"], "checks.grid[0]"),
+        ({"checks": {"grid": [["0.5"]]}}, ["check"], "checks.grid[0]"),
+        ({"checks": {"grid": [[1, None]]}}, ["check"], "checks.grid[0]"),
+        ({"checks": {"grid": [[0.5], 5]}}, ["eval", "T", "F"], "checks.grid[1]"),
+        ({"checks": {"grid": [[10 ** 400]]}}, ["check"], "checks.grid[0]"),
+        ({"checks": {"grid": [[float("nan")]]}}, ["check"], "checks.grid[0]"),
+        ({"checks": {"grid": "0.5"}}, ["check"], "checks.grid"),
+        ({"checks": {"smooth_grid": [[0.5], [False]]}}, ["check"], "checks.smooth_grid[1]"),
+        ({"checks": {"localize_at": [0.5]}}, ["check"], "checks.localize_at[0]"),
     ])
     def test_malformed_scene_field_is_exit_5(self, capsys, tmp_path, edit, argv, field):
         path = tmp_path / "scene.json"
@@ -176,6 +186,13 @@ class TestExitCodes:
         code, out = run_cli(capsys, argv[0], str(path), *argv[1:])
         assert code == 5
         assert f": {field}: " in json.loads(out)["error"]
+
+    def test_grid_points_of_ints_and_floats_are_accepted(self, capsys, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({**SMALL_SCENE, "checks": {"grid": [[0], [-0.5]]}}))
+        code, out = run_cli(capsys, "eval", str(path), "T", "F")
+        assert code == 0
+        assert [v["x"] for v in json.loads(out)["values"]] == [[0.0], [-0.5]]
 
     def test_zero_check_counts_are_accepted(self, capsys, tmp_path):
         path = tmp_path / "scene.json"

@@ -1,10 +1,18 @@
+import gc
+import json
 import math
+import pickle
+import sys
+import threading
+import weakref
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from conftest import each_engine, fd_derivative, random_polynomial
 from transdist import bundle as bd
+from transdist import cli
 from transdist import distribution as dist
 from transdist import expr as ex
 from transdist import operators as op
@@ -824,3 +832,172 @@ class TestPairAt:
             dist.pair_at(T_dirac, np.zeros((3, 2)), [F])
         with pytest.raises(ex.DimensionError):
             dist.pair_at(T_dirac, np.zeros((3, 1)), [line_bundle.parse_fibre("y0")])
+
+
+def hexes(values):
+    return [float(v).hex() for v in np.ravel(values)]
+
+
+BUMPS_2X2 = "bump(x0)*bump(x1)*bump(y0)*bump(y1)"
+GRID_3X3 = [[u, v] for u in (-0.5, 0.0, 0.5) for v in (-0.5, 0.0, 0.5)]
+
+
+class TestFibreIntegralReuse:
+    """A density term keeps its last phi * F node, and an integrand node its
+    last fibre integral over one base grid, so equal passes run once."""
+
+    ORDER = 12
+
+    @pytest.fixture
+    def b(self):
+        return bd.TrivialBundle(2, 2)
+
+    @pytest.fixture
+    def T(self, b):
+        return dist.density(b, b.parse_total(f"{BUMPS_2X2}*(1 + y0*y1/3)"))
+
+    @pytest.fixture
+    def F(self, b):
+        return b.parse_total("exp(x0*y0/4)*cos(y1) + y0*y1")
+
+    @pytest.fixture
+    def X(self):
+        return np.array(GRID_3X3)
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        """Counts non-empty integrate_rows passes by their number of rows."""
+        counts = {}
+        integrate_rows = qd.integrate_rows
+
+        def counting(values_fn, box, count, order=None):
+            if box.volume() != 0.0:
+                counts[count] = counts.get(count, 0) + 1
+            return integrate_rows(values_fn, box, count, order)
+
+        monkeypatch.setattr(qd, "integrate_rows", counting)
+        return counts
+
+    def test_density_scene_runs_each_nine_row_pass_once(self, tmp_path, passes):
+        """The 2+2 density and mixed scene of the density-2x2 benchmark: the
+        restriction, Leibniz and duality suites ran 26 nine-row passes, 12 of
+        them a repeat of an earlier one; the 18 one-row passes are the
+        restriction suite's pointwise pairings."""
+        scene = {
+            "bundle": {"base_dim": 2, "fibre_dim": 2},
+            "functions": {"F": "exp(x0*y0/4)*cos(y1) + y0*y1"},
+            "sections": {"s": ["x0/2 + x1/3", "x1/4 - x0/5"]},
+            "distributions": {
+                "P": [{"type": "density", "phi": f"{BUMPS_2X2}*(1 + y0*y1/3)"}],
+                "M": [{"type": "density", "phi": f"{BUMPS_2X2}*y0/5"},
+                      {"type": "dirac_section", "section": "s",
+                       "weight": "bump(x0)*bump(x1)/3", "beta": [0, 0]}],
+            },
+            "checks": {"grid": GRID_3X3, "alpha_max": 1, "probe_count": 20},
+        }
+        path = tmp_path / "density_2x2.json"
+        path.write_text(json.dumps(scene))
+        reports = cli.run_checks(cli.load_scene(str(path)),
+                                 ("restriction", "leibniz", "duality"))
+        assert all(r.passed for r in reports)
+        assert passes == {9: 18, 1: 18}
+
+    def test_the_same_term_and_function_give_the_same_integrand(self, b, T, F):
+        first, again = (dist.evaluate(T, F).quad_parts[0].integrand for _ in range(2))
+        other = dist.evaluate(T, b.parse_total("exp(x0*y0/4)*cos(y1) + y0*y1"))
+        assert first is again
+        assert other.quad_parts[0].integrand is not first  # equal, but not F itself
+
+    def test_warm_values_equal_cold_ones(self, b, T, F, X, passes):
+        def base_functions(T, F):
+            bf = dist.evaluate(T, F, order=self.ORDER)
+            return bf, bf.derivative((1, 0))
+
+        warm = base_functions(T, F)
+        first = [hexes(bf.values(X)) for bf in warm]
+        assert passes == {9: 2}
+        again = [hexes(bf.values(X)) for bf in warm + base_functions(T, F)]
+        assert passes == {9: 2}  # every one a hit
+        cold = [hexes(bf.values(X))
+                for bf in base_functions(dist.density(b, T.terms[0].phi), F)]
+        assert passes == {9: 4}
+        assert first == cold and again == cold + cold
+        assert any(float.fromhex(h) for h in cold[0])
+
+    def test_values_are_read_only_and_not_copied(self, T, F, X):
+        part = dist.evaluate(T, F, order=self.ORDER).quad_parts[0]
+        row = part.values(X, self.ORDER)
+        assert not row.flags.writeable
+        assert part.values(X, self.ORDER) is row
+
+    def test_key_is_the_grid_content(self, T, F, X, passes):
+        part = dist.evaluate(T, F, order=self.ORDER).quad_parts[0]
+        X = X.copy()
+        before = hexes(part.values(X, self.ORDER))
+        X *= 0.5  # the same array, changed in place
+        after = hexes(part.values(X, self.ORDER))
+        assert passes == {9: 2}
+        fresh = dist.evaluate(dist.density(T.bundle, T.terms[0].phi), F, order=self.ORDER)
+        assert after == hexes(fresh.quad_parts[0].values(X.copy(), self.ORDER))
+        assert after != before
+        assert passes == {9: 3}
+        part.values(X.copy(), self.ORDER)  # equal bytes in another array: a hit
+        part.values(X, None)  # another order: a miss
+        assert passes == {9: 4}
+
+    def test_negative_zero_misses(self, T, F, passes):
+        part = dist.evaluate(T, F, order=self.ORDER).quad_parts[0]
+        part.values(np.array([[0.0, 0.5], [0.25, 0.0]]), self.ORDER)
+        part.values(np.array([[-0.0, 0.5], [0.25, 0.0]]), self.ORDER)
+        assert passes == {2: 2}
+
+    def test_threads_replacing_the_entry_read_sequential_bits(self, b, T, F, X):
+        grids = [X, X[::-1] * 0.75]
+        want = [hexes(dist.evaluate(dist.density(b, T.terms[0].phi), F, order=self.ORDER)
+                      .values(Y)) for Y in grids]
+        start = threading.Barrier(4, timeout=60)
+
+        def worker(first):
+            start.wait()
+            return [(k % 2, hexes(dist.evaluate(T, F, order=self.ORDER).values(grids[k % 2])))
+                    for k in range(first, first + 24)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(worker, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [len(rows) for rows in results] == [24] * 4
+        assert all(got == want[k] for rows in results for k, got in rows)
+
+    def test_a_long_lived_term_keeps_no_transient_function_alive(self, b, T, X):
+        """The term holds its last function weakly; phi * F holds F itself
+        only when F is not a product, until the term meets another function."""
+        product = b.parse_total("exp(x0*y0/4)*cos(y1)")
+        total = b.parse_total("exp(x0*y0/4)*cos(y1) + y0*y1")
+        refs = [weakref.ref(product), weakref.ref(total)]
+        for F in (product, total):
+            dist.evaluate(T, F, order=self.ORDER).values(X)
+        del F, product
+        gc.collect()
+        assert refs[0]() is None and refs[1]() is not None
+        dist.evaluate(T, b.parse_total("y0"), order=self.ORDER).values(X)
+        del total
+        gc.collect()
+        assert refs[1]() is None
+
+    def test_an_evaluated_term_pickles_without_its_product(self, T, F, X):
+        want = hexes(dist.evaluate(T, F, order=self.ORDER).values(X))
+        copy = pickle.loads(pickle.dumps(T))
+        assert copy == T and copy.terms[0]._product is None
+        assert hexes(dist.evaluate(copy, F, order=self.ORDER).values(X)) == want
+
+    def test_a_long_lived_function_keeps_no_transient_term_alive(self, b, F, X):
+        term = dist.DensityTerm(b, b.parse_total(f"{BUMPS_2X2}*y0"))
+        ref = weakref.ref(term)
+        dist.evaluate(dist.TransversalDistribution(b, (term,)), F, order=self.ORDER).values(X)
+        del term
+        gc.collect()
+        assert ref() is None

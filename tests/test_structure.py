@@ -244,3 +244,32 @@ def test_family_derivative_steps_walk_no_weight_dag():
 def test_lfB_membership_takes_one_family_derivative_tower():
     assert ("topology.py", "lfB_membership") in calls_of("family_derivatives")
     assert ("topology.py", "lfB_membership") not in calls_of("family_derivative")
+
+
+CONTAINER_BUILDERS = {"dict", "list", "set", "defaultdict", "OrderedDict", "deque",
+                      "WeakKeyDictionary", "WeakValueDictionary", "WeakSet"}
+
+
+def _builds_a_container(value) -> bool:
+    return isinstance(value, (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp,
+                              ast.SetComp)) or (
+        isinstance(value, ast.Call) and _name(value.func) in CONTAINER_BUILDERS)
+
+
+def test_fibre_integrals_keep_no_module_level_cache():
+    """Reused products and fibre integrals live on the term and the integrand
+    node they belong to, not in a process-wide registry: neither module
+    binds a container at module level or decorates a function with a cache,
+    except the two caches of the quadrature rule itself."""
+    for name in ("distribution.py", "quadrature.py"):
+        tree = ast.parse((PACKAGE / name).read_text(encoding="utf-8"))
+        containers = [ast.unparse(node) for node in tree.body
+                      if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign))
+                      and node.value is not None and _builds_a_container(node.value)]
+        assert containers == [], name
+        cached = [(name, node.name) for node in ast.walk(tree)
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                  for d in node.decorator_list
+                  if _name(d.func if isinstance(d, ast.Call) else d) in ("cache", "lru_cache")]
+        assert cached == ([] if name == "distribution.py" else
+                          [(name, "_gauss_nodes"), (name, "_cached_rule")])

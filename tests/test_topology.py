@@ -87,6 +87,25 @@ class TestSeminorm:
         with pytest.raises(ValueError, match=message):
             tp.lfB_membership(prof, [family], T, density)
 
+    @pytest.mark.parametrize("density", [0, 2])
+    @pytest.mark.parametrize("weight", ["0", "bump(x0 - 10)"])
+    def test_grid_density_is_checked_before_the_support(self, line_bundle, density, weight):
+        """An empty support, or one that misses every shell, scans nothing,
+        and a bad density is an error all the same."""
+        message = f"grid density must be at least 3, got {density}"
+        prof = tp.LFProfile(1, orders=(0,), epsilons=(0.1,))
+        w = line_bundle.parse_base(weight)
+        f = dist.BaseFunction(line_bundle, symbolic=w)
+        with pytest.raises(ValueError, match=message):
+            tp.lf_membership(prof, f, density)
+        T = (dist.zero_distribution(line_bundle) if weight == "0" else
+             dist.dirac_section(bd.section_from_strings(line_bundle, ["x0"]), w))
+        family = tp.BoundedFamily(1, (line_bundle.parse_fibre("1"),))
+        with pytest.raises(ValueError, match=message):
+            tp.lfB_membership(prof, [family], T, density)
+        assert tp.lf_membership(prof, f, 3).accepted
+        assert tp.lfB_membership(prof, [family], T, 3).accepted
+
     def test_grid_density_3_is_the_smallest_lattice(self):
         assert tp.lattice_pitch(3) == 1.0
         assert tp.lattice_points(Box.of([(-1, 1)]), 3)[:, 0].tolist() == [-1.0, 0.0, 1.0]
