@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
 from . import expr
 from .expr import Box, DimensionError, Expr
 
@@ -52,15 +50,6 @@ class TrivialBundle:
     def parse_fibre(self, text: str) -> Expr:
         """Function on a fibre (y variables only, ambient k)."""
         return expr.parse(text, self.fibre_dim, base_dim=0)
-
-    def join(self, X, Z: np.ndarray) -> np.ndarray:
-        """Total-space points (x, z) for each x in X, one base point or an
-        (M, l) block, and each z in Z (N, k): M * N rows, x-major."""
-        X = np.asarray(X, dtype=float).reshape(-1, self.base_dim)
-        pts = np.empty((X.shape[0], Z.shape[0], self.total_dim))
-        pts[:, :, :self.base_dim] = X[:, None, :]
-        pts[:, :, self.base_dim:] = Z
-        return pts.reshape(-1, self.total_dim)
 
     # -- multi-index embeddings -----------------------------------------
 

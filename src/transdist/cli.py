@@ -138,16 +138,12 @@ class Scene:
         return table[name]
 
 
-def _parse_expr(scene_path: str, bundle: TrivialBundle, text, where: str,
-                kind: str = "total") -> ex.Expr:
+def _parse_expr(scene_path: str, parse, text, where: str) -> ex.Expr:
+    """``parse(text)``, with ``parse`` one of the bundle's parse methods."""
     if not isinstance(text, str):
         raise SceneParseError(f"{scene_path}: {where}: expected an expression string")
     try:
-        if kind == "total":
-            return bundle.parse_total(text)
-        if kind == "base":
-            return bundle.parse_base(text)
-        return bundle.parse_fibre(text)
+        return parse(text)
     except ExprSyntaxError as err:
         raise SceneParseError(f"{scene_path}: {where}: {err}") from err
 
@@ -170,32 +166,42 @@ def load_scene(path) -> Scene:
     b = doc["bundle"]
     if not isinstance(b, dict) or "base_dim" not in b or "fibre_dim" not in b:
         raise SceneParseError(f"{path}: bundle needs base_dim and fibre_dim")
+    dims = [_field(path, f"bundle.{key}", _count, b[key]) for key in ("base_dim", "fibre_dim")]
     try:
-        bundle = TrivialBundle(int(b["base_dim"]), int(b["fibre_dim"]))
-    except (DimensionError, ValueError, TypeError) as err:
+        bundle = TrivialBundle(*dims)
+    except DimensionError as err:
         raise SceneDimensionError(f"{path}: bundle: {err}") from err
 
     scene = Scene(path=path, bundle=bundle)
     try:
-        for name, text in (doc.get("functions") or {}).items():
-            scene.functions[name] = _parse_expr(path, bundle, text,
+        for name, text in _table(path, doc, "functions").items():
+            scene.functions[name] = _parse_expr(path, bundle.parse_total, text,
                                                 f"functions.{name}")
-        for name, spec in (doc.get("sections") or {}).items():
+        for name, spec in _table(path, doc, "sections").items():
             scene.sections[name] = _load_section(scene, spec, f"sections.{name}")
-        for name, terms in (doc.get("distributions") or {}).items():
+        for name, terms in _table(path, doc, "distributions").items():
             scene.distributions[name] = _load_distribution(scene, terms,
                                                            f"distributions.{name}")
-        for name, terms in (doc.get("operators") or {}).items():
+        for name, terms in _table(path, doc, "operators").items():
             T = _load_distribution(scene, terms, f"operators.{name}")
             scene.operators[name] = ops.KernelOperator.from_distribution(T)
-        for name, spec in (doc.get("profiles") or {}).items():
+        for name, spec in _table(path, doc, "profiles").items():
             scene.profiles[name] = _load_profile(scene, spec, f"profiles.{name}")
     except DimensionError as err:
         raise SceneDimensionError(f"{path}: {err}") from err
     except ExprError as err:
         raise SceneParseError(f"{path}: {err}") from err
-    scene.checks = _load_checks(path, doc.get("checks") or {})
+    scene.checks = _load_checks(path, _table(path, doc, "checks"))
     return scene
+
+
+def _table(scene_path: str, doc: dict, key: str) -> dict:
+    """The scene's ``key`` table: a JSON object, or {} when absent or null."""
+    value = doc.get(key)
+    if value is not None and not isinstance(value, dict):
+        raise SceneParseError(f"{scene_path}: {key}: expected an object, "
+                              f"got {json.dumps(value)}")
+    return value or {}
 
 
 def _field(scene_path: str, where: str, build, *args):
@@ -251,9 +257,7 @@ _CHECK_FIELDS = {"alpha_max": _count, "probe_count": _count, "smooth_alpha": _co
 _POINT_FIELDS = ("grid", "smooth_grid", "localize_at")
 
 
-def _load_checks(scene_path: str, checks) -> dict:
-    if not isinstance(checks, dict):
-        raise SceneParseError(f"{scene_path}: checks: expected an object")
+def _load_checks(scene_path: str, checks: dict) -> dict:
     return {key: _check_field(scene_path, key, value)
             for key, value in checks.items() if value is not None}  # null means unset
 
@@ -278,8 +282,7 @@ def _load_section(scene: Scene, spec, where: str) -> Section:
         comps, domain = spec, None
     if not isinstance(comps, list):
         raise SceneParseError(f"{scene.path}: {where}: expected component list")
-    exprs = tuple(_parse_expr(scene.path, scene.bundle, c,
-                              f"{where}[{i}]", kind="base")
+    exprs = tuple(_parse_expr(scene.path, scene.bundle.parse_base, c, f"{where}[{i}]")
                   for i, c in enumerate(comps))
     box = _field(scene.path, f"{where}.domain", Box.of, domain) if domain else None
     return Section(scene.bundle, exprs, box)
@@ -301,14 +304,14 @@ def _load_distribution(scene: Scene, terms, where: str) -> TransversalDistributi
                 section = _load_section(scene, sec, f"{spot}.section")
             else:
                 raise SceneParseError(f"{scene.path}: {spot}: bad section reference")
-            weight = _parse_expr(scene.path, scene.bundle, t.get("weight"),
-                                 f"{spot}.weight", kind="base")
-            beta = _field(scene.path, f"{spot}.beta", ex.check_multi_index,
-                          t.get("beta") or scene.bundle.zero_fibre_beta(),
-                          scene.bundle.fibre_dim)
+            weight = _parse_expr(scene.path, scene.bundle.parse_base, t.get("weight"),
+                                 f"{spot}.weight")
+            beta = t.get("beta")
+            beta = scene.bundle.zero_fibre_beta() if beta is None else _field(
+                scene.path, f"{spot}.beta", _counts, beta)
             built.append(dist.DiracSectionTerm(section, weight, beta))
         elif t["type"] == "density":
-            phi = _parse_expr(scene.path, scene.bundle, t.get("phi"),
+            phi = _parse_expr(scene.path, scene.bundle.parse_total, t.get("phi"),
                               f"{spot}.phi")
             built.append(dist.DensityTerm(scene.bundle, phi))
         else:
@@ -319,8 +322,10 @@ def _load_distribution(scene: Scene, terms, where: str) -> TransversalDistributi
 def _load_profile(scene: Scene, spec, where: str):
     if not isinstance(spec, dict):
         raise SceneParseError(f"{scene.path}: {where}: expected a profile object")
+    orders = _field(scene.path, f"{where}.orders", _counts, spec.get("orders", []))
+    epsilons = _field(scene.path, f"{where}.epsilons", _point, spec.get("epsilons", []))
     profile = _field(scene.path, where, topology.LFProfile, scene.bundle.base_dim,
-                     tuple(spec.get("orders") or ()), tuple(spec.get("epsilons") or ()))
+                     orders, epsilons)
     if not spec.get("families"):
         return profile, None
     families = spec["families"]
@@ -333,8 +338,8 @@ def _load_profile(scene: Scene, spec, where: str):
         if not isinstance(members, list):
             raise SceneParseError(f"{scene.path}: {spot}: expected a list of fibre functions")
         built.append(_field(scene.path, spot, topology.BoundedFamily, scene.bundle.fibre_dim,
-                            tuple(_parse_expr(scene.path, scene.bundle, g, f"{spot}[{j}]",
-                                              kind="fibre") for j, g in enumerate(members))))
+                            tuple(_parse_expr(scene.path, scene.bundle.parse_fibre, g,
+                                              f"{spot}[{j}]") for j, g in enumerate(members))))
     return profile, tuple(built)
 
 
@@ -390,7 +395,9 @@ def _default_base_grid(bundle: TrivialBundle, checks: dict, key: str = "grid"):
 
 
 def _parse_point(text: str, dim: int):
-    parts = [p for p in text.split(",") if p.strip()]
+    parts = text.split(",")
+    if not all(p.strip() for p in parts):
+        raise SceneParseError(f"bad point {text!r}: empty coordinate")
     if len(parts) != dim:
         raise SceneDimensionError(f"point {text!r} needs {dim} coordinates")
     try:
@@ -435,7 +442,7 @@ def _grid_values(scene: Scene, bf) -> list:
 
 def _values(scene: Scene, args, bf, payload: dict) -> dict:
     """The payload plus bf at the --at point, or on the scene's default grid."""
-    if args.at:
+    if args.at is not None:  # an empty --at is a bad point, not the grid
         x = _parse_point(args.at, scene.bundle.base_dim)
         return {**payload, "x": list(x), "value": _finite(bf.value(x), x)}
     return {**payload, "values": _grid_values(scene, bf)}
@@ -477,11 +484,11 @@ def _cmd_support(scene: Scene, args) -> dict:
 def _cmd_action(scene: Scene, args) -> dict:
     T = scene.distribution(args.distribution)
     if args.base:
-        f = _parse_expr(scene.path, scene.bundle, args.base, "--base", kind="base")
+        f = _parse_expr(scene.path, scene.bundle.parse_base, args.base, "--base")
         result = dist.module_action_base(f, T)
         which = {"base": args.base}
     elif args.total:
-        F = _parse_expr(scene.path, scene.bundle, args.total, "--total")
+        F = _parse_expr(scene.path, scene.bundle.parse_total, args.total, "--total")
         result = dist.module_action_total(F, T)
         which = {"total": args.total}
     else:
@@ -492,7 +499,7 @@ def _cmd_action(scene: Scene, args) -> dict:
 
 def _cmd_apply(scene: Scene, args) -> dict:
     K = scene.operator(args.operator)
-    g = _parse_expr(scene.path, scene.bundle, args.g, "--g", kind="fibre")
+    g = _parse_expr(scene.path, scene.bundle.parse_fibre, args.g, "--g")
     return _values(scene, args, ops.apply(K, g, args.quad_order),
                    {"command": "apply", "operator": args.operator, "g": args.g})
 
@@ -505,7 +512,7 @@ def _cmd_compose(scene: Scene, args) -> dict:
     out = {"command": "compose", "k1": args.k1, "k2": args.k2,
            "kinds": list(K.kinds), "evaluations": []}
     for text in probes:
-        g = _parse_expr(scene.path, scene.bundle, text, "--probes", kind="fibre")
+        g = _parse_expr(scene.path, scene.bundle.parse_fibre, text, "--probes")
         out["evaluations"].append(
             {"g": text, "values": _grid_values(scene, ops.apply(K, g, args.quad_order))})
     return out
@@ -528,8 +535,7 @@ def _cmd_member(scene: Scene, args) -> dict:
     profile, families = scene.profile(args.profile)
     out = {"command": "member", "profile": args.profile}
     if args.function:
-        f = _parse_expr(scene.path, scene.bundle, args.function,
-                        "--function", kind="base")
+        f = _parse_expr(scene.path, scene.bundle.parse_base, args.function, "--function")
         bf = dist.BaseFunction(scene.bundle, symbolic=f)
         res = topology.lf_membership(profile, bf, args.grid_density)
         out["function"] = args.function

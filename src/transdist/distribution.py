@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import math
 import weakref
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import numpy as np
@@ -190,9 +190,9 @@ class PointDistribution:
         return True
 
 
-def dirac_at(point, fibre_dim: int, beta=None, coefficient: float = 1.0) -> PointDistribution:
+def dirac_at(point, fibre_dim: int, beta=None) -> PointDistribution:
     beta = (0,) * fibre_dim if beta is None else beta
-    return PointDistribution(fibre_dim, ((tuple(point), beta, coefficient),))
+    return PointDistribution(fibre_dim, ((tuple(point), beta, 1.0),))
 
 
 def pair(v: PointDistribution, g: Expr, order: int | None = None) -> float:
@@ -550,16 +550,19 @@ def module_action_total(F: Expr, T: TransversalDistribution) -> TransversalDistr
 # Supports
 
 
+def term_support(term) -> Box:
+    """Conservative total-space box outside which a Dirac or density term
+    vanishes: the section's graph over the weight's box, or phi's box."""
+    if isinstance(term, DiracSectionTerm):
+        return section_graph_support(term.section, term.weight.support_box())
+    return term.phi.support_box()
+
+
 def total_support(T: TransversalDistribution) -> Box:
     """Conservative bounding box of the support inside the total space."""
-    b = T.bundle
-    box = Box.empty(b.total_dim)
+    box = Box.empty(T.bundle.total_dim)
     for term in T.terms:
-        if isinstance(term, DiracSectionTerm):
-            box = box.hull(section_graph_support(term.section,
-                                                 term.weight.support_box()))
-        else:
-            box = box.hull(term.phi.support_box())
+        box = box.hull(term_support(term))
     return box
 
 
@@ -611,24 +614,15 @@ def hadamard_factor(f: Expr, a):
     return constant, factors
 
 
-def _split_polynomial_envelope(weight: Expr):
-    """Factor a weight as (polynomial part, envelope part or None)."""
-    if ex.as_polynomial(weight) is not None:
-        return weight, None
-    if isinstance(weight, ex.Product):
-        polys, envelope = [], []
-        for f in weight.factors:
-            (polys if ex.as_polynomial(f) is not None else envelope).append(f)
-        if polys:
-            return ex.mul(*polys), ex.mul(*envelope)
-    return None, None
-
-
 def localize_decompose(T: TransversalDistribution, x):
     """Decompose T with T_x = 0 as a finite sum of f_i . T_i with f_i(x) = 0.
 
-    Requires every weight and density to factor as polynomial times an
-    envelope, with the polynomial part vanishing at x; raises otherwise.
+    Each Dirac weight or density splits into a Hadamard part, its polynomial
+    factors in base variables alone (constants count as base), and an
+    envelope, its other factors: fibre polynomials first, then the rest,
+    each group in factor order.  The Hadamard part must vanish at x, and
+    T_i = g_i . E with g_i its Hadamard quotients and E the term with the
+    envelope for its weight or density; raises otherwise.
     """
     b = T.bundle
     if len(x) != b.base_dim:
@@ -639,43 +633,29 @@ def localize_decompose(T: TransversalDistribution, x):
     x = tuple(float(c) for c in x)
     pieces = []
     for term in T.terms:
-        if isinstance(term, DiracSectionTerm):
-            weight = term.weight
-        else:
-            weight = term.phi
-        poly_part, envelope = _split_polynomial_envelope(weight)
-        if poly_part is None:
+        name = "weight" if isinstance(term, DiracSectionTerm) else "phi"
+        weight = getattr(term, name)
+        base_polys, fibre_polys, rest = [], [], []
+        for f in weight.factors if isinstance(weight, ex.Product) else (weight,):
+            if ex.as_polynomial(f) is None:
+                rest.append(f)
+            else:
+                (base_polys if all(s < b.base_dim for s in f.free_slots)
+                 else fibre_polys).append(f)
+        if not (base_polys or fibre_polys):
             raise ExprError("unsupported weight form: expected polynomial times envelope")
-        if isinstance(term, DensityTerm):
-            # the vanishing must come from base-variable factors
-            if any(s >= b.base_dim for s in poly_part.free_slots):
-                base_polys, fibre_polys = [], []
-                if isinstance(poly_part, ex.Product):
-                    for f in poly_part.factors:
-                        (base_polys if all(s < b.base_dim for s in f.free_slots)
-                         else fibre_polys).append(f)
-                if not base_polys:
-                    raise ExprError("unsupported weight form: no base polynomial factor")
-                poly_part = ex.mul(*base_polys)
-                extra = ex.mul(*fibre_polys)
-                envelope = extra if envelope is None else ex.mul(extra, envelope)
-            poly_base = poly_part.substitute({s: s for s in poly_part.free_slots}, b.base_dim)
-        else:
-            poly_base = poly_part
-        value_at_x, factors = hadamard_factor(poly_base, x)
+        if not base_polys:
+            raise ExprError("unsupported weight form: no base polynomial factor")
+        poly = ex.mul(*base_polys).substitute({s: s for s in b.base_slots}, b.base_dim)
+        value_at_x, factors = hadamard_factor(poly, x)
         if value_at_x != 0:
             raise ExprError("unsupported weight form: polynomial part does not vanish at x")
+        # a constant 1 is dropped by mul, and stands for an empty envelope
+        envelope = ex.mul(ex.const(1, weight.dim), *fibre_polys, *rest)
         for slot, g in factors:
             f_i = ex.sub(ex.var(slot, b.base_dim), ex.const(Fraction(x[slot]), b.base_dim))
-            if isinstance(term, DiracSectionTerm):
-                new_weight = g if envelope is None else ex.mul(g, envelope)
-                T_i = TransversalDistribution(
-                    b, (DiracSectionTerm(term.section, new_weight, term.beta),))
-            else:
-                g_total = extend_base_function(b, g)
-                new_phi = g_total if envelope is None else ex.mul(g_total, envelope)
-                T_i = TransversalDistribution(b, (DensityTerm(b, new_phi),))
-            pieces.append((f_i, T_i))
+            E = TransversalDistribution(b, (replace(term, **{name: envelope}),))
+            pieces.append((f_i, module_action_base(g, E)))
     return pieces
 
 
@@ -691,22 +671,19 @@ def recompose(pieces, bundle: TrivialBundle) -> TransversalDistribution:
 # Probing
 
 
-def separating_probe(F: Expr, G: Expr, grid, tol: float = 1e-12,
-                     bundle: TrivialBundle | None = None) -> bool:
+def separating_probe(F: Expr, G: Expr, grid, bundle: TrivialBundle) -> bool:
     """True when Dirac probes through every grid point see F equal to G.
 
     Each grid entry is a (base point, fibre point) pair; the probe at such
     an entry is the Dirac functional at the fibre point applied to the
     fibre restrictions of F and G.  A False result exhibits a probe that
-    distinguishes the two functions; True only certifies agreement on the
-    given grid.
+    distinguishes the two functions; True only certifies agreement, within
+    1e-12, on the given grid.
     """
-    if bundle is None:
-        raise DimensionError("separating_probe requires the bundle")
     for base_pt, fibre_pt in grid:
         v = dirac_at(fibre_pt, bundle.fibre_dim)
         a = pair(v, restrict_function(bundle, F, base_pt))
         c = pair(v, restrict_function(bundle, G, base_pt))
-        if abs(a - c) > tol:
+        if abs(a - c) > 1e-12:
             return False
     return True

@@ -324,7 +324,7 @@ class Expr:
     def eval_grid(self, blocks) -> np.ndarray:
         """The value at every combination of rows of (n_i, d_i) point blocks
         whose widths sum to ``dim``, in C order with the first block slowest
-        (as ``TrivialBundle.join`` and ``quadrature.tensor_grid`` order them).
+        (as ``quadrature.tensor_grid`` orders them).
         Block i's columns broadcast along axis i, so each node runs at the
         shape of the blocks it reads: a factor of x0 alone runs n_0 times."""
         blocks = [np.asarray(b, dtype=float) for b in blocks]

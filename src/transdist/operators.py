@@ -42,7 +42,7 @@ from . import quadrature
 from .bundle import (Section, TrivialBundle, extend_base_function, extend_function,
                      section_graph_support)
 from .distribution import (BaseFunction, DensityTerm, DiracSectionTerm, NumericPart,
-                           TransversalDistribution, evaluate)
+                           TransversalDistribution, evaluate, term_support)
 from .expr import Box, DimensionError, Expr, ExprError
 
 MAX_NUMERIC_DEPTH = 2
@@ -103,10 +103,6 @@ class KernelOperator:
         if any(k == "numeric" for k in self.kinds):
             raise ExprError("composed numeric kernels have no symbolic distribution")
         return TransversalDistribution(self.bundle, self.terms)
-
-    @property
-    def composable(self) -> bool:
-        return all(k in ("dirac", "density", "numeric") for k in self.kinds)
 
 
 def graph_kernel(section: Section, weight: Expr, beta=None) -> KernelOperator:
@@ -177,10 +173,8 @@ def compose(K1: KernelOperator, K2: KernelOperator,
     """Kernel convolution; K1 acts after K2."""
     if K1.bundle != K2.bundle:
         raise DimensionError("cannot compose kernels on different bundles")
-    for K in (K1, K2):
-        if not K.composable:
-            raise ExprError("composition of Dirac terms with fibre derivatives "
-                            "is not supported")
+    if "dirac_derivative" in K1.kinds + K2.kinds:
+        raise ExprError("composition of Dirac terms with fibre derivatives is not supported")
     out_terms = []
     for t1 in K1.terms:
         for t2 in K2.terms:
@@ -278,13 +272,12 @@ def _invert_matrix(rows):
 
 
 def _term_boxes(term, b: TrivialBundle):
-    if isinstance(term, DiracSectionTerm):
-        box = section_graph_support(term.section, term.weight.support_box())
-        return box.project(b.base_slots), box.project(b.fibre_slots)
-    if isinstance(term, DensityTerm):
-        box = term.phi.support_box()
-        return box.project(b.base_slots), box.project(b.fibre_slots)
-    return term.base_box, term.fibre_box
+    """(base box, fibre box) of a term; a numeric term keeps its own two, as
+    its fibre box may be empty while its base box is not."""
+    if isinstance(term, NumericKernelTerm):
+        return term.base_box, term.fibre_box
+    box = term_support(term)
+    return box.project(b.base_slots), box.project(b.fibre_slots)
 
 
 def _compose_numeric(t1, t2, b: TrivialBundle, order):

@@ -139,6 +139,15 @@ class TestExitCodes:
         code, _ = run_cli(capsys, "support", str(p), "T")
         assert code == 6
 
+    @pytest.mark.parametrize("edit", [
+        {"bundle": {"base_dim": 0, "fibre_dim": 1}},
+        {"distributions": {"T": [{**DIRAC_TERM, "beta": [0, 0]}]}},
+        {"distributions": {"T": [{**DIRAC_TERM, "beta": []}]}}])
+    def test_well_typed_wrong_dimension_is_exit_6(self, capsys, tmp_path, edit):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({**SMALL_SCENE, **edit}))
+        assert run_cli(capsys, "support", str(path), "T")[0] == cli.EXIT_DIMENSION
+
     @pytest.mark.parametrize("edit, argv, field", [
         ({"sections": {"s": {"components": ["x0/2"], "domain": [["a", 1]]}}},
          ["support", "T"], "sections.s.domain"),
@@ -177,6 +186,24 @@ class TestExitCodes:
         ({"checks": {"grid": "0.5"}}, ["check"], "checks.grid"),
         ({"checks": {"smooth_grid": [[0.5], [False]]}}, ["check"], "checks.smooth_grid[1]"),
         ({"checks": {"localize_at": [0.5]}}, ["check"], "checks.localize_at[0]"),
+        ({"functions": [1]}, ["support", "T"], "functions"),
+        ({"sections": "abc"}, ["support", "T"], "sections"),
+        ({"distributions": 5}, ["support", "T"], "distributions"),
+        ({"operators": [1]}, ["support", "T"], "operators"),
+        ({"profiles": "P"}, ["support", "T"], "profiles"),
+        ({"bundle": {"base_dim": 1.7, "fibre_dim": 1}}, ["support", "T"], "bundle.base_dim"),
+        ({"bundle": {"base_dim": "1", "fibre_dim": 1}}, ["support", "T"], "bundle.base_dim"),
+        ({"bundle": {"base_dim": 1, "fibre_dim": True}}, ["support", "T"], "bundle.fibre_dim"),
+        ({"distributions": {"T": [{**DIRAC_TERM, "beta": [1.5]}]}},
+         ["derive", "T", "--alpha", "1"], "distributions.T[0].beta"),
+        ({"distributions": {"T": [{**DIRAC_TERM, "beta": "1"}]}},
+         ["derive", "T", "--alpha", "1"], "distributions.T[0].beta"),
+        ({"profiles": {"P": {**PROFILE, "orders": [1.5]}}},
+         ["member", "P", "--distribution", "T"], "profiles.P.orders"),
+        ({"profiles": {"P": {**PROFILE, "epsilons": ["0.5"]}}},
+         ["member", "P", "--distribution", "T"], "profiles.P.epsilons"),
+        ({"profiles": {"P": {**PROFILE, "epsilons": True}}},
+         ["member", "P", "--distribution", "T"], "profiles.P.epsilons"),
     ])
     def test_malformed_scene_field_is_exit_5(self, capsys, tmp_path, edit, argv, field):
         path = tmp_path / "scene.json"
@@ -427,6 +454,18 @@ class TestInputValidation:
                             "--order", "1")
         assert code == cli.EXIT_PARSE
         assert json.loads(out)["error"].startswith(f"bad box {box!r}")
+
+    @pytest.mark.parametrize("point, code", [
+        ("0.5,,", cli.EXIT_PARSE), (",0.5", cli.EXIT_PARSE), ("0.5, ", cli.EXIT_PARSE),
+        ("", cli.EXIT_PARSE), ("0.5,0.5", cli.EXIT_DIMENSION)])
+    def test_every_point_coordinate_counts(self, capsys, dirac_scene, point, code):
+        """An empty coordinate is a bad point, never dropped; a wrong number
+        of coordinates is a dimension error."""
+        for argv in (["eval", dirac_scene, "T", "F"], ["restrict", dirac_scene, "T"]):
+            got, out = run_cli(capsys, *argv, f"--at={point}")
+            assert got == code
+            if code == cli.EXIT_PARSE:
+                assert json.loads(out)["error"].startswith(f"bad point {point!r}")
 
     @pytest.mark.parametrize("point", ["nan", "inf", "-inf", "1e400"])
     def test_non_finite_point_is_parse_error(self, capsys, dirac_scene, point):

@@ -456,6 +456,46 @@ class TestLocalization:
         with pytest.raises(ExprError):
             dist.localize_decompose(T, (2.0,))
 
+    @pytest.mark.parametrize("kind, text, x, want", [
+        ("dirac", "x0*bump(x0)", (0.0,), [("x0", "bump(x0)")]),
+        ("dirac", "(x0 - 1/2)*bump(x0)", (0.5,), [("x0 - 1/2", "bump(x0)")]),
+        ("dirac2", "(x0 + x1)*bump(x0)*bump(x1)", (0.0, 0.0),
+         [("x0", "bump(x0)*bump(x1)"), ("x1", "bump(x0)*bump(x1)")]),
+        # the constant joins the Hadamard part, the fibre factor the envelope
+        ("density", "2*x0*y0*bump(x0)*bump(y0)", (0.0,), [("x0", "2*y0*bump(x0)*bump(y0)")]),
+        ("dirac", "0", (0.0,), []),
+        ("dirac", "bump(x0)", (0.0,),
+         "localization requires the restriction at x to vanish"),
+        ("dirac", "bump(x0)", (2.0,),
+         "unsupported weight form: expected polynomial times envelope"),
+        ("density", "y0*bump(x0)*bump(y0)", (2.0,),
+         "unsupported weight form: no base polynomial factor"),
+        ("dirac", "(x0 - 1/2)*bump(x0)", (2.0,),
+         "unsupported weight form: polynomial part does not vanish at x"),
+    ])
+    def test_pieces_and_messages_are_pinned(self, kind, text, x, want):
+        """The exact f_i and T_i of each decomposition, or its exact error."""
+        b = bd.TrivialBundle(2 if kind == "dirac2" else 1, 1)
+        if kind == "density":
+            T = dist.density(b, b.parse_total(text))
+        else:
+            section = bd.section_from_strings(b, ["x0 + x1" if kind == "dirac2" else "x0"])
+            T = dist.dirac_section(section, b.parse_base(text))
+        if isinstance(want, str):
+            with pytest.raises(ExprError) as err:
+                dist.localize_decompose(T, x)
+            assert str(err.value) == want
+            return
+        pieces = dist.localize_decompose(T, x)
+        got = []
+        for f_i, T_i in pieces:
+            (term,) = T_i.terms
+            assert type(term) is type(T.terms[0])
+            if kind != "density":
+                assert term.section is T.terms[0].section and term.beta == T.terms[0].beta
+            got.append((str(f_i), str(term.phi if kind == "density" else term.weight)))
+        assert got == want
+
     def test_multivariate_base(self):
         b = bd.TrivialBundle(2, 1)
         s = bd.section_from_strings(b, ["x0 + x1"])

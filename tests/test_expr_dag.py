@@ -17,7 +17,6 @@ from reference_eval import ref_eval, ref_eval_array
 from reference_support import ref_support
 from transdist import expr as ex
 from transdist import quadrature
-from transdist.bundle import TrivialBundle
 from transdist.expr import Box
 
 DIM = 2
@@ -157,7 +156,8 @@ def test_grid_evaluation_is_eval_array_of_the_joined_rows(e, slots, a, b, pts):
     case, on strided columns, with one-row and zero-row blocks."""
     d = _differentiated(e, slots)
     A, B = _strided(a), _strided(b)
-    cases = [((A, B), TrivialBundle(1, 1).join(A, B)),
+    joined = np.hstack([np.repeat(A, len(B), axis=0), np.tile(B, (len(A), 1))])
+    cases = [((A, B), joined),
              ((B, A), quadrature.tensor_grid([np.array(b), np.array(a)]).reshape(-1, 2)),
              ((_strided(pts, 2),), np.array(pts).reshape(-1, 2))]
     with warnings.catch_warnings(), np.errstate(all="ignore"):

@@ -199,7 +199,7 @@ class TestCompose:
 
 def per_row_reference(bundle, phi, Y, Z):
     """Density kernel values one base point at a time, as before pair grids."""
-    return np.stack([phi.eval_array(bundle.join(y, Z)) for y in Y])
+    return np.stack([phi.eval_array(np.hstack([np.tile(y, (len(Z), 1)), Z])) for y in Y])
 
 
 def low_order_grid(dim, order):

@@ -273,3 +273,25 @@ def test_fibre_integrals_keep_no_module_level_cache():
                   if _name(d.func if isinstance(d, ast.Call) else d) in ("cache", "lru_cache")]
         assert cached == ([] if name == "distribution.py" else
                           [(name, "_gauss_nodes"), (name, "_cached_rule")])
+
+
+def test_one_support_box_rule_per_term_kind():
+    """A Dirac term's box is the section's graph over its weight's box, a
+    density's is phi's, and both come from ``distribution.term_support``;
+    the only other graph box is the pre-image box of a density o graph
+    numeric kernel."""
+    assert calls_of("section_graph_support") == [("distribution.py", "term_support"),
+                                                 ("operators.py", "_compose_numeric")]
+    assert ("operators.py", "_term_boxes") in calls_of("term_support")
+    assert ("distribution.py", "total_support") in calls_of("term_support")
+
+
+def test_localization_has_one_path():
+    """Dirac and density terms share one factor split and build each T_i
+    through ``module_action_base``; no second split helper exists, nor
+    ``TrivialBundle.join``, which nothing called."""
+    assert not hasattr(transdist.distribution, "_split_polynomial_envelope")
+    assert not hasattr(transdist.TrivialBundle, "join")
+    assert ("distribution.py", "localize_decompose") in calls_of("module_action_base")
+    assert ("distribution.py", "localize_decompose") not in calls_of("DiracSectionTerm")
+    assert ("distribution.py", "localize_decompose") not in calls_of("DensityTerm")
