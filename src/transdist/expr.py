@@ -48,7 +48,11 @@ value) on both, through ``quadrature.fsum_list`` and its row-wise form
 ``quadrature.row_fsum``.  A two-term sum is one IEEE addition, which is
 already correctly rounded.  Where fsum would raise
 (inf + -inf, or an overflow), both take the IEEE sum, so a sum is NaN or
-infinite there rather than an error.
+infinite there rather than an error.  An array pass silences numpy's
+overflow and invalid warnings once, around its whole walk of the plan, so
+it is as quiet as the scalar path where a value saturates.  A product
+builds its zero mask only from the factors that hold an exact zero, and
+returns its IEEE product as it is when none does.
 
 Expression equality is structural only in the trivial sense (identical
 trees compare equal); semantic equality is always tested extensionally on
@@ -334,7 +338,10 @@ class Expr:
         cols = [np.ascontiguousarray(c).reshape(ones[:i] + (-1,) + ones[i + 1:])
                 for i, b in enumerate(blocks) for c in b.T]
         value = _values_over(self._plan, self, cols)[-1]
-        return np.broadcast_to(value, tuple(b.shape[0] for b in blocks)).flatten()
+        shape = tuple(b.shape[0] for b in blocks)
+        if np.shape(value) == shape and self._children():
+            return value.reshape(-1)  # this pass's own array; a leaf's may be a caller's column
+        return np.broadcast_to(value, shape).flatten()
 
     def _eval(self, point, vals, args):
         """This node's value; its children's values are ``vals[i] for i in args``."""
@@ -629,8 +636,7 @@ class Sum(Expr):
 
     def _eval_arr(self, cols, vals, args):
         if len(args) == 2:
-            with np.errstate(invalid="ignore", over="ignore"):  # inf - inf is NaN, quietly
-                return 0.0 + vals[args[0]] + vals[args[1]]
+            return 0.0 + vals[args[0]] + vals[args[1]]
         return quadrature.row_fsum([vals[i] for i in args])
 
     _jet = _eval_arr  # coefficients add as values do
@@ -680,21 +686,34 @@ class Product(Expr):
         return 0.0 if zero else acc
 
     def _eval_arr(self, cols, vals, args):
-        # inf * 0 from saturated factors is overridden by the zero mask
+        # an exact zero factor annihilates, even where another is inf (inf * 0
+        # is NaN); only a factor holding a +-0 (``all()`` false) joins the mask
         acc, zero = 1.0, False
-        with np.errstate(invalid="ignore", over="ignore"):
-            for i in args:
-                acc = acc * vals[i]
-                zero = zero | (vals[i] == 0.0)
-        return np.where(zero, 0.0, acc)
+        for i in args:
+            v = vals[i]
+            acc = acc * v
+            if not (v.all() if isinstance(v, np.ndarray) else v):
+                zero = zero | (v == 0.0)
+        return acc if zero is False else np.where(zero, 0.0, acc)
 
     def _jet(self, jets, vals, args):
         return reduce(jets.mul, [vals[i] for i in args])
 
     def _diff1(self, slot):
-        # a factor free of the slot differentiates to 0, which mul would fold away
-        terms = [mul(*self.factors[:i], f.diff1(slot), *self.factors[i + 1:])
-                 for i, f in enumerate(self.factors) if slot in f.free_slots]
+        # Term i is mul(*fs[:i], fs[i].diff1(slot), *fs[i + 1:]), spliced: mul
+        # leaves at most one Const in a product, first, so the only constants
+        # to fold are fs[0] and the derivative's leading one.  A factor free
+        # of the slot differentiates to 0, which mul would fold away.
+        fs = self.factors
+        start = 1 if isinstance(fs[0], Const) else 0
+        terms = []
+        for i, f in enumerate(fs):
+            if slot in f.free_slots:
+                d = f.diff1(slot)
+                ds = d.factors if isinstance(d, Product) else (d,)
+                lead = 1 if isinstance(ds[0], Const) else 0
+                terms.append(_product(self.dim, [*fs[start:i], *ds[lead:], *fs[i + 1:]],
+                                      [*fs[:start], *ds[:lead]]))
         return add(*terms) if terms else Const(self.dim, Fraction(0))
 
     def _rebuild(self, args):
@@ -789,8 +808,7 @@ class _Unary(Expr):
             return float(type(self)._np_fn(u))
 
     def _eval_arr(self, cols, vals, args):
-        with np.errstate(over="ignore", invalid="ignore"):
-            return type(self)._np_fn(vals[args[0]])
+        return type(self)._np_fn(vals[args[0]])
 
     def _rebuild(self, args):
         return type(self)(args[0].dim, args[0])
@@ -887,6 +905,8 @@ class BumpRat(Expr):
         r = np.exp(-1.0 / s)
         for _ in range(self.pole_order):
             r = r / s
+        if self._coeffs_float == (1.0,):  # p(u) = 0.0 * u + 1.0 is 1.0 inside
+            return np.where(inside, r, 0.0)
         p = 0.0
         for c in reversed(self._coeffs_float):
             p = p * u + c
@@ -976,8 +996,8 @@ def evaluate_many(roots, points) -> np.ndarray:
 
     Under ``_ARRAY_MIN_ROWS`` points each point runs through the nodes'
     scalar ``_eval``, from there up one ``_eval_arr`` pass takes them all;
-    the two cost the same at about 8 points on a 7-node weight, 17 on an
-    88-node table of derivatives and 40 on a 343-node one.  Either way every
+    the two cost the same at about 6 points on a 7-node weight, 26 on a
+    93-node table of derivatives and 30 on a 246-node one.  Either way every
     entry equals ``r.evaluate(p)`` bit for bit:
 
     >>> e = parse("x0*exp(x0)", 1)
@@ -1144,10 +1164,11 @@ def _values_over(plan, root, cols, method="_eval_arr") -> list:
     last consumer; ``taylor`` passes its ``_Jets`` and ``"_jet"`` instead."""
     vals = []
     append = vals.append
-    for node, args, dead in plan:
-        append(getattr(node or root, method)(cols, vals, args))
-        for i in dead:
-            vals[i] = None
+    with np.errstate(over="ignore", invalid="ignore"):
+        for node, args, dead in plan:
+            append(getattr(node or root, method)(cols, vals, args))
+            for i in dead:
+                vals[i] = None
     return vals
 
 
@@ -1260,6 +1281,11 @@ def mul(*factors) -> Expr:
             raise DimensionError("product over mixed ambient dimensions")
         for item in f.factors if isinstance(f, Product) else (f,):
             (consts if isinstance(item, Const) else flat).append(item)
+    return _product(dim, flat, consts)
+
+
+def _product(dim: int, flat: list, consts: list) -> Expr:
+    """``mul``'s node for its non-constant factors ``flat`` and its constants."""
     if consts:
         c = _fold(consts, operator.mul, dim)
         if c.value == 0:

@@ -4,7 +4,7 @@ import math
 import sys
 import threading
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -205,6 +205,60 @@ def test_evaluate_many_shapes_and_dimension_errors():
             ex.evaluate_many(roots, bad)
 
 
+# overflow in bump's u * u and in x0^2, which the scalar path meets silently
+OVERFLOWING = ["bump(x0)", "x0^2", "bump(x0)*x0^3"]
+
+
+@pytest.mark.parametrize("text", OVERFLOWING)
+def test_array_evaluation_is_as_silent_as_scalar_evaluation(text):
+    """Every array path returns ``evaluate``'s value bit for bit and, like
+    it, raises no IEEE warning; evaluate_many takes its array engine."""
+    e = ex.parse(text, 1)
+    rows = np.array([[1e200], [-1e200], [0.5], [-0.25]] * 8)
+    assert rows.shape[0] >= ex._ARRAY_MIN_ROWS
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = [_bits(e.evaluate(p)) for p in rows.tolist()]
+        for got in (e.eval_array(rows), e.eval_grid((rows,)), ex.evaluate_many([e], rows)[0]):
+            assert list(map(_bits, got.tolist())) == want
+    assert want[:2] == (["0x0.0p+0"] * 2 if "bump" in text else ["inf"] * 2)
+
+
+# x0 * exp(x1) meets 0 * inf and -0.0 * inf, x0 * x1 underflows to -0.0 from
+# nonzero subnormals, and 2*pi multiplies Python floats
+MASK_EXPRESSIONS = ["x0*exp(x1)", "x0*x1", "2*pi", "2*pi*x0*x1", "x1*exp(x1)*x0^2"]
+MASK_X0 = [0.0, -0.0, math.nan, 5e-324, 1.5]
+MASK_X1 = [800.0, -5e-324, math.nan, 0.5]
+
+
+@pytest.mark.parametrize("text", MASK_EXPRESSIONS)
+def test_product_zero_mask_matches_the_reference(text):
+    """A product is 0 where a factor is exactly 0, even if another is inf;
+    elsewhere it is the IEEE product: -0.0 by underflow, NaN from NaN.
+    Grid blocks broadcast the factors against each other."""
+    e = ex.parse(text, DIM)
+    A, B = np.array(MASK_X0)[:, None], np.array(MASK_X1)[:, None]
+    rows = np.hstack([np.repeat(A, len(B), axis=0), np.tile(B, (len(A), 1))])
+    want = list(map(_bits, ref_eval_array(e, rows).tolist()))
+    assert list(map(_bits, e.eval_array(rows).tolist())) == want
+    assert list(map(_bits, e.eval_grid((A, B)).tolist())) == want
+    assert [_bits(e.eval_array(rows[k:k + 1])[0]) for k in range(len(rows))] == want
+
+
+def test_eval_grid_returns_an_array_of_its_own():
+    """Neither a lone variable nor a product hands back memory that the
+    points or a later evaluation share."""
+    A, B = np.array([[0.5], [1.5], [-2.0]]), np.array([[3.0], [0.25]])
+    for e, blocks in ((ex.parse("x0", 1), (A,)), (ex.parse("x0*x1", DIM), (A, B)),
+                      (ex.parse("x0*x1", DIM), (np.hstack([A, A]),))):
+        before = [b.copy() for b in blocks]
+        first = e.eval_grid(blocks)
+        want = first.copy()
+        first[:] = 7.0
+        assert all(np.array_equal(b, c) for b, c in zip(blocks, before))
+        assert np.array_equal(e.eval_grid(blocks), want)
+
+
 def _pre_change_product_diff1(self, slot):
     """The product rule as it was: every factor differentiated, and the
     terms of factors free of the slot, exactly 0, folded away by mul and add."""
@@ -225,6 +279,33 @@ def test_derivatives_print_as_the_pre_change_product_rule_builds_them(e, slots):
         patch.setattr(ex.Product, "_diff1", _pre_change_product_diff1)
         want = [str(_differentiated(copy, slots[:n])) for n in range(len(slots) + 1)]
     assert [str(_differentiated(e, slots[:n])) for n in range(len(slots) + 1)] == want
+
+
+CHILD_FIELDS = ("terms", "factors", "base", "arg")
+
+
+def _signature(root) -> list:
+    """The DAG as ``_number`` lists it: per node its type, its fields that
+    are not children and its children's positions."""
+    nodes, args, _ = ex._number((root,))
+    return [(type(n).__name__,
+             [(f.name, getattr(n, f.name)) for f in fields(n) if f.name not in CHILD_FIELDS],
+             kids) for n, kids in zip(nodes, args)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(expressions, st.integers(0, DIM - 1))
+def test_product_rule_splices_the_terms_mul_would_build(e, slot):
+    """For every product in the DAG, each product-rule term is the node
+    structure ``mul(*factors[:i], factor_i', *factors[i + 1:])`` builds."""
+    for node, _, _ in e._plan:
+        p = node or e
+        if isinstance(p, ex.Product):
+            fs = p.factors
+            terms = [ex.mul(*fs[:i], f.diff1(slot), *fs[i + 1:])
+                     for i, f in enumerate(fs) if slot in f.free_slots]
+            want = ex.add(*terms) if terms else ex.const(0, DIM)
+            assert _signature(p.diff1(slot)) == _signature(want), str(p)
 
 
 @pytest.mark.parametrize("text", ["x0^2*x1", "x0^3 - x1", "(x0 + x1/3)^4", "x0^5",
@@ -260,6 +341,7 @@ def test_repeated_diff1_returns_the_memoized_object():
 def test_order_six_reference_derivative_is_a_compact_dag():
     d = ex.parse(REFERENCE, 1).diff((6,))
     assert distinct_nodes(d) <= 12_000
+    assert len(d._plan) == 9_582
     # the correctly rounded derivative (mpmath at 50 digits gives
     # 1138.24313634265043...), on the scalar and the array path alike
     value = 1138.2431363426504
