@@ -28,9 +28,11 @@ plan, support box and derivatives.  ``QuadPart.values`` keeps, on the
 integrand node, the last row it computed, keyed on the fibre box, the
 order and X's exact shape, dtype and bytes (not ``id(X)``, which a caller
 may change in place, nor ``np.array_equal``, which takes -0.0 for 0.0),
-and returns that read-only row, a hit as a miss, with no copy.  Memory
-stays bounded: one product per density term, one (M,) row per integrand
-node.  Neither needs a lock: each entry is read once and replaced by a
+and returns that read-only row, a hit as a miss, with no copy.  A
+``NumericPart`` keeps its fibre function on the last rule's axes, keyed
+on the rule's box and order.  Memory stays bounded: one product per
+density term, one (M,) row per integrand node, one rule grid per numeric
+part.  None needs a lock: each entry is read once and replaced by a
 single assignment of a (key, value) pair, so racing threads compute an
 equal product or the same row twice at worst, and a hit returns the
 floats the same pass computed.
@@ -210,83 +212,98 @@ def pair(v: PointDistribution, g: Expr, order: int | None = None) -> float:
     return total
 
 
-def pair_restrictions(T: TransversalDistribution, X, members,
-                      order: int | None = None) -> np.ndarray:
-    """``pair(restrict(T, x), g, order)`` for every row x of an (M, l) array
-    and every fibre function g in ``members``, shape (len(members), M).
+def restriction_table(pairs, X, order: int | None = None) -> list:
+    """``pair(restrict(T, x), g, order)`` for every (T, members) of
+    ``pairs``, every row x of an (M, l) array and every fibre function g
+    in ``members``: a list of (len(members), M) arrays.
 
-    The Dirac terms are ``pair_at`` of the members extended to the total
-    space.  Density terms are restricted and paired point by point and added
-    after the atoms, as ``pair`` adds its density part, so every entry
-    equals the pointwise pairing bit for bit.
+    The Dirac terms of all pairs are one ``pair_table`` of the members
+    extended to the total space.  Density terms are restricted and paired
+    point by point and added after the atoms, as ``pair`` adds its density
+    part, so every entry equals the pointwise pairing bit for bit.
     """
-    b = T.bundle
-    diracs = tuple(t for t in T.terms if isinstance(t, DiracSectionTerm))
-    densities = tuple(t for t in T.terms if isinstance(t, DensityTerm))
-    out = pair_at(TransversalDistribution(b, diracs), X,
-                  [extend_function(b, g) for g in members], order)
-    if densities:
-        T_density = TransversalDistribution(b, densities)
-        for i, x in enumerate(np.asarray(X, dtype=float).tolist()):
-            v = restrict(T_density, x)
-            for j, g in enumerate(members):
-                out[j, i] += pair(v, g, order)
+    pairs = [(T, tuple(members)) for T, members in pairs]
+    out = pair_table([(_only(T, DiracSectionTerm), [extend_function(T.bundle, g) for g in members])
+                      for T, members in pairs], X, order)
+    for values, (T, members) in zip(out, pairs):
+        T_density = _only(T, DensityTerm)
+        if T_density.terms:
+            for i, x in enumerate(np.asarray(X, dtype=float).tolist()):
+                v = restrict(T_density, x)
+                for j, g in enumerate(members):
+                    values[j, i] += pair(v, g, order)
     return out
 
 
 def pair_at(T: TransversalDistribution, X, members,
             order: int | None = None) -> np.ndarray:
     """T_x(F(x, .)) for every row x of an (M, l) array and every total-space
-    function F in ``members``, shape (len(members), M).
+    function F in ``members``, shape (len(members), M): the one-pair case
+    of ``pair_table``.  The entries equal ``pair(restrict(T, x),
+    restrict_function(T.bundle, F, x), order)`` to rounding wherever the
+    two fibre boxes coincide."""
+    return pair_table([(T, members)], X, order)[0]
+
+
+def pair_table(pairs, X, order: int | None = None) -> list:
+    """``pair_at(T, X, members, order)`` for every (T, members) of
+    ``pairs``, in that order: a list of (len(members), M) arrays.
 
     Nothing is restricted: fibre derivatives commute with restriction, so a
     Dirac term reads each member's D^(0,beta) F, memoized on the member's
-    DAG, at (x, sigma(x)).  One ``ex.evaluate_many`` pass evaluates every
-    weight, and per section one its components and one every (beta, member)
-    derivative, at the rows where some weight of the section is not zero.
-    The terms are added in term order, each as ``pair`` adds an atom; a
-    zero weight adds +0.0, which changes no sum, as ``pair`` skips zero
-    coefficients (an infinite derivative there is not multiplied).  Density
-    terms are integrated as ``evaluate`` integrates them, over all rows in
-    one pass, and added after the atoms.  The entries equal
-    ``pair(restrict(T, x), restrict_function(T.bundle, F, x), order)`` to
-    rounding wherever the two fibre boxes coincide.
+    DAG, at (x, sigma(x)).  One ``ex.evaluate_many`` pass evaluates the
+    weights of every pair's Dirac terms, and per section one its components
+    and one the union of the (beta, member) derivatives its terms read, at
+    the rows where some weight of the section is not zero.  Each pair adds
+    its terms in term order, each as ``pair`` adds an atom; a zero weight
+    adds +0.0, which changes no sum, as ``pair`` skips zero coefficients
+    (an infinite derivative there is not multiplied).  Density terms are
+    integrated as ``evaluate`` integrates them, over all rows in one pass,
+    and added after the atoms.
     """
-    b = T.bundle
+    pairs = [(T, tuple(members)) for T, members in pairs]
     X = np.asarray(X, dtype=float)
-    if X.ndim != 2 or X.shape[1] != b.base_dim:
-        raise DimensionError(f"expected base points of shape (M, {b.base_dim})")
-    if any(F.dim != b.total_dim for F in members):
-        raise DimensionError("pair_at expects total-space functions")
-    diracs = [t for t in T.terms if isinstance(t, DiracSectionTerm)]
-    densities = [t for t in T.terms if isinstance(t, DensityTerm)]
-    weights = ex.evaluate_many([t.weight for t in diracs], X)
-    keys = [(id(t.section), b.fibre_beta_to_total(t.beta)) for t in diracs]
+    for T, members in pairs:
+        b = T.bundle
+        if X.ndim != 2 or X.shape[1] != b.base_dim:
+            raise DimensionError(f"expected base points of shape (M, {b.base_dim})")
+        if any(F.dim != b.total_dim for F in members):
+            raise DimensionError("pair_at expects total-space functions")
+    diracs = [(p, t) for p, (T, _) in enumerate(pairs)
+              for t in T.terms if isinstance(t, DiracSectionTerm)]
+    weights = ex.evaluate_many([t.weight for _, t in diracs], X)
+    keys = [(id(t.section), t.bundle.fibre_beta_to_total(t.beta)) for _, t in diracs]
     by_section = {}  # id(section) -> [term index, ...]
     for k, (section_id, _) in enumerate(keys):
         by_section.setdefault(section_id, []).append(k)
-    paired = {}  # key -> values per member, 0 off the live rows
+    paired = {}  # (id(section), beta, id(F)) -> values, 0 off the live rows
     for ks in by_section.values():
         live = np.flatnonzero((weights[ks] != 0.0).any(axis=0))
         if not live.size:
             continue
-        section, rows = diracs[ks[0]].section, X[live]
+        section, rows = diracs[ks[0]][1].section, X[live]
         at = np.concatenate([rows, ex.evaluate_many(section.components, rows).T], axis=1)
-        betas = list(dict.fromkeys(keys[k][1] for k in ks))
-        values = np.zeros((len(betas), len(members), X.shape[0]))
-        values[..., live] = ex.evaluate_many([F.diff(beta) for beta in betas for F in members],
-                                             at).reshape(len(betas), len(members), live.size)
-        paired.update(((id(section), beta), v) for beta, v in zip(betas, values))
-    out = np.zeros((len(members), X.shape[0]))
+        roots = {(*keys[k], id(F)): (F, keys[k][1]) for k in ks for F in pairs[diracs[k][0]][1]}
+        values = np.zeros((len(roots), X.shape[0]))
+        values[:, live] = ex.evaluate_many([F.diff(beta) for F, beta in roots.values()], at)
+        paired.update(zip(roots, values))
+    out = [np.zeros((len(members), X.shape[0])) for _, members in pairs]
     with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf and inf - inf, quietly
-        for key, w in zip(keys, weights):
-            v = paired.get(key)
-            if v is not None:  # a zero weight adds +0.0, which leaves every sum as it is
-                out += np.where(w != 0.0, w * v, 0.0)
-        if densities:
-            D = TransversalDistribution(b, tuple(densities))
-            out += values_at(X, *(evaluate(D, F, order) for F in members))
+        for (p, _), key, w in zip(diracs, keys, weights):
+            members = pairs[p][1]
+            if members and (*key, id(members[0])) in paired:  # else every weight is 0 here
+                v = np.array([paired[(*key, id(F))] for F in members])
+                out[p] += np.where(w != 0.0, w * v, 0.0)
+        for values, (T, members) in zip(out, pairs):
+            D = _only(T, DensityTerm)
+            if D.terms:
+                values += values_at(X, *(evaluate(D, F, order) for F in members))
     return out
+
+
+def _only(T: TransversalDistribution, kind) -> TransversalDistribution:
+    """T's terms of one kind."""
+    return TransversalDistribution(T.bundle, tuple(t for t in T.terms if isinstance(t, kind)))
 
 
 # ---------------------------------------------------------------------------
@@ -328,11 +345,24 @@ class NumericPart:
     box: Box  # fibre integration box: the term's fibre box within g's support
     support_box: Box  # base box outside which the value vanishes
 
+    # (the box and order of the last rule, g on that rule's axes)
+    _g_grid: tuple | None = field(default=None, init=False, repr=False, compare=False)
+
     def values(self, X: np.ndarray, order) -> np.ndarray:
         """The integral against g at each row of an (M, l) array of base points."""
         return quadrature.integrate_rows(
-            lambda i, j, r: self.term.values_fn(X[i:j], r.points) * self.g.eval_grid(r.axes),
+            lambda i, j, r: self.term.values_fn(X[i:j], r.points) * self._g_on(r),
             self.box, X.shape[0], order)
+
+    def _g_on(self, r) -> np.ndarray:
+        """g on the rule's axes, read-only: the part keeps the last rule's."""
+        entry = self._g_grid  # read once: another thread may replace it
+        if entry is None or entry[0] != (r.box, r.order):
+            g = self.g.eval_grid(r.axes)
+            g.flags.writeable = False
+            entry = ((r.box, r.order), g)
+            object.__setattr__(self, "_g_grid", entry)
+        return entry[1]
 
 
 @dataclass(frozen=True)

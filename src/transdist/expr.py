@@ -36,23 +36,25 @@ separately stay distinct objects.
 Array evaluation is grid evaluation: ``eval_grid`` takes point blocks
 whose columns broadcast along one axis each, so every node runs at the
 broadcast shape of the coordinates it reads (``bump(x0)`` once per x0 on a
-lattice), and ``eval_array`` is its one-block case.  Broadcasting repeats
-operands but never changes an operation, so each grid entry equals the
-``eval_array`` row of its point bit for bit.  Scalar evaluation is the
-one-row case of array evaluation, bit for bit: ``e.evaluate(p)`` equals
-every row of ``e.eval_array`` that holds p.  Both paths apply the same
-IEEE operations per node: exp, sin and cos come from numpy's ufuncs on
-floats and arrays alike, an integer power is one multiplication ladder,
-and a sum of three or more terms is correctly rounded (``math.fsum``'s
-value) on both, through ``quadrature.fsum_list`` and its row-wise form
-``quadrature.row_fsum``.  A two-term sum is one IEEE addition, which is
-already correctly rounded.  Where fsum would raise
-(inf + -inf, or an overflow), both take the IEEE sum, so a sum is NaN or
-infinite there rather than an error.  An array pass silences numpy's
-overflow and invalid warnings once, around its whole walk of the plan, so
-it is as quiet as the scalar path where a value saturates.  A product
-builds its zero mask only from the factors that hold an exact zero, and
-returns its IEEE product as it is when none does.
+lattice), and ``eval_array`` is its one-block case.  ``eval_grid`` in
+turn is the one-root case of ``grid_values``, one pass over many roots'
+shared plan.  Broadcasting repeats operands but never changes an
+operation, so each grid entry equals the ``eval_array`` row of its point
+bit for bit.  Scalar evaluation is the one-row case of array evaluation,
+bit for bit: ``e.evaluate(p)`` equals every row of ``e.eval_array`` that
+holds p.  Both paths apply the same IEEE operations per node: exp, sin
+and cos come from numpy's ufuncs on floats and arrays alike, an integer
+power is one multiplication ladder, and a sum of three or more terms is
+correctly rounded (``math.fsum``'s value) on both, through
+``quadrature.fsum_list`` and its row-wise form ``quadrature.row_fsum``.
+A two-term sum is one IEEE addition, which is already correctly rounded.
+Where fsum would raise (inf + -inf, or an overflow), both take the IEEE
+sum, so a sum is NaN or infinite there rather than an error.  An array
+pass silences numpy's overflow and invalid warnings once per root it
+hands out, around its walk of the plan up to that root, so it is as
+quiet as the scalar path where a value saturates.  A product builds its
+zero mask only from the factors that hold an exact zero, and returns its
+IEEE product as it is when none does.
 
 Expression equality is structural only in the trivial sense (identical
 trees compare equal); semantic equality is always tested extensionally on
@@ -328,20 +330,12 @@ class Expr:
     def eval_grid(self, blocks) -> np.ndarray:
         """The value at every combination of rows of (n_i, d_i) point blocks
         whose widths sum to ``dim``, in C order with the first block slowest
-        (as ``quadrature.tensor_grid`` orders them).
-        Block i's columns broadcast along axis i, so each node runs at the
-        shape of the blocks it reads: a factor of x0 alone runs n_0 times."""
-        blocks = [np.asarray(b, dtype=float) for b in blocks]
-        if any(b.ndim != 2 for b in blocks) or sum(b.shape[1] for b in blocks) != self.dim:
-            raise DimensionError(f"expected point blocks of total width {self.dim}")
-        ones = (1,) * len(blocks)
-        cols = [np.ascontiguousarray(c).reshape(ones[:i] + (-1,) + ones[i + 1:])
-                for i, b in enumerate(blocks) for c in b.T]
-        value = _values_over(self._plan, self, cols)[-1]
-        shape = tuple(b.shape[0] for b in blocks)
-        if np.shape(value) == shape and self._children():
-            return value.reshape(-1)  # this pass's own array; a leaf's may be a caller's column
-        return np.broadcast_to(value, shape).flatten()
+        (as ``quadrature.tensor_grid`` orders them): the one-root case of
+        ``grid_values``.  Block i's columns broadcast along axis i, so each
+        node runs at the shape of the blocks it reads: a factor of x0 alone
+        runs n_0 times."""
+        ((_, value),) = grid_values((self,), blocks)
+        return value
 
     def _eval(self, point, vals, args):
         """This node's value; its children's values are ``vals[i] for i in args``."""
@@ -360,15 +354,16 @@ class Expr:
         """Every distinct node of this DAG once, children before parents.
 
         Entries are ``(node, args, dead)``: ``args`` are the plan positions
-        of the node's children and ``dead`` the positions it reads last.
+        of the node's children and ``dead`` the positions to drop after it
+        (``_dead``).
         The root comes last, with ``None`` for its node, so that the plan
         does not keep its own node alive through a reference cycle.  Passes
         that walk the plan handle a node shared by many paths once, where a
         recursive pass would expand the DAG into its tree.
         """
-        nodes, args, at = _number((self,))
+        nodes, args, _ = _number((self,))
         nodes[-1] = None
-        return tuple(zip(nodes, args, _dead(args, at)))
+        return tuple(zip(nodes, args, _dead(args)))
 
     # -- calculus -----------------------------------------------------------
 
@@ -985,6 +980,46 @@ class BumpRat(Expr):
         return f"bumprat({self.arg._text(0)}; {poly or '0'}; {self.pole_order})"
 
 
+def grid_values(roots, blocks):
+    """Yield ``(k, roots[k].eval_grid(blocks))`` for every k, in plan order,
+    each as soon as one ``_eval_arr`` pass over the union of the roots'
+    DAGs computes it.  A value is dropped once nothing later reads it, so a
+    caller that reduces each root as it comes holds one grid at a time
+    beside the shared nodes still to be read.  A root's array is writable
+    only if nothing else sees it: one handed out twice or read by a later
+    node is read-only, and a coordinate's is a copy.
+
+    >>> e = parse("x0*exp(x1)", 2)
+    >>> [(k, v.tolist()) for k, v in grid_values([e, e.diff1(0)], [[[0.0], [1.0]], [[0.0]]])]
+    [(1, [1.0, 1.0]), (0, [0.0, 1.0])]
+    """
+    roots, blocks = tuple(roots), [np.asarray(b, dtype=float) for b in blocks]
+    if any(r.dim != roots[0].dim for r in roots):
+        raise DimensionError("roots over mixed ambient dimensions")
+    if roots and (any(b.ndim != 2 for b in blocks)
+                  or sum(b.shape[1] for b in blocks) != roots[0].dim):
+        raise DimensionError(f"expected point blocks of total width {roots[0].dim}")
+    ones = (1,) * len(blocks)
+    cols = [np.ascontiguousarray(c).reshape(ones[:i] + (-1,) + ones[i + 1:])
+            for i, b in enumerate(blocks) for c in b.T]
+    shape = tuple(b.shape[0] for b in blocks)
+    plan, root, at = _plan_of(roots, dead=True)
+    ks = {}
+    for k, pos in enumerate(at):
+        ks.setdefault(pos, []).append(k)
+    for pos, value, kept in _values_over(plan, root, cols, ks):
+        shared = len(ks[pos]) > 1
+        if np.shape(value) == shape and plan[pos][1]:  # a leaf's may be a caller's column
+            value = value.reshape(-1)
+            shared = shared or kept
+        else:
+            value = np.broadcast_to(value, shape).flatten()
+        if shared:
+            value.flags.writeable = False
+        for k in ks[pos]:
+            yield k, value
+
+
 _ARRAY_MIN_ROWS = 32  # evaluate_many's crossover; see there
 
 
@@ -995,10 +1030,10 @@ def evaluate_many(roots, points) -> np.ndarray:
     (a lone root's is its memoized ``_plan``).
 
     Under ``_ARRAY_MIN_ROWS`` points each point runs through the nodes'
-    scalar ``_eval``, from there up one ``_eval_arr`` pass takes them all;
-    the two cost the same at about 6 points on a 7-node weight, 26 on a
-    93-node table of derivatives and 30 on a 246-node one.  Either way every
-    entry equals ``r.evaluate(p)`` bit for bit:
+    scalar ``_eval``; from there up the points are one block of
+    ``grid_values``.  The two cost the same at about 6 points on a 7-node
+    weight, 26 on a 93-node table of derivatives and 30 on a 246-node one.
+    Either way every entry equals ``r.evaluate(p)`` bit for bit:
 
     >>> e = parse("x0*exp(x0)", 1)
     >>> evaluate_many([e, e.diff1(0)], [(0.0,), (1.0,)]).tolist()
@@ -1014,22 +1049,15 @@ def evaluate_many(roots, points) -> np.ndarray:
          else np.array([_float_point(p, dim) for p in points], dtype=float).reshape(-1, dim))
     if X.ndim != 2 or X.shape[1] != dim:
         raise DimensionError(f"point has {X.shape[-1]} coordinates, ambient is {dim}")
-    scalar = X.shape[0] < _ARRAY_MIN_ROWS
-    if len(roots) == 1:
-        root, plan = roots[0], roots[0]._plan
-        at = [len(plan) - 1]
-    else:
-        root, (nodes, args, at) = None, _number(roots)
-        plan = tuple(zip(nodes, args, itertools.repeat(()) if scalar else _dead(args, at)))
     out = np.empty((len(roots), X.shape[0]))
-    if scalar:
-        for m, point in enumerate(X.tolist()):
-            vals = _values_at(plan, root, tuple(point))
-            out[:, m] = [vals[i] for i in at]
-    else:
-        vals = _values_over(plan, root, [np.ascontiguousarray(c) for c in X.T])
-        for row, i in zip(out, at):
-            row[:] = vals[i]
+    if X.shape[0] >= _ARRAY_MIN_ROWS:
+        for k, value in grid_values(roots, (X,)):
+            out[k] = value
+        return out
+    plan, root, at = _plan_of(roots, dead=False)
+    for m, point in enumerate(X.tolist()):
+        vals = _values_at(plan, root, tuple(point))
+        out[:, m] = [vals[i] for i in at]
     return out
 
 
@@ -1062,8 +1090,10 @@ def taylor(e: Expr, X, order: int) -> np.ndarray:
     if order < 0:
         raise ExprError(f"Taylor order must be nonnegative, got {order}")
     jets = _Jets(X, order)
+    plan = e._plan
     with np.errstate(over="ignore", invalid="ignore", divide="ignore", under="ignore"):
-        return _values_over(e._plan, e, jets, "_jet")[-1]
+        ((_, value, _),) = _values_over(plan, e, jets, (len(plan) - 1,), "_jet")
+    return value
 
 
 def _times(a, b):
@@ -1158,34 +1188,51 @@ def _values_at(plan, root, point) -> list:
     return vals
 
 
-def _values_over(plan, root, cols, method="_eval_arr") -> list:
-    """``_values_at`` over contiguous coordinate columns (numpy's exp on a
-    reversed one can differ in the last bit), each value dropped after its
-    last consumer; ``taylor`` passes its ``_Jets`` and ``"_jet"`` instead."""
+def _values_over(plan, root, cols, at, method="_eval_arr"):
+    """Yield ``(position, value, kept)`` for each plan position in ``at`` as
+    the walk of ``_values_at`` over contiguous columns (numpy's exp on a
+    reversed one can differ in the last bit) reaches it; ``kept``: a later
+    node reads it.  Each value is dropped after its last reader, a root's
+    after it is handed out.  Warnings are silenced while nodes run, not
+    while the caller holds a value.  ``taylor`` passes ``_Jets`` and
+    ``"_jet"``."""
     vals = []
     append = vals.append
-    with np.errstate(over="ignore", invalid="ignore"):
-        for node, args, dead in plan:
+    for stop in sorted(at):
+        with np.errstate(over="ignore", invalid="ignore"):
+            for node, args, dead in plan[len(vals):stop]:
+                append(getattr(node or root, method)(cols, vals, args))
+                for i in dead:
+                    vals[i] = None
+            node, args, dead = plan[stop]
             append(getattr(node or root, method)(cols, vals, args))
-            for i in dead:
-                vals[i] = None
-    return vals
+        yield stop, vals[stop], stop not in dead
+        for i in dead:
+            vals[i] = None
 
 
-def _dead(args, roots):
-    """For each plan position, the positions it is the last to read, so
-    their values can be dropped after it runs; never a root's."""
-    last = [None] * len(args)
+def _dead(args):
+    """For each plan position, the positions whose values can be dropped
+    once it has run: those it is the last to read, and itself when nothing
+    reads it (a root, after it is handed out)."""
+    last = list(range(len(args)))
     for pos, kids in enumerate(args):
         for i in kids:
             last[i] = pos
-    for i in roots:
-        last[i] = None
     dead = [[] for _ in args]
     for i, pos in enumerate(last):
-        if pos is not None:
-            dead[pos].append(i)
+        dead[pos].append(i)
     return map(tuple, dead)
+
+
+def _plan_of(roots, dead: bool):
+    """The roots' plan, the node its ``None`` stands for, and each root's
+    position; ``dead=False`` leaves ``dead`` empty (the scalar walk)."""
+    if len(roots) == 1:
+        plan = roots[0]._plan
+        return plan, roots[0], [len(plan) - 1]
+    nodes, args, at = _number(roots)
+    return tuple(zip(nodes, args, _dead(args) if dead else itertools.repeat(()))), None, at
 
 
 def _number(roots):

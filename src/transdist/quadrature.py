@@ -153,8 +153,8 @@ def fsum(p: np.ndarray) -> float:
     common power of two sigma = 2^s >= 2 n max|p| (Rump, Ogita & Oishi,
     SIAM J. Sci. Comput. 31(1), 2008): the high parts ``(p + sigma) -
     sigma`` are multiples of u = 2^(s-53) whose every partial sum stays
-    within sigma, so ``np.sum`` adds them exactly in any order, and the low
-    parts are the exact remainders, each at most u in magnitude.  Their
+    within sigma, so ``ndarray.sum`` adds them exactly in any order, and
+    the low parts are the exact remainders, each at most u in magnitude.  Their
     float sum is then off by less than 2 n^2 2^-53 u.  When both ends of
     that bracket, added to the exact high sum, round to the same float,
     that float is the correctly rounded total, because rounding is
@@ -180,8 +180,8 @@ def fsum(p: np.ndarray) -> float:
             sigma = math.ldexp(1.0, s)
             high = (p + sigma) - sigma
             low = p - high
-            total = float(np.sum(high))
-            approx = float(np.sum(low))
+            total = float(high.sum())
+            approx = float(low.sum())
             err = math.ldexp(2 * n * n, s - 106)
             down = total + math.nextafter(approx - err, -math.inf)
             if down == total + math.nextafter(approx + err, math.inf):

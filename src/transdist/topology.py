@@ -8,18 +8,19 @@ on some axis; its grid is then empty and its supremum 0.  Grid suprema are
 lower bounds of the true suprema; failed membership checks come with an
 exact witness (point, multi-index, shell index).
 
-Every scan takes its points in batches.  A seminorm evaluates each
-derivative once over the lattice axes (``Expr.eval_grid``); a membership
-scan evaluates each (shell, multi-index) pair's lattice points in blocks
-of at most ``quadrature.PAIR_BLOCK`` rows through ``BaseFunction.values``
-or ``pair_restrictions`` (whose Dirac terms go through ``pair_at``), both
-through ``expr.evaluate_many``.  Both equal the pointwise values bit for
-bit.
-Points are visited in the order of a per-point scan, which stops at the
-first point that fails, so verdicts and witnesses are those of that scan,
-and a rejection evaluates no block after its first failing one.  A NaN at
-a lattice point is an error (``ExprError``, naming the point and the
-multi-index), never a skipped value or a rejection.
+Every scan takes its points in batches.  A seminorm reduces each
+derivative to its max |.| as it comes out of one ``expr.grid_values``
+pass over the lattice axes.  A membership scan takes a shell's lattice
+points in blocks of at most ``quadrature.PAIR_BLOCK``, each block with
+every multi-index still in play: ``distribution.values_at`` of the
+derivatives, or one ``distribution.restriction_table`` of the family
+derivatives.  Both equal the pointwise values bit for bit.  Verdicts,
+witnesses and errors are those of a scan multi-index by multi-index,
+block by block and point by point, which stops at the first point that
+fails: after a failure at alpha_k in a block, later blocks evaluate only
+the multi-indices before alpha_k.  A NaN at a lattice point is an error
+(``ExprError``, naming the point and the multi-index), never a skipped
+value or a rejection.
 """
 
 from __future__ import annotations
@@ -31,8 +32,9 @@ import numpy as np
 
 from . import quadrature
 from .distribution import (BaseFunction, PointDistribution, TransversalDistribution,
-                           base_support, family_derivatives, pair, pair_restrictions)
-from .expr import Box, DimensionError, Expr, ExprError, multi_indices_up_to
+                           base_support, family_derivatives, pair, restriction_table,
+                           values_at)
+from .expr import Box, DimensionError, Expr, ExprError, grid_values, multi_indices_up_to
 from .quadrature import tensor_grid
 
 DEFAULT_GRID_DENSITY = 33
@@ -91,20 +93,22 @@ class Seminorm:
 
 
 def seminorm_eval(p: Seminorm, F: Expr, density: int | None = None) -> float:
-    """Grid supremum realizing the seminorm; a lower bound of the true sup."""
+    """Grid supremum realizing the seminorm; a lower bound of the true sup.
+    A NaN raises for the first multi-index, in ``multi_indices_up_to``
+    order, that has one, at its first lattice point in C order."""
     if F.dim != p.box.dim:
         raise DimensionError("expression and box dimensions differ")
     axes = lattice_axes(p.box, density)
-    best = 0.0
-    for alpha in multi_indices_up_to(F.dim, p.order):
-        vals = np.abs(F.diff(alpha).eval_grid([a[:, None] for a in axes]))
-        m = float(vals.max(initial=0.0))
-        if math.isnan(m):  # max propagates a NaN
-            at = np.unravel_index(np.flatnonzero(np.isnan(vals))[0], [a.size for a in axes])
-            _raise_nan(np.array([a[i] for a, i in zip(axes, at)]), alpha, "seminorm")
-        if m > best:
-            best = m
-    return best
+    alphas = multi_indices_up_to(F.dim, p.order)
+    peaks, nans = [0.0] * len(alphas), {}
+    for k, vals in grid_values([F.diff(alpha) for alpha in alphas], [a[:, None] for a in axes]):
+        peaks[k] = float(np.abs(vals).max(initial=0.0))
+        if math.isnan(peaks[k]):  # max propagates a NaN
+            nans[k] = np.unravel_index(np.flatnonzero(np.isnan(vals))[0], [a.size for a in axes])
+    if nans:
+        k = min(nans)
+        _raise_nan(np.array([a[i] for a, i in zip(axes, nans[k])]), alphas[k], "seminorm")
+    return max(peaks)
 
 
 def _raise_nan(point, alpha, what: str):
@@ -205,25 +209,43 @@ def _blocks(pts: np.ndarray):
 
 
 def _scan(profile: LFProfile, supp: Box, density: int | None, what: str,
-          values) -> MembershipResult:
-    """A membership scan, shell by shell, multi-index by multi-index and block
-    by block: the first row whose |value| is not below the shell's epsilon
-    rejects, where ``values(n, alpha, block)`` gives a block's values."""
+          term, values) -> MembershipResult:
+    """A membership scan, shell by shell (see the module docstring): the
+    first row whose |value| is not below the shell's epsilon rejects.
+    ``values(terms, block)`` gives one row per ``term(n, alpha)``.  A term
+    that cannot be built ends the shell's list, and its error is raised
+    once every earlier multi-index has passed the shell."""
     for n in range(1, profile.depth + 1):
         pts = _shell_points(profile, n, supp, density)
-        eps = profile.epsilons[n - 1]
-        for alpha in multi_indices_up_to(profile.base_dim, profile.orders[n - 1]):
-            for block in _blocks(pts):
-                vals = values(n, alpha, block)
-                bad = np.flatnonzero(~(np.abs(vals) < eps))
-                if bad.size == 0:
-                    continue
-                i = bad[0]
-                if np.isnan(vals[i]):
-                    _raise_nan(block[i], alpha, what)
-                return MembershipResult(False, {
-                    "shell": n, "point": tuple(block[i].tolist()),
-                    "alpha": alpha, "value": float(vals[i]), "epsilon": eps})
+        if not pts.shape[0]:
+            continue
+        alphas = multi_indices_up_to(profile.base_dim, profile.orders[n - 1])
+        terms, error = [], None
+        for alpha in alphas:
+            try:
+                terms.append(term(n, alpha))
+            except ExprError as e:
+                error = e
+                break
+        eps, witness = profile.epsilons[n - 1], None
+        for block in _blocks(pts):
+            if not terms:
+                break
+            vals = values(terms, block)
+            bad = ~(np.abs(vals) < eps)
+            for k in np.flatnonzero(bad.any(axis=1))[:1]:  # the first failing multi-index
+                i = np.flatnonzero(bad[k])[0]
+                witness = (alphas[k], block[i], vals[k, i])
+                del terms[k:]
+        if witness is not None:
+            alpha, point, value = witness
+            if np.isnan(value):
+                _raise_nan(point, alpha, what)
+            return MembershipResult(False, {
+                "shell": n, "point": tuple(point.tolist()),
+                "alpha": alpha, "value": float(value), "epsilon": eps})
+        if error is not None:
+            raise error
     return MembershipResult(True)
 
 
@@ -237,7 +259,8 @@ def lf_membership(profile: LFProfile, f: BaseFunction,
     if f.bundle.base_dim != profile.base_dim:
         raise DimensionError("profile and function base dimensions differ")
     return _scan(profile, supp, density, "lf_membership",
-                 lambda n, alpha, block: f.derivative(alpha).values(block))
+                 lambda n, alpha: f.derivative(alpha),
+                 lambda derivatives, block: values_at(block, *derivatives))
 
 
 def lfB_membership(profile: LFProfile, families, u: TransversalDistribution,
@@ -248,7 +271,7 @@ def lfB_membership(profile: LFProfile, families, u: TransversalDistribution,
     ``families`` lists one BoundedFamily per shell (n-th entry used on the
     n-th shell); the derivatives of the family come from one
     ``family_derivatives`` tower and are restricted at the lattice points
-    and paired with the family in batches (``pair_restrictions``).  The
+    and paired with the family in batches (``restriction_table``).  The
     value at a point is ``pB_eval`` of the restriction there.
     """
     lattice_pitch(density)  # a bad density is an error even where nothing is scanned
@@ -259,6 +282,7 @@ def lfB_membership(profile: LFProfile, families, u: TransversalDistribution,
     if supp.is_empty:
         return MembershipResult(True)
     derivatives = family_derivatives(u, max(profile.orders))
-    return _scan(profile, supp, density, "lfB_membership",  # pB_eval's; NaN if any pairing is
-                 lambda n, alpha, block: np.abs(pair_restrictions(
-                     derivatives[alpha], block, families[n - 1].members, order)).max(axis=0))
+    return _scan(profile, supp, density, "lfB_membership",
+                 lambda n, alpha: (derivatives[alpha], families[n - 1].members),
+                 lambda pairs, block: np.abs(  # pB_eval's; NaN if any pairing is
+                     restriction_table(pairs, block, order)).max(axis=1))

@@ -166,20 +166,23 @@ def check_leibniz(T: TransversalDistribution, F: Expr, alpha_max: int, grid,
     (``ex.taylor``) times alpha!, plus its quadrature parts differentiated
     under the integral; no derivative of T(F) is built.  On the right each
     family derivative D^beta T, built from the one below it
-    (``family_derivatives``), is paired once on the total space
-    (``pair_at``) with every D^gamma F it meets, |beta| + |gamma| <=
-    alpha_max; each alpha then sums its terms from that table.
+    (``family_derivatives``), is paired on the total space with every
+    D^gamma F it meets, |beta| + |gamma| <= alpha_max, in one
+    ``pair_table`` for the whole tower; each alpha then sums its terms
+    from that table.
     """
     report = CheckReport("leibniz")
     b = T.bundle
     X = _base_points(b, grid)
     alphas = ex.multi_indices_up_to(b.base_dim, alpha_max)
     dF = {gamma: F.diff(b.base_alpha_to_total(gamma)) for gamma in alphas}
-    paired = {}
-    for beta, D in dist.family_derivatives(T, alpha_max).items():
-        gammas = ex.multi_indices_up_to(b.base_dim, alpha_max - ex.order(beta))
-        values = dist.pair_at(D, X, [dF[gamma] for gamma in gammas], order)
-        paired.update({(beta, gamma): row.tolist() for gamma, row in zip(gammas, values)})
+    tower = dist.family_derivatives(T, alpha_max)
+    gammas = {beta: ex.multi_indices_up_to(b.base_dim, alpha_max - ex.order(beta))
+              for beta in tower}
+    table = dist.pair_table([(D, [dF[gamma] for gamma in gammas[beta]])
+                             for beta, D in tower.items()], X, order)
+    paired = {(beta, gamma): row.tolist()
+              for beta, values in zip(tower, table) for gamma, row in zip(gammas[beta], values)}
     bf = dist.evaluate(T, F, order)
     quads = replace(bf, symbolic=None)
     derivatives = dist.values_at(X, *(quads.derivative(alpha) for alpha in alphas))

@@ -4,13 +4,17 @@ import math
 import pickle
 import sys
 import threading
+import warnings
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import each_engine, fd_derivative, random_polynomial
+from test_expr_dag import expressions
 from transdist import bundle as bd
 from transdist import cli
 from transdist import distribution as dist
@@ -701,7 +705,7 @@ class TestBaseFunctionValues:
 
 
 class TestPairRestrictions:
-    """pair_restrictions(T, X, gs) is the pointwise pair(restrict(T, x), g)."""
+    """restriction_table([(T, gs)], X) is the pointwise pair(restrict(T, x), g)."""
 
     @pytest.mark.parametrize("block", [None, 1, 7])
     def test_matches_pointwise_pairs(self, monkeypatch, plane_bundle, block):
@@ -718,7 +722,7 @@ class TestPairRestrictions:
         if block is not None:
             monkeypatch.setattr(qd, "PAIR_BLOCK", block)
         for _ in each_engine():
-            got = dist.pair_restrictions(T, X, gs, 12)
+            [got] = dist.restriction_table([(T, gs)], X, 12)
             assert got.shape == (3, len(X))
             assert all(same_floats(row.tolist(), w) for row, w in zip(got, want))
         assert np.count_nonzero(got) and not np.all(got)
@@ -872,6 +876,44 @@ class TestPairAt:
             dist.pair_at(T_dirac, np.zeros((3, 2)), [F])
         with pytest.raises(ex.DimensionError):
             dist.pair_at(T_dirac, np.zeros((3, 1)), [line_bundle.parse_fibre("y0")])
+
+
+# weights that vanish on no row, on part of the rows (|x| >= 1) and on all
+TABLE_WEIGHTS = ["bump(x0/2)*(x0 + 2)", "bump(x0)", "bump(2*x0)*(1 + x0)", "0"]
+TABLE_SECTIONS = ["x0/2 + sin(x0)/3", "x0^2 - 1/4"]
+table_terms = st.lists(st.tuples(st.sampled_from(TABLE_WEIGHTS), st.integers(0, 1),
+                                 st.integers(0, 2)), max_size=3)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(expressions, min_size=1, max_size=4),
+       st.lists(st.tuples(table_terms, st.booleans(), st.lists(st.integers(0, 3), max_size=3)),
+                min_size=1, max_size=3))
+def test_pair_table_entries_are_lone_pair_at_calls(pool, specs):
+    """Each entry of a pairing table equals ``pair_at`` of its pair alone,
+    bit for bit, on either engine: pairs that share sections, betas and
+    members (drawn from the expressions of the DAG tests), zero weights,
+    and density terms."""
+    b = bd.TrivialBundle(1, 1)
+    sections = [bd.section_from_strings(b, [t]) for t in TABLE_SECTIONS]
+    pairs = []
+    for terms, with_density, picks in specs:
+        T = dist.zero_distribution(b)
+        for w, s, k in terms:
+            T = T + dist.dirac_section(sections[s], b.parse_base(w), (k,))
+        if with_density:
+            T = T + dist.density(b, b.parse_total("bump(x0)*bump(y0)*(1 + x0*y0/3)"))
+        pairs.append((T, [pool[i % len(pool)] for i in picks]))
+    X = np.linspace(-1.2, 1.2, 13)[:, None]
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        for _ in each_engine():
+            table = dist.pair_table(pairs, X, 8)
+            assert len(table) == len(pairs)
+            for (T, members), got in zip(pairs, table):
+                want = dist.pair_at(T, X, members, 8)
+                assert got.shape == want.shape == (len(members), len(X))
+                assert all(map(same_floats, got.tolist(), want.tolist()))
 
 
 def hexes(values):

@@ -1,9 +1,11 @@
 """Expressions as DAGs: memoized derivatives and one-visit-per-node passes."""
 
+import gc
 import math
 import sys
 import threading
 import warnings
+import weakref
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -191,6 +193,79 @@ def test_evaluate_many_is_evaluate_of_each_root(e, derivatives, pts):
                                                              for row in want]
 
 
+def _grid_pass(roots, blocks):
+    """``grid_values`` collected into a list indexed by root, each root's
+    array handed out once, and every writable one sharing no memory with
+    the blocks or another root's."""
+    got = [None] * len(roots)
+    for k, value in ex.grid_values(roots, blocks):
+        assert got[k] is None
+        got[k] = value
+    assert all(v is not None for v in got)
+    writable = [v for v in got if v.flags.writeable]
+    for v in writable:
+        assert not any(np.shares_memory(v, b) for b in blocks)
+        assert not any(np.shares_memory(v, w) for w in got if w is not v)
+    return got
+
+
+@settings(max_examples=150, deadline=None)
+@given(expressions, st.lists(st.lists(st.integers(0, DIM - 1), max_size=3), max_size=3),
+       st.lists(block_coords, min_size=1, max_size=4),
+       st.lists(block_coords, min_size=1, max_size=4),
+       st.lists(block_coords, min_size=1, max_size=3))
+def test_grid_values_is_eval_grid_of_each_root(e, derivatives, a, b, c):
+    """One pass over many roots gives each root's own ``eval_grid``, bit for
+    bit, on one-, two- and three-block grids: with repeated roots, the
+    children of a root (which the pass computes before it), a lone
+    coordinate, and derivatives sharing subDAGs with the expression."""
+    roots = [e, *e._children(), ex.var(0, DIM), e]
+    roots += [_differentiated(e, slots) for slots in derivatives]
+    lifted = [r.substitute({0: 0, 1: 2}, 3) for r in roots] + [ex.var(1, 3)]
+    A, B, C = _strided(a), _strided(b), _strided(c)
+    grids = [(roots, (np.hstack([A, A[::-1]]),)), (roots, (A, B)), (lifted, (A, B, C)),
+             (lifted, (np.hstack([A, B[:1].repeat(len(A), axis=0)]), C))]
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        for rs, blocks in grids:
+            got = _grid_pass(rs, blocks)
+            want = [r.eval_grid(blocks) for r in rs]
+            assert [list(map(_bits, v.tolist())) for v in got] == [
+                list(map(_bits, v.tolist())) for v in want]
+
+
+def test_grid_values_hands_out_a_coordinate_read_only():
+    """A lone variable root is the caller's column: never handed out
+    writable, and writing to what the pass hands out fails."""
+    x0 = ex.var(0, 1)
+    A = np.array([[0.5], [1.5], [-2.0]])
+    for roots in ([x0, ex.exp(x0)], [x0, x0], [ex.exp(x0), ex.exp(x0)]):
+        for _, v in ex.grid_values(roots, (A,)):
+            if not v.flags.writeable:
+                with pytest.raises(ValueError):
+                    v[0] = 7.0
+    assert A.tolist() == [[0.5], [1.5], [-2.0]]
+    assert [k for k, _ in ex.grid_values([ex.exp(x0), x0], (A,))] == [1, 0]
+
+
+def test_grid_values_lets_go_of_each_root_it_has_handed_out():
+    """A root that nothing later reads is dropped once it is handed out, so
+    a caller that reduces each root as it comes holds one grid at a time;
+    a root that a later root reads is handed out read-only."""
+    e = ex.parse("exp(x0)*sin(x0)", 1)
+    roots = [e._children()[0], ex.parse("cos(x0)", 1), e]
+    A = np.linspace(-1.0, 1.0, 5)[:, None]
+    refs = {}
+    for k, v in ex.grid_values(roots, (A,)):
+        assert v.flags.writeable == (k != 0)
+        refs[k] = weakref.ref(v if v.base is None else v.base)
+        del v
+        gc.collect()
+        if k == 2:
+            assert refs[1]() is None
+    assert sorted(refs) == [0, 1, 2]
+
+
 def test_evaluate_many_shapes_and_dimension_errors():
     e = ex.parse("x0*exp(x1)", DIM)
     roots = [e, e.diff1(0), e]
@@ -358,7 +433,8 @@ def test_plan_visits_each_node_once_and_releases_each_intermediate_once():
     assert len({id(node) for node in below}) == len(below)
     assert all(node is not d for node in below)
     released = [i for _, _, dead in plan for i in dead]
-    assert sorted(released) == list(range(len(plan) - 1))
+    assert sorted(released) == list(range(len(plan)))
+    assert len(plan) - 1 in plan[-1][2]  # the root, once it is handed out
     for pos, (_, args, dead) in enumerate(plan):
         assert all(i < pos for i in args)
         for i in dead:

@@ -69,7 +69,8 @@ def test_no_module_rebinds_a_global():
 
 
 # Library calls that take a quadrature order or a grid density.
-SETTING_TAKERS = {"evaluate", "pair", "pair_at", "apply", "compose",
+SETTING_TAKERS = {"evaluate", "pair", "pair_at", "pair_table", "restriction_table",
+                  "apply", "compose",
                   "seminorm_eval", "lf_membership", "lfB_membership", "check_restriction_compat",
                   "check_leibniz", "check_smoothness", "check_duality", "check_support",
                   "check_localization"}
@@ -171,11 +172,23 @@ def test_seminorm_evaluates_over_lattice_axes():
     assert ("topology.py", "seminorm_eval") not in calls_of("lattice_points")
 
 
+def test_topology_evaluates_no_expression_per_multi_index():
+    """Every D^alpha F of a seminorm comes out of one ``grid_values`` pass:
+    ``topology.py`` calls no per-expression evaluator, in a loop or not."""
+    assert ("topology.py", "seminorm_eval") in calls_of("grid_values")
+    for name in ("eval_grid", "eval_array", "evaluate", "evaluate_many"):
+        hits = calls_of(name)
+        assert hits  # the calls are seen elsewhere
+        assert [hit for hit in hits if hit[0] == "topology.py"] == []
+
+
 def test_leibniz_pairs_on_the_total_space():
     """``check_leibniz`` restricts nothing: it pairs each family derivative
-    with the total-space derivatives of F (``distribution.pair_at``), and
-    takes D^alpha T(F) from Taylor jets (``expr.taylor``)."""
-    assert ("verify.py", "check_leibniz") in calls_of("pair_at")
+    with the total-space derivatives of F, the whole tower in one
+    ``distribution.pair_table``, and takes D^alpha T(F) from Taylor jets
+    (``expr.taylor``)."""
+    assert ("verify.py", "check_leibniz") in calls_of("pair_table")
+    assert ("verify.py", "check_leibniz") not in calls_of("pair_at")
     assert ("verify.py", "check_leibniz") in calls_of("taylor")
     for name in ("restrict", "restrict_function", "pair"):
         hits = calls_of(name)
@@ -197,35 +210,41 @@ def test_verify_evaluates_base_functions_over_grids():
 
 
 def test_pair_at_evaluates_each_batch_of_roots_over_its_rows_at_once():
-    """``pair_at`` makes no per-root scalar ``.evaluate(`` or ``.value(``
-    call: the weights, each section's components and its fibre derivatives
-    go through ``ex.evaluate_many``, one pass over the rows each."""
+    """``pair_table``, and ``pair_at``, its one-pair case, make no per-root
+    scalar ``.evaluate(`` or ``.value(`` call: the weights, each section's
+    components and its fibre derivatives go through ``ex.evaluate_many``,
+    one pass over the rows each."""
     def method_calls(name):
         return nodes_where(lambda n: isinstance(n, ast.Call)
                            and isinstance(n.func, ast.Attribute) and n.func.attr == name)
 
-    in_pair_at = ("distribution.py", "pair_at")
-    assert in_pair_at in method_calls("evaluate_many")
+    in_pair_table = ("distribution.py", "pair_table")
+    assert in_pair_table in method_calls("evaluate_many")
+    assert ("distribution.py", "pair_at") in calls_of("pair_table")
     for name in ("evaluate", "value"):
         hits = method_calls(name)
         assert {module for module, _ in hits} >= {"distribution.py"}  # the calls are seen
-        assert in_pair_at not in hits
+        assert in_pair_table not in hits
+        assert ("distribution.py", "pair_at") not in hits
 
 
 def test_only_evaluate_many_chooses_between_scalar_and_array_evaluation():
     """Batches of pairings and of base-function values have one path each:
-    ``pair_at`` and ``values_at`` evaluate their expressions through
-    ``ex.evaluate_many``, ``pair_restrictions`` pairs its Dirac terms
-    through ``pair_at``, and none of them calls ``.eval_array(`` or
+    ``pair_table`` and ``values_at`` evaluate their expressions through
+    ``ex.evaluate_many``, ``restriction_table`` pairs its Dirac terms
+    through ``pair_table``, ``pair_at`` is the one-pair case of
+    ``pair_table``, and none of them calls ``.eval_array(`` or
     ``.evaluate(``.  The row count picks the engine in ``expr.py`` alone."""
     def method_calls(name):
         return nodes_where(lambda n: isinstance(n, ast.Call)
                            and isinstance(n.func, ast.Attribute) and n.func.attr == name)
 
-    batches = {("distribution.py", f) for f in ("pair_at", "pair_restrictions", "values_at")}
-    assert {("distribution.py", "pair_at"),
+    batches = {("distribution.py", f) for f in ("pair_at", "pair_table", "restriction_table",
+                                                "values_at")}
+    assert {("distribution.py", "pair_table"),
             ("distribution.py", "values_at")} <= set(method_calls("evaluate_many"))
-    assert ("distribution.py", "pair_restrictions") in calls_of("pair_at")
+    assert ("distribution.py", "restriction_table") in calls_of("pair_table")
+    assert ("distribution.py", "pair_at") in calls_of("pair_table")
     assert ("distribution.py", "values") in calls_of("values_at")
     for name in ("eval_array", "evaluate"):
         hits = method_calls(name)

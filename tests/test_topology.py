@@ -1,5 +1,7 @@
 import math
+import types
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -338,6 +340,60 @@ class TestArrayScans:
             want = lfB_per_point(profile, families, u, density=9, order=12)
             assert same_verdict(
                 tp.lfB_membership(profile, families, u, density=9, order=12), want)
+
+
+class TestScanPrecedence:
+    """Errors and witnesses are those of a scan multi-index by multi-index,
+    whatever order the evaluation takes."""
+
+    def test_seminorm_nan_names_the_lowest_multi_index(self):
+        # D^(1,0) F is sin(exp(800*x1)), a node of F itself, so one pass over
+        # all of F's derivatives meets its NaN before the NaN of D^(0,1) F
+        F = ex.parse("x0*sin(exp(800*x1)) + exp(800*x1)*(2 - x1)", 2)
+        alphas = ex.multi_indices_up_to(2, 1)
+        assert alphas == [(0, 0), (0, 1), (1, 0)]
+        _, _, at = ex._number([F.diff(alpha) for alpha in alphas])
+        assert at[2] < at[1]
+        with pytest.raises(ex.ExprError, match=r"NaN at lattice point \(0\.0, 0\.9375\) "
+                                               r"for multi-index \(0, 1\)"):
+            tp.seminorm_eval(tp.Seminorm(Box.of([(0, 0), (0.5, 1)]), 1), F)
+
+    @staticmethod
+    def with_numeric_part(b):
+        """A base function whose value is BUMP_INTEGRAL on [-1, 1], from a
+        numeric kernel part, which supports no derivative."""
+        term = types.SimpleNamespace(values_fn=lambda X, Z: np.ones((len(X), len(Z))))
+        part = dist.NumericPart(term, b.parse_fibre("bump(y0)"), Box.of([(-1, 1)]),
+                                Box.of([(-1, 1)]))
+        return dist.BaseFunction(b, numeric_parts=(part,), order=64)
+
+    def test_lf_rejection_at_order_0_is_returned_before_a_numeric_part_error(
+            self, line_bundle):
+        f = self.with_numeric_part(line_bundle)
+        res = tp.lf_membership(tp.LFProfile(1, (1,), (0.25,)), f, density=9)
+        assert not res.accepted
+        assert res.witness == {"shell": 1, "point": (-1.0,), "alpha": (0,),
+                               "value": BUMP_INTEGRAL, "epsilon": 0.25}
+
+    def test_a_numeric_part_error_is_raised_once_order_0_passes(self, line_bundle):
+        f = self.with_numeric_part(line_bundle)
+        with pytest.raises(ex.ExprError, match="pointwise evaluation only"):
+            tp.lf_membership(tp.LFProfile(1, (1,), (1.0,)), f, density=9)
+        # a shell of order 0 never asks for a derivative
+        assert tp.lf_membership(tp.LFProfile(1, (0,), (1.0,)), f, density=9).accepted
+
+    @pytest.mark.parametrize("block", [1, 7, 50])
+    def test_a_later_block_can_hold_a_lower_multi_index_witness(
+            self, monkeypatch, line_bundle, block):
+        """D^1 f fails on the first rows and f itself only on the last ones:
+        the witness is f's, the scan's first multi-index."""
+        f = dist.BaseFunction(line_bundle, symbolic=line_bundle.parse_base(
+            "bump(x0)*exp(3*x0)"))
+        profile = tp.LFProfile(1, (1,), (0.5,))
+        want = lf_per_point(profile, f, density=65)
+        assert want[1]["alpha"] == (0,) and want[1]["point"][0] > 0
+        monkeypatch.setattr(qd, "PAIR_BLOCK", block)
+        assert same_verdict(tp.lf_membership(profile, f, density=65), want)
 
 
 class TestNaNAtALatticePoint:
