@@ -9,7 +9,10 @@ exp, sin, cos, and a compactly supported bump primitive
 Derivatives of bump stay inside the class because every derivative has the
 shape bump(t) * p(t) / (1 - t^2)^q with p a polynomial; the ``BumpRat``
 node stores that shape and guards the whole product to 0 for |t| >= 1, so
-evaluation is total and exactly zero outside the support.
+evaluation is total and exactly zero outside the support.  Its derivative
+is bump(t) * r(t) / (1 - t^2)^(q+2) by the three-term recurrence
+r_k = (k+1) p_{k+1} + 2(q-k) p_{k-1} + (k-3-2q) p_{k-3}, taken exactly on
+the integer numerators of p over their common denominator.
 
 Division is accepted by the surface grammar but desugared at construction:
 a denominator must fold to a nonzero rational constant, which is absorbed
@@ -273,34 +276,7 @@ class Box:
 
 
 # ---------------------------------------------------------------------------
-# Polynomial helpers on coefficient tuples (low degree first, Fractions)
-
-
-def _poly_trim(coeffs):
-    coeffs = list(coeffs)
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return tuple(coeffs)
-
-
-def _poly_add(a, b):
-    n = max(len(a), len(b))
-    return _poly_trim(
-        (a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0) for i in range(n))
-
-
-def _poly_mul(a, b):
-    if not a or not b:
-        return ()
-    out = [Fraction(0)] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        for j, bj in enumerate(b):
-            out[i + j] += ai * bj
-    return _poly_trim(out)
-
-
-def _poly_diff(a):
-    return _poly_trim(a[i] * i for i in range(1, len(a)))
+# Polynomial evaluation on float coefficient tuples (low degree first)
 
 
 def _poly_eval_float(coeffs_float, u):
@@ -530,7 +506,13 @@ class Const(Expr):
 
     @_memo
     def _float(self):
-        return float(self.value)
+        v = self.value  # float(v) divides the same way, through numbers.Rational
+        try:
+            return v.numerator / v.denominator
+        except OverflowError:
+            scale = math.log10(abs(v.numerator)) - math.log10(v.denominator)
+            raise ExprError(f"constant of magnitude about 10^{scale:.0f} is beyond "
+                            "the float range") from None
 
     def _eval(self, point, vals, args):
         return self._float
@@ -926,15 +908,13 @@ class BumpRat(Expr):
 
     def _diff1(self, slot):
         # d/du [bump(u) p(u) (1-u^2)^-q]
-        #   = bump(u) [p'(u)(1-u^2)^2 - 2u p(u) + 2qu(1-u^2)p(u)] (1-u^2)^-(q+2)
-        p = self.coeffs
-        one_minus_u2 = (Fraction(1), Fraction(0), Fraction(-1))
-        term1 = _poly_mul(_poly_diff(p), _poly_mul(one_minus_u2, one_minus_u2))
-        term2 = _poly_mul((Fraction(0), Fraction(-2)), p)
-        term3 = _poly_mul((Fraction(0), Fraction(2 * self.pole_order)),
-                          _poly_mul(one_minus_u2, p))
-        ptilde = _poly_add(_poly_add(term1, term2), term3)
-        dself = bump_rat(self.arg, ptilde, self.pole_order + 2)
+        #   = bump(u) [p'(u)(1-u^2)^2 - 2u p(u) + 2qu(1-u^2)p(u)] (1-u^2)^-(q+2),
+        # whose u^k coefficient is the module docstring's r_k
+        q, den = self.pole_order, math.lcm(*(c.denominator for c in self.coeffs))
+        p = [0, 0, 0, *(c.numerator * (den // c.denominator) for c in self.coeffs), 0, 0, 0, 0]
+        r = [(k + 1) * p[k + 4] + 2 * (q - k) * p[k + 2] + (k - 3 - 2 * q) * p[k]
+             for k in range(len(self.coeffs) + 3)]
+        dself = bump_rat(self.arg, r if den == 1 else [Fraction(c, den) for c in r], q + 2)
         return mul(dself, self.arg.diff1(slot))
 
     def _rebuild(self, args):
@@ -1346,9 +1326,18 @@ def _product(dim: int, flat: list, consts: list) -> Expr:
 
 def _fold(consts, fold, dim: int) -> Const:
     """The constants of a sum or product as one ``Const``; a lone one is reused.
-    The fold starts from the first value: an int seed would take Fraction's
-    slow reflected operators."""
-    return consts[0] if len(consts) == 1 else Const(dim, reduce(fold, [c.value for c in consts]))
+    A product of two runs on integers: a factor 1 leaves the other value, two
+    integers multiply, any other pair is normalized once.  Other folds start
+    from the first value: an int seed takes Fraction's slow reflected operators."""
+    if len(consts) == 1:
+        return consts[0]
+    if len(consts) == 2 and fold is operator.mul:
+        a, b = consts[0].value, consts[1].value
+        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
+        if an == ad or bn == bd:
+            return Const(dim, b if an == ad else a)
+        return Const(dim, Fraction(an * bn) if ad == 1 == bd else Fraction(an * bn, ad * bd))
+    return Const(dim, reduce(fold, [c.value for c in consts]))
 
 
 def div(num: Expr, den: Expr) -> Expr:
@@ -1396,13 +1385,17 @@ def bump(arg: Expr) -> Expr:
 
 
 def bump_rat(arg: Expr, coeffs, pole_order: int) -> Expr:
-    coeffs = _poly_trim(Fraction(c) for c in coeffs)
+    if type(pole_order) is not int or pole_order < 0:
+        raise ExprError(f"pole order must be a nonnegative int, got {pole_order!r}")
+    coeffs = [Fraction(c) for c in coeffs]
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
     if not coeffs:
         return Const(arg.dim, Fraction(0))
     c = constant_value(arg)
     if c is not None and abs(c) >= 1:
         return Const(arg.dim, Fraction(0))
-    return BumpRat(arg.dim, arg, coeffs, pole_order)
+    return BumpRat(arg.dim, arg, tuple(coeffs), pole_order)
 
 
 def constant_value(e: Expr):

@@ -281,6 +281,16 @@ class TestExitCodes:
         assert code == cli.EXIT_USAGE
         assert "not supported" in json.loads(out)["error"]
 
+    def test_constant_beyond_the_float_range_is_exit_2(self, capsys, tmp_path):
+        p = tmp_path / "huge.json"
+        p.write_text(json.dumps({**SMALL_SCENE, "functions": {"F": "10^400*bump(y0)*x0"}}))
+        for argv in (["eval", str(p), "T", "F", "--at", "0.1"],
+                     ["check", str(p), "--suite", "all"]):
+            code, out = run_cli(capsys, *argv)
+            assert code == cli.EXIT_USAGE
+            assert json.loads(out)["error"] == (
+                "constant of magnitude about 10^400 is beyond the float range")
+
     def test_lattice_over_budget_is_exit_2(self, capsys, dirac_scene):
         for box in ("--box=0:1e308;0:1", "--box=0:1e4;0:1e4"):
             code, out = run_cli(capsys, "seminorm", dirac_scene, "G", box,

@@ -1,6 +1,8 @@
 import decimal
 import math
+import operator
 from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -390,6 +392,100 @@ class TestBumpEnvelope:
         values = d.eval_array(np.linspace(-0.95, 0.8, 2001).reshape(-1, 1))
         assert np.abs(values).max() > 0.0
         assert lo <= values.min() and values.max() <= hi
+
+
+def _poly_mul(a, b):
+    """The Fraction polynomial product the bump derivative was once built from."""
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, ai in enumerate(a):
+        for j, bj in enumerate(b):
+            out[i + j] += ai * bj
+    return tuple(out)
+
+
+def _reference_bump_diff(p, q):
+    """p'(1-u^2)^2 - 2u p + 2qu(1-u^2) p, the numerator over (1-u^2)^(q+2)."""
+    one_minus_u2 = (Fraction(1), Fraction(0), Fraction(-1))
+    dp = tuple(p[i] * i for i in range(1, len(p)))
+    terms = (_poly_mul(dp, _poly_mul(one_minus_u2, one_minus_u2)),
+             _poly_mul((Fraction(0), Fraction(-2)), p),
+             _poly_mul((Fraction(0), Fraction(2 * q)), _poly_mul(one_minus_u2, p)))
+    out = [sum(t[i] for t in terms if i < len(t)) for i in range(max(map(len, terms)))]
+    while out and out[-1] == 0:
+        out.pop()
+    return tuple(out)
+
+
+class TestBumpDerivative:
+    """d/du [bump(u) p(u) (1-u^2)^-q] is bump(u) r(u) (1-u^2)^-(q+2), exactly."""
+
+    @pytest.mark.parametrize("k, coeffs, q", [
+        (1, (0, -2), 2),
+        (2, (-2, 0, 0, 0, 6), 4),
+        (3, (0, -12, 0, 40, 0, -12, 0, -24), 6),
+        (4, (-12, 0, 24, 0, 232, 0, -528, 0, 180, 0, 120), 8),
+        (5, (0, -120, 0, 1360, 0, -2112, 0, -2400, 0, 6120, 0, -2160, 0, -720), 10),
+        (6, (-120, 0, 2160, 0, 8040, 0, -56816, 0, 77160, 0, 7440, 0, -68040, 0,
+             25200, 0, 5040), 12)])
+    def test_bump_derivative_table(self, k, coeffs, q):
+        d = ex.parse("bump(x0)", 1).diff((k,))
+        assert (d.coeffs, d.pole_order) == (coeffs, q)
+        assert all(type(c) is Fraction for c in d.coeffs)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.fractions(max_denominator=60), min_size=1, max_size=9).filter(any),
+           st.integers(min_value=0, max_value=8))
+    def test_recurrence_matches_the_polynomial_products(self, coeffs, q):
+        b = ex.bump_rat(ex.var(0, 1), coeffs, q)
+        d = b.diff1(0)
+        assert d.coeffs == _reference_bump_diff(b.coeffs, q)
+        assert d.pole_order == q + 2
+        assert all(type(c) is Fraction for c in d.coeffs)
+
+    @pytest.mark.parametrize("q", [-1, 1.5, True])
+    def test_pole_order_must_be_a_nonnegative_int(self, q):
+        with pytest.raises(ex.ExprError, match="pole order"):
+            ex.bump_rat(ex.var(0, 1), (1,), q)
+
+
+# exact rationals around 0, 1, the integers and both ends of the float range
+_EDGE_VALUES = [0, 1, -1, 2, -3, Fraction(1, 2**1074), Fraction(-1, 2**1074),
+                Fraction(1, 2**1075), Fraction(3, 2**1076), Fraction(1, 2**1076),
+                2**1024 - 2**971, 2**1024 - 2**970, -(2**1024 - 2**971), 2**1024,
+                Fraction(2**2000 + 1, 2**976), Fraction(2**2000 + 1, 3**1300)]
+rationals = st.one_of(
+    st.sampled_from(_EDGE_VALUES),
+    st.integers(),
+    st.fractions(),
+    st.builds(Fraction, st.integers(-2**1100, 2**1100), st.integers(1, 2**1100)),
+).map(Fraction)
+
+
+class TestExactConstants:
+    """Constant folding is exact and a constant's float is ``float(value)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(rationals)
+    def test_float_is_the_correctly_rounded_value(self, v):
+        try:
+            want = float(v)
+        except OverflowError:
+            with pytest.raises(ex.ExprError, match="beyond the float range"):
+                ex.const(v, 1)._float
+            return
+        assert ex.const(v, 1)._float.hex() == want.hex()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(rationals, min_size=1, max_size=4),
+           st.sampled_from([operator.mul, operator.add]))
+    def test_fold_is_the_exact_reduction(self, values, fold):
+        consts = [ex.const(v, 1) for v in values]
+        got = ex._fold(consts, fold, 1)
+        assert got.value == reduce(fold, values)
+        assert type(got.value) is Fraction
+        assert (got is consts[0]) if len(consts) == 1 else all(got is not c for c in consts)
 
 
 @settings(max_examples=40, deadline=None)

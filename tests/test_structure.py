@@ -314,3 +314,18 @@ def test_localization_has_one_path():
     assert ("distribution.py", "localize_decompose") in calls_of("module_action_base")
     assert ("distribution.py", "localize_decompose") not in calls_of("DiracSectionTerm")
     assert ("distribution.py", "localize_decompose") not in calls_of("DensityTerm")
+
+
+def test_bump_derivatives_use_no_fraction_polynomial_helpers():
+    """``BumpRat._diff1`` runs its integer recurrence in place: the Fraction
+    polynomial sum, product and derivative helpers are gone, and it calls
+    no ``_poly_*`` helper."""
+    tree = ast.parse((PACKAGE / "expr.py").read_text(encoding="utf-8"))
+    defined = {n.name for n in ast.walk(tree) if isinstance(n, ast.FunctionDef)}
+    assert defined.isdisjoint({"_poly_mul", "_poly_add", "_poly_diff"})
+    assert "_poly_eval_float" in defined  # the walk does see module-level helpers
+    diff1 = next(f for c in tree.body if isinstance(c, ast.ClassDef) and c.name == "BumpRat"
+                 for f in c.body if isinstance(f, ast.FunctionDef) and f.name == "_diff1")
+    called = {_name(n.func) for n in ast.walk(diff1) if isinstance(n, ast.Call)}
+    assert "bump_rat" in called
+    assert not any(name and name.startswith("_poly_") for name in called)
