@@ -1326,17 +1326,18 @@ def _product(dim: int, flat: list, consts: list) -> Expr:
 
 def _fold(consts, fold, dim: int) -> Const:
     """The constants of a sum or product as one ``Const``; a lone one is reused.
-    A product of two runs on integers: a factor 1 leaves the other value, two
-    integers multiply, any other pair is normalized once.  Other folds start
-    from the first value: an int seed takes Fraction's slow reflected operators."""
+    A product multiplies the numerators and the denominators as integers and
+    normalizes once.  A sum starts from the first value: an int seed takes
+    Fraction's slow reflected operators."""
     if len(consts) == 1:
         return consts[0]
-    if len(consts) == 2 and fold is operator.mul:
-        a, b = consts[0].value, consts[1].value
-        (an, ad), (bn, bd) = a.as_integer_ratio(), b.as_integer_ratio()
-        if an == ad or bn == bd:
-            return Const(dim, b if an == ad else a)
-        return Const(dim, Fraction(an * bn) if ad == 1 == bd else Fraction(an * bn, ad * bd))
+    if fold is operator.mul:
+        num = den = 1
+        for c in consts:
+            n, d = c.value.as_integer_ratio()
+            num *= n
+            den *= d
+        return Const(dim, Fraction(num, den))
     return Const(dim, reduce(fold, [c.value for c in consts]))
 
 

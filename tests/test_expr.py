@@ -478,7 +478,7 @@ class TestExactConstants:
         assert ex.const(v, 1)._float.hex() == want.hex()
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(rationals, min_size=1, max_size=4),
+    @given(st.lists(rationals, min_size=1, max_size=6),
            st.sampled_from([operator.mul, operator.add]))
     def test_fold_is_the_exact_reduction(self, values, fold):
         consts = [ex.const(v, 1) for v in values]
