@@ -21,21 +21,13 @@ weights vanish wherever their parent's does, are checked against the
 parent's kept box instead, without walking their new weight DAGs.
 
 Equal fibre integrals are computed once.  A density term keeps its last
-product phi * F (``DensityTerm.integrand``) and returns the same node
-while it meets the same F, checked by identity and held by a weak
-reference, so every base function built from it shares the product's
-plan, support box and derivatives.  ``QuadPart.values`` keeps, on the
-integrand node, the last row it computed, keyed on the fibre box, the
-order and X's exact shape, dtype and bytes (not ``id(X)``, which a caller
-may change in place, nor ``np.array_equal``, which takes -0.0 for 0.0),
-and returns that read-only row, a hit as a miss, with no copy.  A
-``NumericPart`` keeps its fibre function on the last rule's axes, keyed
-on the rule's box and order.  Memory stays bounded: one product per
-density term, one (M,) row per integrand node, one rule grid per numeric
-part.  None needs a lock: each entry is read once and replaced by a
-single assignment of a (key, value) pair, so racing threads compute an
-equal product or the same row twice at worst, and a hit returns the
-floats the same pass computed.
+product phi * F (``DensityTerm.integrand``) while it meets the same F,
+checked by identity and held by a weak reference, so every base function
+built from it shares the product's plan, support box and derivatives.
+``QuadPart.values`` keeps the last row it computed on the integrand node,
+keyed on the fibre box, the order and ``quadrature.grid_key(X)``, and a
+``NumericPart`` keeps its fibre function on the last rule's axes; both go
+through ``quadrature.kept``, one entry each, with no lock.
 """
 
 from __future__ import annotations
@@ -235,19 +227,12 @@ def restriction_table(pairs, X, order: int | None = None) -> list:
     return out
 
 
-def pair_at(T: TransversalDistribution, X, members,
-            order: int | None = None) -> np.ndarray:
-    """T_x(F(x, .)) for every row x of an (M, l) array and every total-space
-    function F in ``members``, shape (len(members), M): the one-pair case
-    of ``pair_table``.  The entries equal ``pair(restrict(T, x),
-    restrict_function(T.bundle, F, x), order)`` to rounding wherever the
-    two fibre boxes coincide."""
-    return pair_table([(T, members)], X, order)[0]
-
-
 def pair_table(pairs, X, order: int | None = None) -> list:
-    """``pair_at(T, X, members, order)`` for every (T, members) of
-    ``pairs``, in that order: a list of (len(members), M) arrays.
+    """T_x(F(x, .)) for every (T, members) of ``pairs``, every row x of an
+    (M, l) array and every total-space function F in ``members``: a list of
+    (len(members), M) arrays, in the order of ``pairs``.  The entries equal
+    ``pair(restrict(T, x), restrict_function(T.bundle, F, x), order)`` to
+    rounding wherever the two fibre boxes coincide.
 
     Nothing is restricted: fibre derivatives commute with restriction, so a
     Dirac term reads each member's D^(0,beta) F, memoized on the member's
@@ -268,7 +253,7 @@ def pair_table(pairs, X, order: int | None = None) -> list:
         if X.ndim != 2 or X.shape[1] != b.base_dim:
             raise DimensionError(f"expected base points of shape (M, {b.base_dim})")
         if any(F.dim != b.total_dim for F in members):
-            raise DimensionError("pair_at expects total-space functions")
+            raise DimensionError("pair_table expects total-space functions")
     diracs = [(p, t) for p, (T, _) in enumerate(pairs)
               for t in T.terms if isinstance(t, DiracSectionTerm)]
     weights = ex.evaluate_many([t.weight for _, t in diracs], X)
@@ -317,19 +302,14 @@ class QuadPart:
     fibre_box: Box  # fixed fibre integration box
 
     def values(self, X: np.ndarray, order) -> np.ndarray:
-        """The fibre integral at each row of an (M, l) array of base points,
-        read-only: the integrand node keeps the last one (see the module
-        docstring)."""
-        key = (self.fibre_box, order, X.shape, X.dtype.str, X.tobytes())
-        memo = vars(self.integrand)
-        entry = memo.get("_fibre_integral")  # read once: another thread may replace it
-        if entry is None or entry[0] != key:
-            row = quadrature.integrate_rows(
+        """The fibre integral at each row of an (M, l) array of base points;
+        the integrand node keeps the last one (see the module docstring)."""
+        return quadrature.kept(
+            vars(self.integrand), "_fibre_integral",
+            (self.fibre_box, order, quadrature.grid_key(X)),
+            lambda: quadrature.integrate_rows(
                 lambda i, j, r: self.integrand.eval_grid((X[i:j], *r.axes)).reshape(j - i, -1),
-                self.fibre_box, X.shape[0], order)
-            row.flags.writeable = False
-            memo["_fibre_integral"] = entry = (key, row)
-        return entry[1]
+                self.fibre_box, X.shape[0], order))
 
     def diff_base(self, alpha) -> "QuadPart":
         total_alpha = self.bundle.base_alpha_to_total(alpha)
@@ -345,24 +325,13 @@ class NumericPart:
     box: Box  # fibre integration box: the term's fibre box within g's support
     support_box: Box  # base box outside which the value vanishes
 
-    # (the box and order of the last rule, g on that rule's axes)
-    _g_grid: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
     def values(self, X: np.ndarray, order) -> np.ndarray:
-        """The integral against g at each row of an (M, l) array of base points."""
+        """The integral against g at each row of an (M, l) array of base
+        points; the part keeps g on the last rule's axes."""
         return quadrature.integrate_rows(
-            lambda i, j, r: self.term.values_fn(X[i:j], r.points) * self._g_on(r),
+            lambda i, j, r: self.term.values_fn(X[i:j], r.points) * quadrature.kept(
+                vars(self), "_g_grid", (r.box, r.order), lambda: self.g.eval_grid(r.axes)),
             self.box, X.shape[0], order)
-
-    def _g_on(self, r) -> np.ndarray:
-        """g on the rule's axes, read-only: the part keeps the last rule's."""
-        entry = self._g_grid  # read once: another thread may replace it
-        if entry is None or entry[0] != (r.box, r.order):
-            g = self.g.eval_grid(r.axes)
-            g.flags.writeable = False
-            entry = ((r.box, r.order), g)
-            object.__setattr__(self, "_g_grid", entry)
-        return entry[1]
 
 
 @dataclass(frozen=True)

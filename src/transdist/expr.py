@@ -631,11 +631,10 @@ class Sum(Expr):
         return box
 
     def _interval(self, box, memo):
-        lo, hi = 0.0, 0.0
-        for t in self.terms:
-            a, b = t._iv(box, memo)
-            lo, hi = lo + a, hi + b
-        return _round_out(lo, hi)
+        # each end correctly rounded (one rounding), then widened by an ulp
+        ends = [t._iv(box, memo) for t in self.terms]
+        return _round_out(quadrature.fsum_list([a for a, _ in ends]),
+                          quadrature.fsum_list([b for _, b in ends]))
 
     def _children(self):
         return self.terms
@@ -706,11 +705,13 @@ class Product(Expr):
 
     def _interval(self, box, memo):
         lo, hi = 1.0, 1.0
-        for f in self.factors:
+        for k, f in enumerate(self.factors):
             a, b = f._iv(box, memo)
             cands = (lo * a, lo * b, hi * a, hi * b)
             lo, hi = min(cands), max(cands)
-        return _round_out(lo, hi)
+            if k:  # every product after the first rounds, so widens
+                lo, hi = _round_out(lo, hi)
+        return lo, hi
 
     def _children(self):
         return self.factors
@@ -921,8 +922,6 @@ class BumpRat(Expr):
         return bump_rat(args[0], self.coeffs, self.pole_order)
 
     def _support(self):
-        if not self.coeffs:
-            return Box.empty(self.dim)
         affine = self.arg._affine
         if affine is not None:
             slots = [s for s in affine if s >= 0 and affine[s] != 0]
@@ -931,7 +930,7 @@ class BumpRat(Expr):
                 a, b = affine[s], affine.get(-1, Fraction(0))
                 lo, hi = sorted(((-1 - b) / a, (1 - b) / a))
                 ivs = [(-_INF, _INF)] * self.dim
-                ivs[s] = (float(lo), float(hi))
+                ivs[s] = (_float_or(lo, -_INF), _float_or(hi, _INF))
                 return Box(self.dim, tuple(ivs))
         return Box.whole(self.dim)
 
@@ -1240,6 +1239,14 @@ def _round_out(lo: float, hi: float):
     return (math.nextafter(lo, -_INF), math.nextafter(hi, _INF))
 
 
+def _float_or(v: Fraction, beyond: float) -> float:
+    """float(v), or ``beyond`` where v is beyond the float range."""
+    try:
+        return float(v)
+    except OverflowError:
+        return beyond
+
+
 def _split_sign(e: Expr):
     """Split off a leading minus sign for printing purposes."""
     if isinstance(e, Const) and e.value < 0:
@@ -1465,7 +1472,7 @@ def as_polynomial(e: Expr):
     return None
 
 
-def polynomial_to_expr(poly, dim: int, names=None) -> Expr:
+def polynomial_to_expr(poly, dim: int) -> Expr:
     if not poly:
         return Const(dim, Fraction(0))
     terms = []
@@ -1473,8 +1480,7 @@ def polynomial_to_expr(poly, dim: int, names=None) -> Expr:
         factors = [Const(dim, c)]
         for slot, n in enumerate(mono):
             if n:
-                name = names[slot] if names else f"x{slot}"
-                factors.append(int_pow(Var(dim, slot, name), n))
+                factors.append(int_pow(Var(dim, slot, f"x{slot}"), n))
         terms.append(mul(*factors))
     return add(*terms)
 

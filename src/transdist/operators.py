@@ -20,11 +20,10 @@ Term-by-term composition rules:
 
 Density and numeric kernels are evaluated over whole pair grids:
 ``pair_values(term, Y, Z)`` gives psi(y_i, z_j) for base points Y and fibre
-points Z in ``eval_grid`` passes over at most ``quadrature.PAIR_BLOCK``
-(y, z) pairs; a single base point is the case of one row.  A numeric kernel
-evaluates its inner factor once per fibre grid, across calls, and contracts
-row by row, so its values do not depend on how many base points are asked
-for at once.
+points Z in ``eval_grid`` passes over the blocks of ``quadrature.row_blocks``.
+A numeric kernel keeps its inner factor for the last fibre grid
+(``quadrature.kept``) and contracts row by row, so its values do not depend
+on how many base points are asked for at once.
 
 Dirac terms carrying fibre derivatives (beta != 0) are applied but never
 composed; the jet expansion that composition would need is out of scope.
@@ -69,10 +68,8 @@ def pair_values(term, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
     if isinstance(term, NumericKernelTerm):
         return term.values_fn(Y, Z)
     n = Z.shape[0]
-    step = max(quadrature.PAIR_BLOCK // max(n, 1), 1)
-    return np.concatenate([
-        term.phi.eval_grid((Y[i:i + step], Z)).reshape(-1, n)
-        for i in range(0, Y.shape[0], step)])
+    return np.concatenate([term.phi.eval_grid((Y[i:j], Z)).reshape(-1, n)
+                           for i, j in quadrature.row_blocks(Y.shape[0], n)])
 
 
 def _classify(term) -> str:
@@ -325,22 +322,16 @@ def _compose_numeric(t1, t2, b: TrivialBundle, order):
     if mid_box.volume() == 0.0:  # empty or degenerate
         return NumericKernelTerm(b, base1, fibre2, depth,
                                  lambda Y, Z: np.zeros((Y.shape[0], Z.shape[0])))
-    rule = quadrature.rule(mid_box, order)
-    memo = None  # (key of the last fibre grid Z, psi2(y_i, z_j) over it)
+    # a dict of its own: kept in fn's __dict__, psi2 would put fn in a cycle
+    rule, memo = quadrature.rule(mid_box, order), {}
 
     def fn(Y, Z, _t1=t1, _t2=t2, _rule=rule):
-        nonlocal memo
         left = pair_values(_t1, Y, _rule.points)  # psi1(x, y_i), one row per x
-        # Z's exact bytes, not id(Z) (Z may be changed in place) nor
-        # np.array_equal (which takes -0.0 for 0.0)
-        key = (Z.shape, Z.dtype.str, Z.tobytes())
-        entry = memo  # read once: another thread may replace it meanwhile
-        if entry is None or entry[0] != key:
-            right = pair_values(_t2, _rule.points, Z)  # free of x
-            right.flags.writeable = False
-            memo = entry = (key, right)
+        # psi2(y_i, z_j), free of x, kept for the last fibre grid Z
+        right = quadrature.kept(memo, "psi2", quadrature.grid_key(Z),
+                                lambda: pair_values(_t2, _rule.points, Z))
         # one vector-matrix product per row: a matrix-matrix product may
         # accumulate in another order
-        return np.stack([(_rule.weights * row) @ entry[1] for row in left])
+        return np.stack([(_rule.weights * row) @ right for row in left])
 
     return NumericKernelTerm(b, base1, fibre2, depth, fn)

@@ -340,17 +340,41 @@ def integrate_rows(values_fn, box: expr.Box, count: int,
     """The integrals over one box of ``count`` integrands at once.
 
     ``values_fn(i, j, rule)`` returns integrands i..j-1 at the rule's
-    points, one row each; it is called on consecutive blocks of at most
-    ``PAIR_BLOCK`` values in all.  Each row is summed by ``integrate_values``,
-    so every integral equals that of its integrand alone, bit for bit.
-    Degenerate and empty boxes give zeros.
+    points, one row each; it is called on the blocks of ``row_blocks``.
+    Each row is summed by ``integrate_values``, so every integral equals
+    that of its integrand alone, bit for bit.  Degenerate and empty boxes
+    give zeros.
     """
     out = np.zeros(count)
     if box.volume() == 0.0:
         return out
     r = rule(box, order)
-    step = max(PAIR_BLOCK // r.points.shape[0], 1)
-    for i in range(0, count, step):
-        j = min(i + step, count)
+    for i, j in row_blocks(count, r.points.shape[0]):
         out[i:j] = [r.integrate_values(v) for v in values_fn(i, j, r)]
     return out
+
+
+def row_blocks(count: int, width: int):
+    """(i, j) ranges covering ``range(count)`` in order, each of at least one
+    row and of at most ``PAIR_BLOCK`` values at ``width`` values per row."""
+    step = max(PAIR_BLOCK // width, 1)
+    return zip(range(0, count, step), [*range(step, count, step), count])
+
+
+def grid_key(a: np.ndarray) -> tuple:
+    """An array's exact content as a key: shape, dtype and bytes.  Not its
+    ``id`` (it may change in place), nor ``np.array_equal`` (-0.0 == 0.0)."""
+    return a.shape, a.dtype.str, a.tobytes()
+
+
+def kept(memo: dict, name: str, key, build) -> np.ndarray:
+    """The array ``build()``, read-only, kept with ``key`` as ``memo[name]``
+    and returned again, uncopied, while the key is equal.  No lock: the
+    entry is read once and replaced by one assignment, so racing threads
+    build an equal array twice at worst."""
+    entry = memo.get(name)  # read once: another thread may replace it
+    if entry is None or entry[0] != key:
+        entry = (key, build())
+        entry[1].flags.writeable = False
+        memo[name] = entry
+    return entry[1]

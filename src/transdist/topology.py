@@ -11,7 +11,7 @@ exact witness (point, multi-index, shell index).
 Every scan takes its points in batches.  A seminorm reduces each
 derivative to its max |.| as it comes out of one ``expr.grid_values``
 pass over the lattice axes.  A membership scan takes a shell's lattice
-points in blocks of at most ``quadrature.PAIR_BLOCK``, each block with
+points in the blocks of ``quadrature.row_blocks``, each block with
 every multi-index still in play: ``distribution.values_at`` of the
 derivatives, or one ``distribution.restriction_table`` of the family
 derivatives.  Both equal the pointwise values bit for bit.  Verdicts,
@@ -202,12 +202,6 @@ def _shell_points(profile: LFProfile, n: int, supp: Box,
     return pts
 
 
-def _blocks(pts: np.ndarray):
-    """Consecutive row blocks of at most PAIR_BLOCK lattice points."""
-    return (pts[i:i + quadrature.PAIR_BLOCK]
-            for i in range(0, pts.shape[0], quadrature.PAIR_BLOCK))
-
-
 def _scan(profile: LFProfile, supp: Box, density: int | None, what: str,
           term, values) -> MembershipResult:
     """A membership scan, shell by shell (see the module docstring): the
@@ -228,9 +222,10 @@ def _scan(profile: LFProfile, supp: Box, density: int | None, what: str,
                 error = e
                 break
         eps, witness = profile.epsilons[n - 1], None
-        for block in _blocks(pts):
+        for lo, hi in quadrature.row_blocks(pts.shape[0], 1):
             if not terms:
                 break
+            block = pts[lo:hi]
             vals = values(terms, block)
             bad = ~(np.abs(vals) < eps)
             for k in np.flatnonzero(bad.any(axis=1))[:1]:  # the first failing multi-index

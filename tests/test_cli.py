@@ -565,6 +565,100 @@ class TestCommands:
         assert isinstance(payload["accepted"], bool)
 
 
+class TestLessTravelledPaths:
+    """Command paths and scene errors that the tests above do not reach."""
+
+    def test_action_total_is_the_library_payload(self, capsys, dirac_scene):
+        code, out = run_cli(capsys, "action", dirac_scene, "Td", "--total", "x0*y0^2")
+        scene = cli.load_scene(dirac_scene)
+        T = scene.distribution("Td")
+        want = dist.module_action_total(scene.bundle.parse_total("x0*y0^2"), T)
+        assert code == 0
+        assert json.loads(out) == json.loads(cli.dumps({
+            "command": "action", "distribution": "Td", "total": "x0*y0^2",
+            "result": cli._distribution_payload(want)}))
+        assert [t["beta"] for t in json.loads(out)["result"]["terms"]] == [[0], [1]]
+
+    def test_action_needs_base_or_total(self, capsys, dirac_scene):
+        code, out = run_cli(capsys, "action", dirac_scene, "T")
+        assert code == cli.EXIT_PARSE
+        assert json.loads(out)["error"] == "action needs --base or --total"
+
+    def test_member_needs_function_or_distribution(self, capsys, dirac_scene):
+        code, out = run_cli(capsys, "member", dirac_scene, "coarse")
+        assert code == cli.EXIT_PARSE
+        assert json.loads(out)["error"] == "member needs --function or --distribution"
+
+    def test_member_on_a_profile_without_families(self, capsys, tmp_path):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({**SMALL_SCENE, "profiles": {"P": {
+            "orders": [0], "epsilons": [1]}}}))
+        assert run_cli(capsys, "member", str(path), "P", "--function", "bump(x0)")[0] == 0
+        code, out = run_cli(capsys, "member", str(path), "P", "--distribution", "T")
+        assert code == cli.EXIT_PARSE
+        assert json.loads(out)["error"] == "profile 'P' declares no bounded families"
+
+    def test_seminorm_box_of_the_wrong_dimension(self, capsys, dirac_scene):
+        code, out = run_cli(capsys, "seminorm", dirac_scene, "G", "--box=-1:1",
+                            "--order", "0")
+        assert code == cli.EXIT_DIMENSION
+        assert json.loads(out)["error"] == "seminorm box has 1 axes, total space has 2"
+
+    def test_table_format_of_nested_payloads(self, capsys, dirac_scene):
+        code, out = run_cli(capsys, "--format", "table", "support", dirac_scene, "T")
+        assert code == 0
+        assert out == "\n".join([
+            "command: support", "distribution: T",
+            "total:", "  empty: False", "  intervals:", "    [-1.0, 1.0]", "    [-1.0, 1.0]",
+            "base:", "  empty: False", "  intervals:", "    [-1.0, 1.0]", ""])
+        code, out = run_cli(capsys, "--format", "table", "restrict",
+                            scene_path("density_demo.json"), "Tmixed", "--at", "0.25")
+        [atom] = dist.restrict(cli.load_scene(scene_path("density_demo.json"))
+                               .distribution("Tmixed"), (0.25,)).atoms
+        assert code == 0
+        assert out.splitlines() == [
+            "command: restrict", "distribution: Tmixed", "x:", "  0.25",
+            "restriction:", "  fibre_dim: 1", "  atoms:",
+            "    point:", "      0.25", "    beta:", "      1",
+            f"    coefficient: {cli.format_float(atom[2])}", "    -",
+            "  density: bump(1/4)*bump(y0)*y0"]
+
+    @pytest.mark.parametrize("base_dim", [2, 3])
+    def test_default_base_grid_of_several_base_dimensions(self, capsys, tmp_path, base_dim):
+        bumps = "*".join(f"bump(x{i})" for i in range(base_dim))
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({
+            "bundle": {"base_dim": base_dim, "fibre_dim": 1},
+            "functions": {"F": "1 + x0*y0"},
+            "distributions": {"T": [{"type": "dirac_section", "section": ["x0/2"],
+                                     "weight": bumps}]}}))
+        code, out = run_cli(capsys, "eval", str(path), "T", "F")
+        assert code == 0
+        values = json.loads(out)["values"]
+        axis = (-0.5, 0.0, 0.5)
+        grid = [[]]
+        for _ in range(base_dim):
+            grid = [g + [x] for g in grid for x in axis]  # last axis fastest
+        assert [v["x"] for v in values] == grid
+        bf = dist.evaluate(cli.load_scene(str(path)).distribution("T"),
+                           cli.load_scene(str(path)).function("F"))
+        assert [v["value"] for v in values] == [bf.value(x) for x in grid]
+
+    @pytest.mark.parametrize("term, message", [
+        ({"type": "delta", "weight": "bump(x0)"},
+         "distributions.T[0]: unknown term type 'delta'"),
+        ({**DIRAC_TERM, "section": 3}, "distributions.T[0]: bad section reference"),
+        ({"weight": "bump(x0)"}, "distributions.T[0]: expected a term object"),
+        ({**DIRAC_TERM, "weight": "bump(x0/10^400)"},
+         "Dirac weight must have a bounded support box")])
+    def test_bad_scene_term_is_exit_5(self, capsys, tmp_path, term, message):
+        path = tmp_path / "scene.json"
+        path.write_text(json.dumps({**SMALL_SCENE, "distributions": {"T": [term]}}))
+        code, out = run_cli(capsys, "support", str(path), "T")
+        assert code == cli.EXIT_PARSE
+        assert json.loads(out)["error"] == f"{path}: {message}"
+
+
 class TestSerialization:
     def test_floats_use_17_significant_digits(self):
         text = cli.dumps({"value": 1.0 / 3.0})

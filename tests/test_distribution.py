@@ -762,8 +762,14 @@ def restrict_then_pair(T, X, members, order):
 ULPS = 8 * 2.0 ** -53
 
 
+def pair_at(T, X, members, order=None):
+    """The one-pair pairing table: T_x(F(x, .)) for every F and row x."""
+    return dist.pair_table([(T, members)], X, order)[0]
+
+
 class TestPairAt:
-    """pair_at(T, X, Fs) against restrict-then-pair, member by member."""
+    """The one-pair table ``pair_at(T, X, Fs)`` against restrict-then-pair,
+    member by member."""
 
     @pytest.fixture
     def line_case(self, line_bundle):
@@ -795,7 +801,7 @@ class TestPairAt:
 
     @staticmethod
     def assert_close(T, X, Fs, order=16):
-        got = dist.pair_at(T, X, Fs, order)
+        got = pair_at(T, X, Fs, order)
         want, scale = restrict_then_pair(T, X, Fs, order)
         assert got.shape == (len(Fs), len(X))
         assert np.all(np.abs(got - want) <= ULPS * scale)
@@ -832,7 +838,7 @@ class TestPairAt:
             Tn = dist.family_derivative(T, (n,) + (0,) * (T.bundle.base_dim - 1))
             want = self.per_row(Tn, X, Fs)
             for _ in each_engine():
-                got = dist.pair_at(Tn, X, Fs)
+                got = pair_at(Tn, X, Fs)
                 assert all(map(same_floats, got.tolist(), want.tolist()))
 
     @pytest.mark.parametrize("case", ["line_case", "plane_case"])
@@ -853,7 +859,7 @@ class TestPairAt:
         Fs = [b.parse_total("exp(x0*y0/4)*cos(y0) + y0^2"), b.parse_total("1")]
         X = np.linspace(-1.2, 1.2, 13)[:, None]
         want, _ = restrict_then_pair(D, X, Fs, None)
-        got = dist.pair_at(D, X, Fs)
+        got = pair_at(D, X, Fs)
         assert np.all(np.abs(got - want) < 1e-8)
         assert np.any(got != want)
 
@@ -864,18 +870,18 @@ class TestPairAt:
         T = dist.dirac_section(s, b.parse_base("bump(x0)"), (1,))
         F = b.parse_total("exp(800*y0)")
         X = np.array([[1.5], [-1.5]])
-        got = dist.pair_at(T, X, [F])
+        got = pair_at(T, X, [F])
         want, _ = restrict_then_pair(T, X, [F], None)
         assert got.tolist() == want.tolist() == [[0.0, 0.0]]
 
     def test_shapes(self, line_bundle, T_dirac):
         F = line_bundle.parse_total("y0")
-        assert dist.pair_at(T_dirac, np.zeros((0, 1)), [F]).shape == (1, 0)
-        assert dist.pair_at(T_dirac, np.zeros((3, 1)), []).shape == (0, 3)
+        assert pair_at(T_dirac, np.zeros((0, 1)), [F]).shape == (1, 0)
+        assert pair_at(T_dirac, np.zeros((3, 1)), []).shape == (0, 3)
         with pytest.raises(ex.DimensionError):
-            dist.pair_at(T_dirac, np.zeros((3, 2)), [F])
+            pair_at(T_dirac, np.zeros((3, 2)), [F])
         with pytest.raises(ex.DimensionError):
-            dist.pair_at(T_dirac, np.zeros((3, 1)), [line_bundle.parse_fibre("y0")])
+            pair_at(T_dirac, np.zeros((3, 1)), [line_bundle.parse_fibre("y0")])
 
 
 # weights that vanish on no row, on part of the rows (|x| >= 1) and on all
@@ -890,7 +896,7 @@ table_terms = st.lists(st.tuples(st.sampled_from(TABLE_WEIGHTS), st.integers(0, 
        st.lists(st.tuples(table_terms, st.booleans(), st.lists(st.integers(0, 3), max_size=3)),
                 min_size=1, max_size=3))
 def test_pair_table_entries_are_lone_pair_at_calls(pool, specs):
-    """Each entry of a pairing table equals ``pair_at`` of its pair alone,
+    """Each entry of a pairing table equals the table of its pair alone,
     bit for bit, on either engine: pairs that share sections, betas and
     members (drawn from the expressions of the DAG tests), zero weights,
     and density terms."""
@@ -911,7 +917,7 @@ def test_pair_table_entries_are_lone_pair_at_calls(pool, specs):
             table = dist.pair_table(pairs, X, 8)
             assert len(table) == len(pairs)
             for (T, members), got in zip(pairs, table):
-                want = dist.pair_at(T, X, members, 8)
+                want = pair_at(T, X, members, 8)
                 assert got.shape == want.shape == (len(members), len(X))
                 assert all(map(same_floats, got.tolist(), want.tolist()))
 

@@ -313,6 +313,84 @@ class TestSupportBox:
         p = ex.parse("bump(x0) * bump(x0 - 1)", 1).support_box()
         assert p.intervals == ((0.0, 1.0),)
 
+    @pytest.mark.parametrize("text, want", [
+        ("bump(x0/10^400)", ((-math.inf, math.inf),)),
+        ("bump(x0/10^400 + 3)", ((-math.inf, math.inf),)),  # [-4e400, -2e400]
+        ("bump(x0/10^300 + 3)", ((-4e300, -2e300),)),
+        ("bump(10^400*x0)", ((0.0, 0.0),))])
+    def test_an_end_beyond_the_float_range_is_unbounded(self, text, want):
+        assert ex.parse(text, 1).support_box().intervals == want
+
+
+def _exact(e, point):
+    """The exact rational value of a sum-product expression at a point."""
+    if isinstance(e, ex.Const):
+        return e.value
+    if isinstance(e, ex.Var):
+        return Fraction(point[e.slot])
+    values = [_exact(c, point) for c in e._children()]
+    return sum(values) if isinstance(e, ex.Sum) else reduce(operator.mul, values)
+
+
+IV_DIM = 4
+# constants exact in floats, so the exact value is that of the float inputs
+_dyadic = st.builds(lambda n, k: ex.const(Fraction(n, 2 ** k), IV_DIM),
+                    st.integers(-8, 8), st.integers(0, 3))
+_iv_leaves = st.one_of(st.integers(0, IV_DIM - 1).map(lambda s: ex.var(s, IV_DIM)), _dyadic)
+sum_products = st.recursive(
+    _iv_leaves,
+    lambda children: st.one_of(st.lists(children, min_size=2, max_size=6).map(lambda c: ex.add(*c)),
+                               st.lists(children, min_size=2, max_size=6).map(lambda c: ex.mul(*c))),
+    max_leaves=12)
+iv_coords = st.one_of(st.floats(-2.0, 2.0), st.floats(1.0, 2.0),
+                      st.sampled_from([1.0, 2.0 ** -53, -(2.0 ** -53), 1.0 + 2.0 ** -52]))
+
+
+class TestIntervalEnclosure:
+    """``Expr.interval`` rounds outward at every rounding step."""
+
+    def test_a_four_term_sum_over_a_point_box(self):
+        e = ex.parse("x0 + x1 + x2 + x3", 4)
+        point = (1.0,) + (2.0 ** -53,) * 3
+        lo, hi = e.interval(Box.of([(c, c) for c in point]))
+        assert lo <= 1 + Fraction(3, 2 ** 53) <= hi
+        assert lo <= e.evaluate(point) <= hi
+
+    def test_six_factor_products_over_point_boxes(self):
+        e = ex.parse("x0*x1*x2*x3*x4*x5", 6)
+        rng = np.random.default_rng(11)
+        for point in rng.uniform(1.0, 2.0, (2000, 6)).tolist():
+            lo, hi = e.interval(Box.of([(c, c) for c in point]))
+            assert lo <= reduce(operator.mul, map(Fraction, point)) <= hi
+
+    @settings(max_examples=200, deadline=None)
+    @given(sum_products, st.tuples(*[iv_coords] * IV_DIM))
+    def test_a_point_box_holds_the_exact_value(self, e, point):
+        lo, hi = e.interval(Box.of([(c, c) for c in point]))
+        assert lo <= _exact(e, point) <= hi
+
+    @settings(max_examples=200, deadline=None)
+    @given(sum_products, st.lists(st.tuples(iv_coords, iv_coords).map(sorted),
+                                  min_size=IV_DIM, max_size=IV_DIM),
+           st.lists(st.tuples(*[st.floats(0.0, 1.0)] * IV_DIM), min_size=1, max_size=8))
+    def test_a_box_holds_the_values_at_its_points(self, e, intervals, ts):
+        lo, hi = e.interval(Box.of(intervals))
+        for t in ts:
+            point = tuple(min(a + u * (b - a), b) for u, (a, b) in zip(t, intervals))
+            assert lo <= e.evaluate(point) <= hi
+            assert lo <= _exact(e, point) <= hi
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(iv_coords, iv_coords).map(sorted), min_size=2, max_size=2))
+    def test_two_terms_and_two_factors_widen_once(self, intervals):
+        """One rounding, then one ulp outward, as before every step widened."""
+        (a, b), (c, d) = intervals
+        box = Box.of(intervals + [(0.0, 0.0)] * (IV_DIM - 2))
+        x0, x1 = ex.var(0, IV_DIM), ex.var(1, IV_DIM)
+        assert ex.add(x0, x1).interval(box) == ex._round_out(a + c, b + d)
+        cands = (a * c, a * d, b * c, b * d)
+        assert ex.mul(x0, x1).interval(box) == ex._round_out(min(cands), max(cands))
+
 
 class TestBoxArithmetic:
     def test_intersect_disjoint_is_empty(self):

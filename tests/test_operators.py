@@ -1,6 +1,8 @@
+import gc
 import math
 import sys
 import threading
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -175,6 +177,22 @@ class TestCompose:
         # [-4, 4]^2 box, costing the fixed-order rule about a digit
         assert err < 1e-7
         assert isinstance(K.terms[0], (op.DensityTerm, op.NumericKernelTerm))
+
+    def test_a_swapped_section_inverts_by_a_row_swap(self):
+        """graph((x1, x0), w): the first pivot column starts with a zero, so
+        the Gauss-Jordan inversion swaps two rows and flips the determinant."""
+        assert op._invert_matrix([[0, 1], [1, 0]]) == ([[0, 1], [1, 0]], -1)
+        b = bd.TrivialBundle(2, 2)
+        K1 = op.density_kernel(b, b.parse_total(
+            "bump(x0)*bump(x1)*bump(y0)*bump(y1)*(1 + x0*y1/2 + y0/3)"))
+        sec = bd.section_from_strings(b, ["x1", "x0"])
+        K2 = op.graph_kernel(sec, b.parse_base("exp(1)*bump(x0/2)*bump(x1/2)*(2 + x1)"))
+        g = b.parse_fibre("1 + y0 + y1^2/2")
+        err, K = crosscheck_composition(K1, K2, g,
+                                        xs=[(0.0, 0.0), (0.3, -0.2), (-0.4, 0.6)])
+        assert err < 1e-8
+        assert isinstance(K.terms[0], op.DensityTerm)
+        assert op.apply(K, g).value((0.3, -0.2)) != op.apply(K, g).value((-0.2, 0.3))
 
     def test_nonaffine_section_rejected(self, pair_bundle, K_density):
         sq = bd.section_from_strings(pair_bundle, ["x0^2"])
@@ -385,6 +403,19 @@ class TestInnerFactorMemo:
         fn(Y, Z)
         fn(Y, np.array([[-0.0], [0.5], [-0.25]]))
         assert inner_grids[id(K_psi.terms[0])] == 2
+
+    def test_the_kept_factor_dies_with_the_kernel(self, make):
+        """No reference cycle holds the kernel's closure, so it and the factor
+        it keeps go as soon as the kernel does, with the cyclic collector off."""
+        fn = make["density.density"]().terms[0].values_fn
+        assert fn(low_order_grid(1, 7), low_order_grid(1, 9)).any()
+        ref = weakref.ref(fn)
+        gc.disable()
+        try:
+            del fn
+            assert ref() is None
+        finally:
+            gc.enable()
 
     @pytest.mark.parametrize("name", ["density.density", "numeric.density"])
     def test_threads_replacing_the_entry_read_sequential_bits(self, make, name):

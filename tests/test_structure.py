@@ -7,7 +7,9 @@ are built in ``quadrature.py`` alone; every tensor grid comes from
 nodes one by one, and no loop in ``topology.py`` visits lattice points one
 by one.  The default quadrature order and grid density
 are constants, each read in the one function that resolves ``None``, and
-no module rebinds a global: settings travel as arguments.
+no module rebinds a global: settings travel as arguments.  The pass budget
+and the reuse of values built from one grid each have one owner in
+``quadrature.py``.
 """
 
 import ast
@@ -69,7 +71,7 @@ def test_no_module_rebinds_a_global():
 
 
 # Library calls that take a quadrature order or a grid density.
-SETTING_TAKERS = {"evaluate", "pair", "pair_at", "pair_table", "restriction_table",
+SETTING_TAKERS = {"evaluate", "pair", "pair_table", "restriction_table",
                   "apply", "compose",
                   "seminorm_eval", "lf_membership", "lfB_membership", "check_restriction_compat",
                   "check_leibniz", "check_smoothness", "check_duality", "check_support",
@@ -115,14 +117,9 @@ LATTICE_ARRAYS = {"pts", "block", "points", "lattice_points", "_shell_points"}
 def test_no_loop_in_topology_runs_over_lattice_points():
     """Scans take each block of lattice points in one array pass, never one
     point at a time.  A loop may mention a lattice array only to cut it into
-    blocks: by ``_blocks(...)``, or a ``range`` that steps by PAIR_BLOCK."""
+    blocks, by ``quadrature.row_blocks(...)``."""
     def cuts_into_blocks(it):
-        if not isinstance(it, ast.Call):
-            return False
-        if _name(it.func) == "_blocks":
-            return True
-        return (_name(it.func) == "range" and len(it.args) == 3
-                and _name(it.args[2]) == "PAIR_BLOCK")
+        return isinstance(it, ast.Call) and _name(it.func) == "row_blocks"
 
     def loops(n):
         return isinstance(n, (ast.For, ast.comprehension))
@@ -135,8 +132,28 @@ def test_no_loop_in_topology_runs_over_lattice_points():
         return [hit for hit in nodes_where(match) if hit[0] == "topology.py"]
 
     blocked = in_topology(lambda n: loops(n) and cuts_into_blocks(n.iter))
-    assert {scope for _, scope in blocked} == {"_blocks", "_scan"}  # loops are seen
+    assert {scope for _, scope in blocked} == {"_scan"}  # loops are seen
     assert in_topology(loops_over_points) == []
+
+
+def test_one_owner_of_the_pass_budget():
+    """Every pass over many rows is cut by ``quadrature.row_blocks``, the one
+    reader of ``PAIR_BLOCK``."""
+    assert reads_of("PAIR_BLOCK") == [("quadrature.py", "row_blocks")]
+    assert set(calls_of("row_blocks")) == {("quadrature.py", "integrate_rows"),
+                                           ("operators.py", "pair_values"),
+                                           ("topology.py", "_scan")}
+
+
+def test_one_owner_of_grid_reuse():
+    """Values built from one grid are reused through ``quadrature.kept``,
+    keyed on an array's content by ``quadrature.grid_key``, the one caller of
+    ``.tobytes()``; no closure keeps a memo by rebinding a ``nonlocal``."""
+    assert calls_of("tobytes") == [("quadrature.py", "grid_key")]
+    assert nodes_where(lambda n: isinstance(n, ast.Nonlocal)) == []
+    assert calls_of("kept") == [("distribution.py", "values"),  # QuadPart's
+                                ("distribution.py", "values"),  # NumericPart's
+                                ("operators.py", "fn")]  # density o density
 
 
 def test_membership_checks_share_one_scan():
@@ -188,7 +205,6 @@ def test_leibniz_pairs_on_the_total_space():
     ``distribution.pair_table``, and takes D^alpha T(F) from Taylor jets
     (``expr.taylor``)."""
     assert ("verify.py", "check_leibniz") in calls_of("pair_table")
-    assert ("verify.py", "check_leibniz") not in calls_of("pair_at")
     assert ("verify.py", "check_leibniz") in calls_of("taylor")
     for name in ("restrict", "restrict_function", "pair"):
         hits = calls_of(name)
@@ -209,42 +225,41 @@ def test_verify_evaluates_base_functions_over_grids():
         "check_support", "check_localization"}
 
 
-def test_pair_at_evaluates_each_batch_of_roots_over_its_rows_at_once():
-    """``pair_table``, and ``pair_at``, its one-pair case, make no per-root
-    scalar ``.evaluate(`` or ``.value(`` call: the weights, each section's
-    components and its fibre derivatives go through ``ex.evaluate_many``,
-    one pass over the rows each."""
+def test_pair_table_evaluates_each_batch_of_roots_over_its_rows_at_once():
+    """``pair_table``, the one pairing entry point (there is no one-pair
+    wrapper), makes no per-root scalar ``.evaluate(`` or ``.value(`` call:
+    the weights, each section's components and its fibre derivatives go
+    through ``ex.evaluate_many``, one pass over the rows each."""
     def method_calls(name):
         return nodes_where(lambda n: isinstance(n, ast.Call)
                            and isinstance(n.func, ast.Attribute) and n.func.attr == name)
 
     in_pair_table = ("distribution.py", "pair_table")
     assert in_pair_table in method_calls("evaluate_many")
-    assert ("distribution.py", "pair_at") in calls_of("pair_table")
+    assert not hasattr(transdist.distribution, "pair_at")
     for name in ("evaluate", "value"):
         hits = method_calls(name)
         assert {module for module, _ in hits} >= {"distribution.py"}  # the calls are seen
         assert in_pair_table not in hits
-        assert ("distribution.py", "pair_at") not in hits
 
 
 def test_only_evaluate_many_chooses_between_scalar_and_array_evaluation():
     """Batches of pairings and of base-function values have one path each:
     ``pair_table`` and ``values_at`` evaluate their expressions through
     ``ex.evaluate_many``, ``restriction_table`` pairs its Dirac terms
-    through ``pair_table``, ``pair_at`` is the one-pair case of
-    ``pair_table``, and none of them calls ``.eval_array(`` or
-    ``.evaluate(``.  The row count picks the engine in ``expr.py`` alone."""
+    through ``pair_table``, no one-pair wrapper of ``pair_table`` exists,
+    and none of them calls ``.eval_array(`` or ``.evaluate(``.  The row
+    count picks the engine in ``expr.py`` alone."""
     def method_calls(name):
         return nodes_where(lambda n: isinstance(n, ast.Call)
                            and isinstance(n.func, ast.Attribute) and n.func.attr == name)
 
-    batches = {("distribution.py", f) for f in ("pair_at", "pair_table", "restriction_table",
+    batches = {("distribution.py", f) for f in ("pair_table", "restriction_table",
                                                 "values_at")}
     assert {("distribution.py", "pair_table"),
             ("distribution.py", "values_at")} <= set(method_calls("evaluate_many"))
     assert ("distribution.py", "restriction_table") in calls_of("pair_table")
-    assert ("distribution.py", "pair_at") in calls_of("pair_table")
+    assert not hasattr(transdist.distribution, "pair_at")
     assert ("distribution.py", "values") in calls_of("values_at")
     for name in ("eval_array", "evaluate"):
         hits = method_calls(name)
