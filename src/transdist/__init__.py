@@ -2,12 +2,12 @@
 
 A transversal distribution on the trivial bundle R^l x R^k -> R^l is a
 smooth family of compactly supported distributions along the fibres; this
-package represents the finite-order ones symbolically (Dirac section terms
-and smooth density terms), evaluates them exactly or by fixed-order
-quadrature, and verifies the calculus identities they satisfy: restriction
-compatibility, module actions, support projections, localization at a
-point, the duality pairing, and kernel-operator composition on the pair
-bundle.
+package represents the finite-order ones symbolically, as sums of terms
+(``Term``: a Dirac section term or a smooth density), evaluates them
+exactly or by fixed-order quadrature, and verifies the calculus identities
+they satisfy: restriction compatibility, module actions, support
+projections, localization at a point, the duality pairing, and
+kernel-operator composition on the pair bundle.
 
 Quick start
 -----------
@@ -21,8 +21,7 @@ Quick start
 """
 
 from .bundle import Section, TrivialBundle, extend_function, restrict_function
-from .distribution import (BaseFunction, DensityTerm, DiracSectionTerm,
-                           PointDistribution, TransversalDistribution,
+from .distribution import (BaseFunction, PointDistribution, Term, TransversalDistribution,
                            base_support, density, dirac_at, dirac_section,
                            evaluate, family_derivative, hadamard_factor,
                            localize_decompose, module_action_base,
@@ -41,9 +40,7 @@ __all__ = [
     "BaseFunction",
     "BoundedFamily",
     "Box",
-    "DensityTerm",
     "DimensionError",
-    "DiracSectionTerm",
     "Expr",
     "ExprError",
     "ExprSyntaxError",
@@ -53,6 +50,7 @@ __all__ = [
     "QuadratureRule",
     "Section",
     "Seminorm",
+    "Term",
     "TransversalDistribution",
     "TrivialBundle",
     "apply",

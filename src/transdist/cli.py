@@ -307,13 +307,12 @@ def _load_distribution(scene: Scene, terms, where: str) -> TransversalDistributi
             weight = _parse_expr(scene.path, scene.bundle.parse_base, t.get("weight"),
                                  f"{spot}.weight")
             beta = t.get("beta")
-            beta = scene.bundle.zero_fibre_beta() if beta is None else _field(
-                scene.path, f"{spot}.beta", _counts, beta)
-            built.append(dist.DiracSectionTerm(section, weight, beta))
+            beta = None if beta is None else _field(scene.path, f"{spot}.beta", _counts, beta)
+            built.append(dist.Term(scene.bundle, weight, section, beta))
         elif t["type"] == "density":
             phi = _parse_expr(scene.path, scene.bundle.parse_total, t.get("phi"),
                               f"{spot}.phi")
-            built.append(dist.DensityTerm(scene.bundle, phi))
+            built.append(dist.Term(scene.bundle, phi))
         else:
             raise SceneParseError(f"{scene.path}: {spot}: unknown term type {t['type']!r}")
     return TransversalDistribution(scene.bundle, tuple(built))
@@ -347,15 +346,15 @@ def _load_profile(scene: Scene, spec, where: str):
 # Serialization of calculus objects
 
 
-def _term_payload(term) -> dict:
-    if isinstance(term, dist.DiracSectionTerm):
-        return {
-            "type": "dirac_section",
-            "section": [str(c) for c in term.section.components],
-            "weight": str(term.weight),
-            "beta": list(term.beta),
-        }
-    return {"type": "density", "phi": str(term.phi)}
+def _term_payload(term: dist.Term) -> dict:
+    if term.section is None:
+        return {"type": "density", "phi": str(term.weight)}
+    return {
+        "type": "dirac_section",
+        "section": [str(c) for c in term.section.components],
+        "weight": str(term.weight),
+        "beta": list(term.beta),
+    }
 
 
 def _distribution_payload(T: TransversalDistribution) -> dict:

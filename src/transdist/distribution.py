@@ -1,10 +1,11 @@
 """Transversal distributions with compact support on a trivial bundle.
 
-A distribution is a finite sum of two kinds of terms:
+A distribution is a finite sum of terms (``Term``) of two kinds:
 
-* Dirac section terms (section sigma, weight f, fibre multi-index beta),
+* with a section sigma, a base weight f and a fibre multi-index beta,
   acting on a total-space function F by  f(x) * (D_y^beta F)(x, sigma(x));
-* density terms phi, acting by  integral of phi(x, y) F(x, y) dy.
+* without a section, a density: a total-space weight phi with beta zero,
+  acting by  integral of phi(x, y) F(x, y) dy.
 
 Restricting at a base point x yields a point distribution on the fibre:
 finitely many derivative-evaluation atoms plus a smooth density.  Atoms
@@ -12,18 +13,18 @@ pair with a fibre function g as coefficient * (D^beta g)(point) with no
 distributional sign factor, matching the weighted-derivative convention
 of the Dirac section action above.
 
-Compactness of supports is a constructor invariant: weights and densities
-must have bounded support boxes, so every value of the calculus stays a
-compactly supported smooth function of the base point.  The public
-constructors compute each box and check it; a Dirac term keeps the box it
-was checked against.  The Dirac terms of a family derivative, whose
-weights vanish wherever their parent's does, are checked against the
-parent's kept box instead, without walking their new weight DAGs.
+Compactness of supports is a constructor invariant: weights must have
+bounded support boxes, so every value of the calculus stays a compactly
+supported smooth function of the base point.  The public constructors
+compute each box and check it, and a term keeps the box it was checked
+against.  The terms of a family derivative, whose weights vanish wherever
+their parent's does, are checked against the parent's kept box instead,
+without walking their new weight DAGs.
 
-Equal fibre integrals are computed once.  A density term keeps its last
-product phi * F (``DensityTerm.integrand``) while it meets the same F,
-checked by identity and held by a weak reference, so every base function
-built from it shares the product's plan, support box and derivatives.
+Equal fibre integrals are computed once.  A term keeps its last integrand
+(``Term.integrand``) while it meets the same F, checked by identity and
+held by a weak reference, so every base function built from it shares the
+integrand's plan, support box and derivatives.
 ``QuadPart.values`` keeps the last row it computed on the integrand node,
 keyed on the fibre box, the order and ``quadrature.grid_key(X)``, and a
 ``NumericPart`` keeps its fibre function on the last rule's axes; both go
@@ -50,61 +51,59 @@ ZERO_TOL = 0.0  # and the largest magnitude it takes for zero
 
 
 @dataclass(frozen=True)
-class DiracSectionTerm:
-    section: Section
-    weight: Expr  # base variables, compactly supported
-    beta: tuple  # fibre multi-index
-    # the checked base box outside which the weight vanishes
+class Term:
+    """A Dirac section term with a section, a density term without one."""
+
+    bundle: TrivialBundle
+    weight: Expr  # compactly supported: a base function f, or a density phi
+    section: Section | None = None
+    beta: tuple | None = None  # fibre multi-index, zero when None
+    # the checked box outside which the weight vanishes
     _bound: Box = field(init=False, repr=False, compare=False)
+    # (a weak reference to the last F this term met, its integrand)
+    _product: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._check(self.weight.support_box())
 
     def _check(self, bound: Box):
         """Check the term against a box holding its weight's support, and keep it."""
-        b = self.section.bundle
-        if self.weight.dim != b.base_dim:
-            raise DimensionError("Dirac weight must be a base function")
-        object.__setattr__(self, "beta", ex.check_multi_index(self.beta, b.fibre_dim))
+        b, section = self.bundle, self.section
+        if section is None and self.weight.dim != b.total_dim:
+            raise DimensionError("density must be a total-space function")
+        if section is not None and (section.bundle != b or self.weight.dim != b.base_dim):
+            raise DimensionError("Dirac weight must be a base function of the section's bundle")
+        beta = b.zero_fibre_beta() if self.beta is None else self.beta
+        object.__setattr__(self, "beta", ex.check_multi_index(beta, b.fibre_dim))
+        if section is None and any(self.beta):
+            raise ExprError("a density term takes no fibre derivative")
         if not bound.is_bounded:
-            raise ExprError("Dirac weight must have a bounded support box")
-        if self.section.domain is not None and not bound.is_empty:
-            if bound.intersect(self.section.domain) != bound:
+            kind = "density" if section is None else "Dirac weight"
+            raise ExprError(f"{kind} must have a bounded support box")
+        if section is not None and section.domain is not None and not bound.is_empty:
+            if bound.intersect(section.domain) != bound:
                 raise ExprError("Dirac weight must be supported inside the section domain")
         object.__setattr__(self, "_bound", bound)
 
-    def _derived(self, weight: Expr, beta) -> "DiracSectionTerm":
-        """A term on this section whose weight vanishes wherever this one's
-        does, checked against this term's box: its DAG is not walked."""
-        term = object.__new__(DiracSectionTerm)
-        vars(term).update(section=self.section, weight=weight, beta=beta)
+    def _derived(self, weight: Expr, beta) -> "Term":
+        """A term of this kind, on this section, whose weight vanishes wherever
+        this one's does, checked against this term's box: its DAG is not walked."""
+        term = object.__new__(Term)
+        vars(term).update(bundle=self.bundle, weight=weight, section=self.section, beta=beta)
         term._check(self._bound)
         return term
 
-    @property
-    def bundle(self) -> TrivialBundle:
-        return self.section.bundle
-
-
-@dataclass(frozen=True)
-class DensityTerm:
-    bundle: TrivialBundle
-    phi: Expr  # total-space function, compactly supported
-    # (a weak reference to the last F this term met, phi * F)
-    _product: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.phi.dim != self.bundle.total_dim:
-            raise DimensionError("density must be a total-space function")
-        if not self.phi.support_box().is_bounded:
-            raise ExprError("density must have a bounded support box")
-
     def integrand(self, F: Expr) -> Expr:
-        """phi * F, the same node again while this term meets the same F."""
+        """f * (D^beta F) o sigma, or phi * F: the same node again while this
+        term meets the same F."""
         entry = self._product  # read once: another thread may replace it
         if entry is not None and entry[0]() is F:
             return entry[1]
-        product = ex.mul(self.phi, F)
+        if self.section is None:
+            product = ex.mul(self.weight, F)
+        else:
+            dF = F.diff(self.bundle.fibre_beta_to_total(self.beta))
+            product = ex.mul(self.weight, pullback_along_section(self.bundle, dF, self.section))
         object.__setattr__(self, "_product", (weakref.ref(F), product))
         return product
 
@@ -134,13 +133,11 @@ def zero_distribution(bundle: TrivialBundle) -> TransversalDistribution:
 
 
 def dirac_section(section: Section, weight: Expr, beta=None) -> TransversalDistribution:
-    b = section.bundle
-    beta = b.zero_fibre_beta() if beta is None else beta
-    return TransversalDistribution(b, (DiracSectionTerm(section, weight, beta),))
+    return TransversalDistribution(section.bundle, (Term(section.bundle, weight, section, beta),))
 
 
 def density(bundle: TrivialBundle, phi: Expr) -> TransversalDistribution:
-    return TransversalDistribution(bundle, (DensityTerm(bundle, phi),))
+    return TransversalDistribution(bundle, (Term(bundle, phi),))
 
 
 @dataclass(frozen=True)
@@ -215,10 +212,10 @@ def restriction_table(pairs, X, order: int | None = None) -> list:
     part, so every entry equals the pointwise pairing bit for bit.
     """
     pairs = [(T, tuple(members)) for T, members in pairs]
-    out = pair_table([(_only(T, DiracSectionTerm), [extend_function(T.bundle, g) for g in members])
+    out = pair_table([(_only(T, dirac=True), [extend_function(T.bundle, g) for g in members])
                       for T, members in pairs], X, order)
     for values, (T, members) in zip(out, pairs):
-        T_density = _only(T, DensityTerm)
+        T_density = _only(T, dirac=False)
         if T_density.terms:
             for i, x in enumerate(np.asarray(X, dtype=float).tolist()):
                 v = restrict(T_density, x)
@@ -255,7 +252,7 @@ def pair_table(pairs, X, order: int | None = None) -> list:
         if any(F.dim != b.total_dim for F in members):
             raise DimensionError("pair_table expects total-space functions")
     diracs = [(p, t) for p, (T, _) in enumerate(pairs)
-              for t in T.terms if isinstance(t, DiracSectionTerm)]
+              for t in T.terms if t.section is not None]
     weights = ex.evaluate_many([t.weight for _, t in diracs], X)
     keys = [(id(t.section), t.bundle.fibre_beta_to_total(t.beta)) for _, t in diracs]
     by_section = {}  # id(section) -> [term index, ...]
@@ -280,15 +277,15 @@ def pair_table(pairs, X, order: int | None = None) -> list:
                 v = np.array([paired[(*key, id(F))] for F in members])
                 out[p] += np.where(w != 0.0, w * v, 0.0)
         for values, (T, members) in zip(out, pairs):
-            D = _only(T, DensityTerm)
+            D = _only(T, dirac=False)
             if D.terms:
                 values += values_at(X, *(evaluate(D, F, order) for F in members))
     return out
 
 
-def _only(T: TransversalDistribution, kind) -> TransversalDistribution:
-    """T's terms of one kind."""
-    return TransversalDistribution(T.bundle, tuple(t for t in T.terms if isinstance(t, kind)))
+def _only(T: TransversalDistribution, dirac: bool) -> TransversalDistribution:
+    """T's Dirac terms, or its density terms."""
+    return TransversalDistribution(T.bundle, [t for t in T.terms if (t.section is None) != dirac])
 
 
 # ---------------------------------------------------------------------------
@@ -429,12 +426,10 @@ def evaluate(T: TransversalDistribution, F: Expr,
     symbolic_terms = []
     quad_parts = []
     for term in T.terms:
-        if isinstance(term, DiracSectionTerm):
-            dF = F.diff(b.fibre_beta_to_total(term.beta))
-            symbolic_terms.append(ex.mul(term.weight,
-                                         pullback_along_section(b, dF, term.section)))
+        integrand = term.integrand(F)
+        if term.section is not None:
+            symbolic_terms.append(integrand)
         else:
-            integrand = term.integrand(F)
             fibre_box = integrand.support_box().project(b.fibre_slots)
             quad_parts.append(QuadPart(b, integrand, fibre_box))
     sym = ex.add(*symbolic_terms) if symbolic_terms else None
@@ -450,10 +445,10 @@ def restrict(T: TransversalDistribution, x) -> PointDistribution:
     atoms = []
     dens = None
     for term in T.terms:
-        if isinstance(term, DiracSectionTerm):
+        if term.section is not None:
             atoms.append((term.section.value(x), term.beta, term.weight.evaluate(x)))
         else:
-            g = restrict_function(b, term.phi, x)
+            g = restrict_function(b, term.weight, x)
             dens = g if dens is None else ex.add(dens, g)
     return PointDistribution(b.fibre_dim, tuple(atoms), dens)
 
@@ -495,18 +490,14 @@ def _family_derivative_1(T: TransversalDistribution, slot: int) -> TransversalDi
     b = T.bundle
     new_terms = []
     for term in T.terms:
-        if isinstance(term, DiracSectionTerm):
-            # both new weights vanish wherever term.weight does
-            new_terms.append(term._derived(term.weight.diff1(slot), term.beta))
-            for j, comp in enumerate(term.section.components):
-                dcomp = comp.diff1(slot)
-                if ex.constant_value(dcomp) == 0:
-                    continue
-                beta_j = tuple(bb + (1 if idx == j else 0)
-                               for idx, bb in enumerate(term.beta))
-                new_terms.append(term._derived(ex.mul(term.weight, dcomp), beta_j))
-        else:
-            new_terms.append(DensityTerm(b, term.phi.diff1(slot)))
+        # every new weight vanishes wherever term.weight does
+        new_terms.append(term._derived(term.weight.diff1(slot), term.beta))
+        for j, comp in enumerate(() if term.section is None else term.section.components):
+            dcomp = comp.diff1(slot)
+            if ex.constant_value(dcomp) == 0:
+                continue
+            beta_j = tuple(bb + (1 if idx == j else 0) for idx, bb in enumerate(term.beta))
+            new_terms.append(term._derived(ex.mul(term.weight, dcomp), beta_j))
     return TransversalDistribution(b, tuple(new_terms))
 
 
@@ -517,11 +508,8 @@ def module_action_base(f: Expr, T: TransversalDistribution) -> TransversalDistri
         raise DimensionError("base action expects a base function")
     new_terms = []
     for term in T.terms:
-        if isinstance(term, DiracSectionTerm):
-            new_terms.append(DiracSectionTerm(term.section,
-                                              ex.mul(f, term.weight), term.beta))
-        else:
-            new_terms.append(DensityTerm(b, ex.mul(extend_base_function(b, f), term.phi)))
+        g = f if term.section is not None else extend_base_function(b, f)
+        new_terms.append(replace(term, weight=ex.mul(g, term.weight)))
     return TransversalDistribution(b, tuple(new_terms))
 
 
@@ -532,8 +520,8 @@ def module_action_total(F: Expr, T: TransversalDistribution) -> TransversalDistr
         raise DimensionError("total action expects a total-space function")
     new_terms = []
     for term in T.terms:
-        if isinstance(term, DensityTerm):
-            new_terms.append(DensityTerm(b, ex.mul(F, term.phi)))
+        if term.section is None:
+            new_terms.append(replace(term, weight=ex.mul(F, term.weight)))
             continue
         for gamma in ex.multi_indices_below(term.beta):
             coeff = ex.multi_binomial(term.beta, gamma)
@@ -541,7 +529,7 @@ def module_action_total(F: Expr, T: TransversalDistribution) -> TransversalDistr
             dF = F.diff(b.fibre_beta_to_total(remainder))
             factor = pullback_along_section(b, dF, term.section)
             weight = ex.mul(ex.const(coeff, b.base_dim), term.weight, factor)
-            new_terms.append(DiracSectionTerm(term.section, weight, gamma))
+            new_terms.append(replace(term, weight=weight, beta=gamma))
     return TransversalDistribution(b, tuple(new_terms))
 
 
@@ -549,12 +537,11 @@ def module_action_total(F: Expr, T: TransversalDistribution) -> TransversalDistr
 # Supports
 
 
-def term_support(term) -> Box:
-    """Conservative total-space box outside which a Dirac or density term
-    vanishes: the section's graph over the weight's box, or phi's box."""
-    if isinstance(term, DiracSectionTerm):
-        return section_graph_support(term.section, term.weight.support_box())
-    return term.phi.support_box()
+def term_support(term: Term) -> Box:
+    """Conservative total-space box outside which a term vanishes: the
+    section's graph over the weight's box, or a density's own box."""
+    box = term.weight.support_box()
+    return box if term.section is None else section_graph_support(term.section, box)
 
 
 def total_support(T: TransversalDistribution) -> Box:
@@ -632,10 +619,8 @@ def localize_decompose(T: TransversalDistribution, x):
     x = tuple(float(c) for c in x)
     pieces = []
     for term in T.terms:
-        name = "weight" if isinstance(term, DiracSectionTerm) else "phi"
-        weight = getattr(term, name)
         base_polys, fibre_polys, rest = [], [], []
-        for f in weight.factors if isinstance(weight, ex.Product) else (weight,):
+        for f in term.weight.factors if isinstance(term.weight, ex.Product) else (term.weight,):
             if ex.as_polynomial(f) is None:
                 rest.append(f)
             else:
@@ -650,10 +635,10 @@ def localize_decompose(T: TransversalDistribution, x):
         if value_at_x != 0:
             raise ExprError("unsupported weight form: polynomial part does not vanish at x")
         # a constant 1 is dropped by mul, and stands for an empty envelope
-        envelope = ex.mul(ex.const(1, weight.dim), *fibre_polys, *rest)
+        envelope = ex.mul(ex.const(1, term.weight.dim), *fibre_polys, *rest)
         for slot, g in factors:
             f_i = ex.sub(ex.var(slot, b.base_dim), ex.const(Fraction(x[slot]), b.base_dim))
-            E = TransversalDistribution(b, (replace(term, **{name: envelope}),))
+            E = TransversalDistribution(b, (replace(term, weight=envelope),))
             pieces.append((f_i, module_action_base(g, E)))
     return pieces
 

@@ -633,8 +633,8 @@ class Sum(Expr):
     def _interval(self, box, memo):
         # each end correctly rounded (one rounding), then widened by an ulp
         ends = [t._iv(box, memo) for t in self.terms]
-        return _round_out(quadrature.fsum_list([a for a, _ in ends]),
-                          quadrature.fsum_list([b for _, b in ends]))
+        return _round_out(_sum_end([a for a, _ in ends], -_INF),
+                          _sum_end([b for _, b in ends], _INF))
 
     def _children(self):
         return self.terms
@@ -704,14 +704,7 @@ class Product(Expr):
         return box
 
     def _interval(self, box, memo):
-        lo, hi = 1.0, 1.0
-        for k, f in enumerate(self.factors):
-            a, b = f._iv(box, memo)
-            cands = (lo * a, lo * b, hi * a, hi * b)
-            lo, hi = min(cands), max(cands)
-            if k:  # every product after the first rounds, so widens
-                lo, hi = _round_out(lo, hi)
-        return lo, hi
+        return reduce(_iv_mul, (f._iv(box, memo) for f in self.factors))
 
     def _children(self):
         return self.factors
@@ -746,13 +739,14 @@ class IntPow(Expr):
         return self.base.support_box()
 
     def _interval(self, box, memo):
+        # _power's ladder over each end, every product rounded outward, holds
+        # the end's exact power and evaluate()'s; both powers are monotone in
+        # x for odd n and in |x| for even n
         a, b = self.base._iv(box, memo)
-        n = self.exponent
-        if n % 2 == 1:
-            return _round_out(a**n, b**n)
-        hi = max(a**n, b**n)
-        lo = 0.0 if a <= 0.0 <= b else min(a**n, b**n)
-        return _round_out(lo, hi)
+        (lo_a, hi_a), (lo_b, hi_b) = (_power((x, x), self.exponent, _iv_mul) for x in (a, b))
+        if self.exponent % 2 == 1:
+            return lo_a, hi_b
+        return (0.0 if a <= 0.0 <= b else min(lo_a, lo_b)), max(hi_a, hi_b)
 
     def _children(self):
         return (self.base,)
@@ -1237,6 +1231,26 @@ def _number_nodes(node, index, nodes, args) -> int:
 
 def _round_out(lo: float, hi: float):
     return (math.nextafter(lo, -_INF), math.nextafter(hi, _INF))
+
+
+def _iv_mul(p, q):
+    """The product of two intervals, each end rounded, then widened by an ulp."""
+    cands = (p[0] * q[0], p[0] * q[1], p[1] * q[0], p[1] * q[1])
+    return _round_out(min(cands), max(cands))
+
+
+def _sum_end(values: list, infinity: float) -> float:
+    """One end of a sum's interval: ``math.fsum(values)``, an exact zero as
+    +0.0.  Where fsum raises (inf + -inf, or an intermediate overflow), the
+    end is ``infinity`` (-inf for a lower end) if some value is not finite,
+    else the exact sum of the values, correctly rounded."""
+    try:
+        return math.fsum(values) + 0.0
+    except (ValueError, OverflowError):
+        if not all(map(math.isfinite, values)):
+            return infinity
+        exact = sum(map(Fraction, values))
+        return _float_or(exact, _INF if exact > 0 else -_INF)
 
 
 def _float_or(v: Fraction, beyond: float) -> float:

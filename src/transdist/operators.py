@@ -5,7 +5,7 @@ distribution with (x, y) -> g(y).  Composition is kernel convolution,
 with compose(K1, K2) meaning "K1 after K2": apply(compose(K1, K2), g)
 agrees with apply(K1, apply(K2, g)).
 
-Term-by-term composition rules:
+Term-by-term composition rules, chosen by the two terms' kinds (``_classify``):
 
 * graph(sigma1, f1) o graph(sigma2, f2) = graph(sigma2 o sigma1,
   f1 * (f2 o sigma1)); sections compose in reversed operator order, the
@@ -40,8 +40,8 @@ from . import expr as ex
 from . import quadrature
 from .bundle import (Section, TrivialBundle, extend_base_function, extend_function,
                      section_graph_support)
-from .distribution import (BaseFunction, DensityTerm, DiracSectionTerm, NumericPart,
-                           TransversalDistribution, evaluate, term_support)
+from .distribution import (BaseFunction, NumericPart, Term, TransversalDistribution, evaluate,
+                           term_support)
 from .expr import Box, DimensionError, Expr, ExprError
 
 MAX_NUMERIC_DEPTH = 2
@@ -68,16 +68,16 @@ def pair_values(term, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
     if isinstance(term, NumericKernelTerm):
         return term.values_fn(Y, Z)
     n = Z.shape[0]
-    return np.concatenate([term.phi.eval_grid((Y[i:j], Z)).reshape(-1, n)
+    return np.concatenate([term.weight.eval_grid((Y[i:j], Z)).reshape(-1, n)
                            for i, j in quadrature.row_blocks(Y.shape[0], n)])
 
 
 def _classify(term) -> str:
-    if isinstance(term, DiracSectionTerm):
-        return "dirac" if not any(term.beta) else "dirac_derivative"
-    if isinstance(term, DensityTerm):
+    if isinstance(term, NumericKernelTerm):
+        return "numeric"
+    if term.section is None:
         return "density"
-    return "numeric"
+    return "dirac" if not any(term.beta) else "dirac_derivative"
 
 
 @dataclass(frozen=True, eq=False)
@@ -103,13 +103,11 @@ class KernelOperator:
 
 
 def graph_kernel(section: Section, weight: Expr, beta=None) -> KernelOperator:
-    b = section.bundle
-    beta = b.zero_fibre_beta() if beta is None else beta
-    return KernelOperator(b, (DiracSectionTerm(section, weight, beta),))
+    return KernelOperator(section.bundle, (Term(section.bundle, weight, section, beta),))
 
 
 def density_kernel(bundle: TrivialBundle, phi: Expr) -> KernelOperator:
-    return KernelOperator(bundle, (DensityTerm(bundle, phi),))
+    return KernelOperator(bundle, (Term(bundle, phi),))
 
 
 def apply(K: KernelOperator, g: Expr, order: int | None = None) -> BaseFunction:
@@ -142,8 +140,8 @@ def apply_to_values(K: KernelOperator, fn, fn_support: Box,
     if any(k == "dirac_derivative" for k in K.kinds):
         raise ExprError("pointwise application needs derivative-free terms")
     # Dirac terms as None; density and numeric terms as their fibre box
-    fibre_boxes = [None if isinstance(t, DiracSectionTerm) else
-                   _term_boxes(t, b)[1].intersect(fn_support) for t in K.terms]
+    fibre_boxes = [None if kind == "dirac" else _term_boxes(t, b)[1].intersect(fn_support)
+                   for t, kind in zip(K.terms, K.kinds)]
 
     def fn_values(Z):
         return np.array([fn(tuple(z)) for z in Z])
@@ -180,28 +178,29 @@ def compose(K1: KernelOperator, K2: KernelOperator,
 
 
 def _compose_terms(t1, t2, b: TrivialBundle, order):
-    if isinstance(t1, DiracSectionTerm) and isinstance(t2, DiracSectionTerm):
+    kinds = _classify(t1), _classify(t2)
+    if kinds == ("dirac", "dirac"):
         section = _compose_sections(t2.section, t1.section)
         weight = ex.mul(t1.weight, t2.weight.substitute(dict(enumerate(t1.section.components))))
-        return DiracSectionTerm(section, weight, b.zero_fibre_beta())
-    if isinstance(t1, DiracSectionTerm) and isinstance(t2, DensityTerm):
+        return Term(b, weight, section)
+    if kinds == ("dirac", "density"):
         # psi(x, z) = f1(x) * phi2(sigma1(x), z)
         lifted = {i: extend_base_function(b, c)
                   for i, c in enumerate(t1.section.components)}
-        phi = t2.phi.substitute(lifted)
+        phi = t2.weight.substitute(lifted)
         try:
-            return DensityTerm(b, ex.mul(extend_base_function(b, t1.weight), phi))
+            return Term(b, ex.mul(extend_base_function(b, t1.weight), phi))
         except ExprError:
             return _compose_numeric(t1, t2, b, order)
-    if isinstance(t1, DensityTerm) and isinstance(t2, DiracSectionTerm):
+    if kinds == ("density", "dirac"):
         # psi(x, z) = phi1(x, S(z)) * f2(S(z)) / |det A| with S the inverse
         # of the affine section sigma2
         inverse, jac = _invert_affine_section(t2.section)
         S = [extend_function(b, Sj) for Sj in inverse]
-        phi = t1.phi.substitute({b.base_dim + j: Sj for j, Sj in enumerate(S)})
+        phi = t1.weight.substitute({b.base_dim + j: Sj for j, Sj in enumerate(S)})
         factor = t2.weight.substitute(dict(enumerate(S)), b.total_dim)
         try:
-            return DensityTerm(b, ex.mul(phi, factor, ex.const(1 / jac, b.total_dim)))
+            return Term(b, ex.mul(phi, factor, ex.const(1 / jac, b.total_dim)))
         except ExprError:
             # support analysis of multi-variable bump arguments lost the
             # bound; keep the kernel with explicit geometric boxes instead
@@ -280,7 +279,7 @@ def _term_boxes(term, b: TrivialBundle):
 def _compose_numeric(t1, t2, b: TrivialBundle, order):
     depth1 = t1.depth if isinstance(t1, NumericKernelTerm) else 0
     depth2 = t2.depth if isinstance(t2, NumericKernelTerm) else 0
-    if isinstance(t1, DiracSectionTerm):
+    if _classify(t1) == "dirac":
         # f1(x) * psi2(sigma1(x), z): reindex, no extra quadrature level
         section, weight = t1.section, t1.weight
 
@@ -296,7 +295,7 @@ def _compose_numeric(t1, t2, b: TrivialBundle, order):
         base1, _ = _term_boxes(t1, b)
         _, fibre2 = _term_boxes(t2, b)
         return NumericKernelTerm(b, base1, fibre2, depth2, fn)
-    if isinstance(t2, DiracSectionTerm):
+    if _classify(t2) == "dirac":
         inverse, jac = _invert_affine_section(t2.section)
         scale = 1.0 / float(jac)
 

@@ -161,7 +161,7 @@ def check_leibniz(T: TransversalDistribution, F: Expr, alpha_max: int, grid,
     The two sides are computed separately, but not independently: at
     alpha = 0 the sum has one term, T(F) itself, so the quadrature parts of
     both sides integrate the same node phi * F over the same grid and share
-    one fibre-integral pass (``DensityTerm.integrand``, ``QuadPart.values``).
+    one fibre-integral pass (``Term.integrand``, ``QuadPart.values``).
     The left takes the Taylor coefficients of T(F)'s symbolic part
     (``ex.taylor``) times alpha!, plus its quadrature parts differentiated
     under the integral; no derivative of T(F) is built.  On the right each

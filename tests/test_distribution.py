@@ -220,7 +220,7 @@ class TestFamilyDerivative:
     def test_kept_box_is_not_part_of_the_term(self, deep):
         (root,) = deep.terms
         derived = dist.family_derivative(deep, (1,)).terms
-        rebuilt = [dist.DiracSectionTerm(t.section, t.weight, t.beta) for t in derived]
+        rebuilt = [dist.Term(t.bundle, t.weight, t.section, t.beta) for t in derived]
         assert rebuilt == list(derived)
         assert [hash(t) for t in rebuilt] == [hash(t) for t in derived]
         assert [repr(t) for t in rebuilt] == [repr(t) for t in derived]
@@ -497,7 +497,7 @@ class TestLocalization:
             assert type(term) is type(T.terms[0])
             if kind != "density":
                 assert term.section is T.terms[0].section and term.beta == T.terms[0].beta
-            got.append((str(f_i), str(term.phi if kind == "density" else term.weight)))
+            got.append((str(f_i), str(term.weight)))
         assert got == want
 
     def test_multivariate_base(self):
@@ -626,7 +626,7 @@ class TestConstruction:
     def test_constructor_checks_the_weight_it_is_given(self, line_bundle, weight, message):
         s = bd.section_from_strings(line_bundle, ["x0"], domain=Box.of([(-1.5, 1.5)]))
         with pytest.raises(ExprError, match=message):
-            dist.DiracSectionTerm(s, line_bundle.parse_base(weight), (0,))
+            dist.Term(line_bundle, line_bundle.parse_base(weight), s, (0,))
 
     def test_mixed_bundles_rejected(self, line_bundle, T_dirac):
         other = dist.density(bd.TrivialBundle(2, 1),
@@ -634,6 +634,21 @@ class TestConstruction:
                                  "bump(x0)*bump(x1)*bump(y0)"))
         with pytest.raises(ex.DimensionError):
             T_dirac + other
+
+    def test_a_dirac_term_needs_its_section_on_its_bundle(self, line_bundle, plane_bundle):
+        s = bd.section_from_strings(line_bundle, ["x0"])
+        other = bd.TrivialBundle(1, 2)
+        with pytest.raises(ex.DimensionError):
+            dist.Term(other, other.parse_base("bump(x0)"), s)
+        with pytest.raises(ex.DimensionError):
+            dist.Term(plane_bundle, plane_bundle.parse_base("bump(x0)"), s)
+
+    def test_a_density_term_takes_no_fibre_derivative(self, line_bundle):
+        phi = line_bundle.parse_total("bump(x0)*bump(y0)")
+        assert dist.Term(line_bundle, phi).beta == (0,)
+        assert dist.Term(line_bundle, phi, beta=(0,)) == dist.Term(line_bundle, phi)
+        with pytest.raises(ExprError, match="no fibre derivative"):
+            dist.Term(line_bundle, phi, beta=(1,))
 
 
 def same_floats(got, want) -> bool:
@@ -1007,7 +1022,7 @@ class TestFibreIntegralReuse:
         again = [hexes(bf.values(X)) for bf in warm + base_functions(T, F)]
         assert passes == {9: 2}  # every one a hit
         cold = [hexes(bf.values(X))
-                for bf in base_functions(dist.density(b, T.terms[0].phi), F)]
+                for bf in base_functions(dist.density(b, T.terms[0].weight), F)]
         assert passes == {9: 4}
         assert first == cold and again == cold + cold
         assert any(float.fromhex(h) for h in cold[0])
@@ -1025,7 +1040,7 @@ class TestFibreIntegralReuse:
         X *= 0.5  # the same array, changed in place
         after = hexes(part.values(X, self.ORDER))
         assert passes == {9: 2}
-        fresh = dist.evaluate(dist.density(T.bundle, T.terms[0].phi), F, order=self.ORDER)
+        fresh = dist.evaluate(dist.density(T.bundle, T.terms[0].weight), F, order=self.ORDER)
         assert after == hexes(fresh.quad_parts[0].values(X.copy(), self.ORDER))
         assert after != before
         assert passes == {9: 3}
@@ -1041,7 +1056,7 @@ class TestFibreIntegralReuse:
 
     def test_threads_replacing_the_entry_read_sequential_bits(self, b, T, F, X):
         grids = [X, X[::-1] * 0.75]
-        want = [hexes(dist.evaluate(dist.density(b, T.terms[0].phi), F, order=self.ORDER)
+        want = [hexes(dist.evaluate(dist.density(b, T.terms[0].weight), F, order=self.ORDER)
                       .values(Y)) for Y in grids]
         start = threading.Barrier(4, timeout=60)
 
@@ -1083,9 +1098,87 @@ class TestFibreIntegralReuse:
         assert hexes(dist.evaluate(copy, F, order=self.ORDER).values(X)) == want
 
     def test_a_long_lived_function_keeps_no_transient_term_alive(self, b, F, X):
-        term = dist.DensityTerm(b, b.parse_total(f"{BUMPS_2X2}*y0"))
+        term = dist.Term(b, b.parse_total(f"{BUMPS_2X2}*y0"))
         ref = weakref.ref(term)
         dist.evaluate(dist.TransversalDistribution(b, (term,)), F, order=self.ORDER).values(X)
         del term
         gc.collect()
         assert ref() is None
+
+
+class TestDiracIntegrand:
+    """A Dirac term keeps its last integrand f * (D^beta F) o sigma, as a
+    density keeps phi * F: the same node while it meets the same F."""
+
+    @pytest.fixture
+    def T(self, line_bundle):
+        section = bd.section_from_strings(line_bundle, ["x0/2 + sin(x0)/3"])
+        return dist.dirac_section(section, line_bundle.parse_base("bump(x0)*(1 + x0)"), (1,))
+
+    @pytest.fixture
+    def F(self, line_bundle):
+        return line_bundle.parse_total("exp(x0*y0)*cos(y0) + y0^3")
+
+    def test_the_same_function_gives_the_same_node(self, line_bundle, T, F):
+        (term,) = T.terms
+        first = term.integrand(F)
+        assert term.integrand(F) is first
+        assert dist.evaluate(T, F).symbolic is first
+        other = line_bundle.parse_total("exp(x0*y0)*cos(y0) + y0^3")
+        replaced = term.integrand(other)
+        assert replaced is not first and str(replaced) == str(first)
+        assert term.integrand(other) is replaced and term.integrand(F) is not first
+
+    def test_the_integrand_is_the_weighted_pullback(self, line_bundle, T, F):
+        (term,) = T.terms
+        X = np.linspace(-1.2, 1.2, 13)[:, None]
+        dF = F.diff(line_bundle.fibre_beta_to_total(term.beta))
+        want = ex.mul(term.weight, bd.pullback_along_section(line_bundle, dF, term.section))
+        assert str(term.integrand(F)) == str(want)
+        assert hexes(dist.evaluate(T, F).values(X)) == hexes(want.eval_array(X))
+
+    def test_an_evaluated_dirac_distribution_pickles(self, T, F):
+        X = np.linspace(-1.2, 1.2, 13)[:, None]
+        want = hexes(dist.evaluate(T, F).values(X))
+        assert T.terms[0]._product is not None
+        copy = pickle.loads(pickle.dumps(T))
+        assert copy == T and copy.terms[0]._product is None
+        assert hexes(dist.evaluate(copy, F).values(X)) == want
+
+    def test_threads_replacing_the_entry_read_sequential_bits(self, line_bundle, T, F):
+        (term,) = T.terms
+        X = np.linspace(-1.2, 1.2, 13)[:, None]
+        functions = [F, line_bundle.parse_total("y0^2*cos(x0*y0)")]
+        want = [hexes(dist.evaluate(dist.dirac_section(term.section, term.weight, term.beta),
+                                    G).values(X)) for G in functions]
+        start = threading.Barrier(4, timeout=60)
+
+        def worker(first):
+            start.wait()
+            return [(k % 2, hexes(dist.evaluate(T, functions[k % 2]).values(X)))
+                    for k in range(first, first + 24)]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(4) as pool:
+                results = list(pool.map(worker, range(4), timeout=120))
+        finally:
+            sys.setswitchinterval(interval)
+        assert [len(rows) for rows in results] == [24] * 4
+        assert all(got == want[k] for rows in results for k, got in rows)
+
+    def test_dropping_f_frees_it_and_the_next_function_frees_its_pullback(
+            self, line_bundle, T):
+        """The term holds F weakly and its pullback, a substituted copy,
+        does not hold F: dropping F frees F's DAG at once, and the term's
+        pulled-back DAG goes when the term meets another function."""
+        (term,) = T.terms
+        F = line_bundle.parse_total("exp(x0*y0)*cos(y0) + y0^3")
+        refs = [weakref.ref(F), weakref.ref(term.integrand(F))]
+        del F
+        gc.collect()
+        assert refs[0]() is None and refs[1]() is not None
+        term.integrand(line_bundle.parse_total("y0"))
+        gc.collect()
+        assert refs[1]() is None

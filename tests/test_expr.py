@@ -392,6 +392,45 @@ class TestIntervalEnclosure:
         assert ex.mul(x0, x1).interval(box) == ex._round_out(min(cands), max(cands))
 
 
+    @pytest.mark.parametrize("n", [3, 5, 7, 11, 13])
+    def test_an_integer_power_holds_evaluate_and_the_exact_power(self, n):
+        """The interval walks the multiplication ladder ``evaluate`` takes,
+        rounding outward after every product."""
+        e = ex.parse(f"x0^{n}", 1)
+        for x in np.random.default_rng(n).uniform(1.0, 2.0, 5000).tolist():
+            lo, hi = e.interval(Box.of([(x, x)]))
+            assert lo <= e.evaluate((x,)) <= hi
+            assert lo <= Fraction(x) ** n <= hi
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7])
+    def test_an_integer_power_holds_its_values_across_zero(self, n):
+        e = ex.parse(f"x0^{n}", 1)
+        rng = np.random.default_rng(100 + n)
+        for a, b in np.sort(rng.uniform(-2.0, 2.0, (300, 2)), axis=1).tolist():
+            lo, hi = e.interval(Box.of([(a, b)]))
+            assert n % 2 == 1 or (lo == 0.0) == (a <= 0.0 <= b)
+            for x in (a, b, (a + b) / 2, 0.0 if a <= 0.0 <= b else a):
+                assert lo <= e.evaluate((x,)) <= hi
+                assert lo <= Fraction(x) ** n <= hi
+
+    def test_an_overflowing_power_is_unbounded_above(self):
+        lo, hi = ex.parse("x0^2", 1).interval(Box.of([(1e200, 1e200)]))
+        assert hi == math.inf and 1e308 < lo < math.inf
+
+    def test_an_overflowing_sum_takes_its_ends_from_the_exact_sum(self):
+        e = ex.parse("x0 + x1 - x2", 3)
+        lo, hi = e.interval(Box.of([(1e308, 1e308)] * 3))
+        assert lo <= Fraction(1e308) <= hi
+        assert hi < math.inf
+
+    def test_a_sum_with_an_infinite_term_keeps_that_end_infinite(self):
+        e = ex.parse("x0 + x1 + x2", 3)
+        lo, hi = e.interval(Box.of([(1e308, 1e308), (1e308, 1e308), (-math.inf, 1e308)]))
+        assert (lo, hi) == (-math.inf, math.inf)  # not NaN
+        lo, hi = e.interval(Box.of([(1.0, 2.0), (3.0, 4.0), (-math.inf, 0.0)]))
+        assert lo == -math.inf and 6.0 < hi < 6.0 + 1e-12
+
+
 class TestBoxArithmetic:
     def test_intersect_disjoint_is_empty(self):
         a = Box.of([(0, 1)])

@@ -327,8 +327,28 @@ def test_localization_has_one_path():
     assert not hasattr(transdist.distribution, "_split_polynomial_envelope")
     assert not hasattr(transdist.TrivialBundle, "join")
     assert ("distribution.py", "localize_decompose") in calls_of("module_action_base")
-    assert ("distribution.py", "localize_decompose") not in calls_of("DiracSectionTerm")
-    assert ("distribution.py", "localize_decompose") not in calls_of("DensityTerm")
+    assert ("distribution.py", "localize_decompose") not in calls_of("Term")
+
+
+def test_one_term_class_for_dirac_and_density_terms():
+    """A Dirac section term and a density are one class, ``Term``, told
+    apart by its section; numeric kernels, which have no symbolic form, are
+    the only other term class, and nothing tests a term against ``Term``."""
+    classes = {node.name for path in PACKAGE.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.ClassDef) and node.name.endswith("Term")}
+    assert classes == {"Term", "NumericKernelTerm"}
+
+    def isinstance_of(name):
+        def match(n):
+            if not (isinstance(n, ast.Call) and _name(n.func) == "isinstance"):
+                return False
+            kinds = n.args[1].elts if isinstance(n.args[1], ast.Tuple) else [n.args[1]]
+            return any(_name(k) == name for k in kinds)
+        return match
+
+    assert nodes_where(isinstance_of("NumericKernelTerm"))  # the walk sees them
+    assert nodes_where(isinstance_of("Term")) == []
 
 
 def test_bump_derivatives_use_no_fraction_polynomial_helpers():

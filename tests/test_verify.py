@@ -118,7 +118,7 @@ class TestLeibniz:
 
         def tampered(T, slot):
             return dist.TransversalDistribution(T.bundle, tuple(
-                dist.DiracSectionTerm(t.section, t.weight.diff1(slot), t.beta)
+                dist.Term(t.bundle, t.weight.diff1(slot), t.section, t.beta)
                 for t in T.terms))
 
         monkeypatch.setattr(dist, "_family_derivative_1", tampered)
