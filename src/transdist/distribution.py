@@ -168,15 +168,15 @@ class PointDistribution:
                 raise ExprError("point-distribution density must be compactly supported")
 
     def is_numerically_zero(self) -> bool:
-        """Exact-zero test on atoms plus a grid-zero test on the density part."""
-        if any(abs(c) > ZERO_TOL for _, _, c in self.atoms):
+        """Exact-zero test on atoms plus a grid-zero test on the density; NaN is not zero."""
+        if any(not abs(c) <= ZERO_TOL for _, _, c in self.atoms):
             return False
         if self.density is not None:
             box = self.density.support_box()
             if not box.is_empty:
                 axes = [np.linspace(lo, hi, ZERO_GRID_POINTS)[:, None]
                         for lo, hi in box.pad(1e-3).intervals]
-                if np.any(np.abs(self.density.eval_grid(axes)) > ZERO_TOL):
+                if not np.all(np.abs(self.density.eval_grid(axes)) <= ZERO_TOL):
                     return False
         return True
 

@@ -48,11 +48,12 @@ bit for bit: ``e.evaluate(p)`` equals every row of ``e.eval_array`` that
 holds p.  Both paths apply the same IEEE operations per node: exp, sin
 and cos come from numpy's ufuncs on floats and arrays alike, an integer
 power is one multiplication ladder, and a sum of three or more terms is
-correctly rounded (``math.fsum``'s value) on both, through
-``quadrature.fsum_list`` and its row-wise form ``quadrature.row_fsum``.
-A two-term sum is one IEEE addition, which is already correctly rounded.
-Where fsum would raise (inf + -inf, or an overflow), both take the IEEE
-sum, so a sum is NaN or infinite there rather than an error.  An array
+correctly rounded (``math.fsum``'s value) on both, through ``fsum_list``
+and its row-wise form ``row_fsum``; ``Sum.interval`` takes its ends from
+``fsum_list`` too.  A two-term sum is one IEEE addition, which is already
+correctly rounded.  Where fsum would raise on an overflow of finite terms,
+both take the exact sum, correctly rounded; on an inf or NaN term, the
+IEEE sum, so a sum is NaN or infinite there rather than an error.  An array
 pass silences numpy's overflow and invalid warnings once per root it
 hands out, around its walk of the plan up to that root, so it is as
 quiet as the scalar path where a value saturates.  A product builds its
@@ -75,8 +76,6 @@ from fractions import Fraction
 from functools import cache, reduce
 
 import numpy as np
-
-from . import quadrature
 
 MultiIndex = tuple  # tuple[int, ...], one derivative order per coordinate
 
@@ -602,6 +601,82 @@ class Var(Expr):
         return self.name
 
 
+# Rows per pass of row_fsum: its temporaries stay a few arrays of 32 kB.
+# Cutting it by quadrature.row_blocks instead made lattice-scan slower in
+# every run: op_p50_s +25% over 5 alternating pairs (2-vCPU x86-64 VM).
+_ROW_BLOCK = 4096
+
+
+def fsum_list(values: list) -> float:
+    """``math.fsum(values)``, an exact zero as +0.0.  Where math.fsum raises,
+    the exact sum if every value is finite, correctly rounded (an infinity
+    only beyond the float range), else the IEEE sum taken left to right
+    from 0.0: NaN, or the infinity among the values."""
+    try:
+        return math.fsum(values) + 0.0
+    except (ValueError, OverflowError):
+        if all(map(math.isfinite, values)):
+            exact = sum(map(Fraction, values))
+            return _float_or(exact, _INF if exact > 0 else -_INF)
+        total = 0.0
+        for v in values:
+            total += v
+        return total
+
+
+def _two_sum_cascade(cols):
+    """The left-to-right float sum of the columns and the exact rounding
+    error of each addition (Knuth's TwoSum): the float sum plus every error
+    is the exact sum of the row, barring overflow."""
+    s, errors = cols[0], []
+    for c in cols[1:]:
+        t = s + c
+        z = t - s
+        errors.append((s - (t - z)) + (c - z))
+        s = t
+    return s, errors
+
+
+def row_fsum(cols) -> np.ndarray:
+    """``fsum_list`` of every row of two or more columns, at their broadcast
+    shape: row r holds entry r of each column broadcast to that shape.
+
+    Cascaded TwoSum (Ogita, Rump & Oishi, "Accurate sum and dot product",
+    SIAM J. Sci. Comput. 26(6), 2005) splits each row's exact sum into its
+    float sum s and the exact errors e_j; a second cascade splits those into
+    their float sum t and exact errors f_j.  Where every f_j is zero, s + t
+    is the exact sum, so its one rounding is the correctly rounded total,
+    ties included.  Elsewhere the exact sum lies within sum |f_j| of s + t,
+    and a row is certified when both ends of that bracket, widened outward
+    by an ulp, round to the same float, as rounding is monotone.  The rows
+    left (near ties, and every row with an inf, a NaN or an overflow) get
+    ``fsum_list``.  Rows go in blocks of ``_ROW_BLOCK``.
+    """
+    shape = np.broadcast_shapes(*map(np.shape, cols))
+    cols = [np.broadcast_to(c, shape).ravel() for c in cols]
+    n, k = cols[0].shape[0], len(cols)
+    out = np.empty(n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for lo in range(0, n, _ROW_BLOCK):
+            block = [c[lo:lo + _ROW_BLOCK] for c in cols]
+            s, errors = _two_sum_cascade(block)
+            t, errors2 = _two_sum_cascade(errors)
+            total = s + t
+            spread = sum((np.abs(f) for f in errors2), np.zeros_like(s))
+            # bracket only the rows whose second errors do not vanish
+            hard = np.flatnonzero((spread != 0.0) | ~np.isfinite(total))
+            if hard.size:
+                width = spread[hard] * (1.0 + k * 2.0 ** -50) + k * 5e-324
+                down = s[hard] + np.nextafter(t[hard] - width, -math.inf)
+                up = s[hard] + np.nextafter(t[hard] + width, math.inf)
+                certified = (down == up) & np.isfinite(down)
+                total[hard[certified]] = down[certified]
+                for i in hard[~certified].tolist():
+                    total[i] = fsum_list([c[i] for c in block])
+            out[lo:lo + _ROW_BLOCK] = total + 0.0
+    return out.reshape(shape)
+
+
 @dataclass(frozen=True)
 class Sum(Expr):
     terms: tuple
@@ -609,12 +684,12 @@ class Sum(Expr):
     def _eval(self, point, vals, args):
         if len(args) == 2:
             return 0.0 + vals[args[0]] + vals[args[1]]
-        return quadrature.fsum_list([vals[i] for i in args])
+        return fsum_list([vals[i] for i in args])
 
     def _eval_arr(self, cols, vals, args):
         if len(args) == 2:
             return 0.0 + vals[args[0]] + vals[args[1]]
-        return quadrature.row_fsum([vals[i] for i in args])
+        return row_fsum([vals[i] for i in args])
 
     _jet = _eval_arr  # coefficients add as values do
 
@@ -633,8 +708,10 @@ class Sum(Expr):
     def _interval(self, box, memo):
         # each end correctly rounded (one rounding), then widened by an ulp
         ends = [t._iv(box, memo) for t in self.terms]
-        return _round_out(_sum_end([a for a, _ in ends], -_INF),
-                          _sum_end([b for _, b in ends], _INF))
+        lo = fsum_list([a for a, _ in ends])
+        hi = fsum_list([b for _, b in ends])
+        # a NaN end (inf + -inf) bounds nothing on its side
+        return _round_out(-_INF if math.isnan(lo) else lo, _INF if math.isnan(hi) else hi)
 
     def _children(self):
         return self.terms
@@ -1237,20 +1314,6 @@ def _iv_mul(p, q):
     """The product of two intervals, each end rounded, then widened by an ulp."""
     cands = (p[0] * q[0], p[0] * q[1], p[1] * q[0], p[1] * q[1])
     return _round_out(min(cands), max(cands))
-
-
-def _sum_end(values: list, infinity: float) -> float:
-    """One end of a sum's interval: ``math.fsum(values)``, an exact zero as
-    +0.0.  Where fsum raises (inf + -inf, or an intermediate overflow), the
-    end is ``infinity`` (-inf for a lower end) if some value is not finite,
-    else the exact sum of the values, correctly rounded."""
-    try:
-        return math.fsum(values) + 0.0
-    except (ValueError, OverflowError):
-        if not all(map(math.isfinite, values)):
-            return infinity
-        exact = sum(map(Fraction, values))
-        return _float_or(exact, _INF if exact > 0 else -_INF)
 
 
 def _float_or(v: Fraction, beyond: float) -> float:

@@ -16,11 +16,10 @@ may differ in the last ulp between builds and CPUs.
 
 A rule keeps its per-axis nodes (``axes``) beside their tensor grid, so an
 expression integrand is evaluated with ``Expr.eval_grid`` on the axes and
-a factor of one coordinate runs once per node of that axis.  The module
-also holds the sums that expression evaluation shares between its scalar
-and array paths: ``fsum_list`` for one list of terms and
-``row_fsum``, its vectorized row-wise form, so that a ``Sum`` node gives
-the same float on either path.
+a factor of one coordinate runs once per node of that axis.  The sum of a
+short list, and the hard cases of a long one, go to ``expr.fsum_list``,
+the sum that a ``Sum`` node takes, so both follow one rule where
+``math.fsum`` raises.
 """
 
 from __future__ import annotations
@@ -60,8 +59,6 @@ _VECTOR_MIN = 512
 # Extraction passes before fsum hands a hard case (a near tie, or more
 # cancellation than the passes resolve) to math.fsum.
 _EXTRACT_PASSES = 3
-# Rows per pass of row_fsum: its temporaries stay a few arrays of 32 kB.
-_ROW_BLOCK = 4096
 # Rows per pass wherever many base points share one fibre grid: a pass
 # evaluates at most this many joined (x, z) rows, 2 MB of 2+2 points, where
 # a whole 2-d order-64 pair grid (4096 x 4096 rows) would take 0.5 GB.
@@ -162,8 +159,9 @@ def fsum(p: np.ndarray) -> float:
     the symmetric rules give, sums to exactly zero.  Otherwise the
     remainders and the high sum, which add up to the same total, are split
     again, and after ``_EXTRACT_PASSES`` passes, or on a non-finite or
-    out-of-range maximum, ``fsum_list`` decides: NaN or an infinity where
-    the terms hold opposite infinities or the sum overflows.
+    out-of-range maximum, ``expr.fsum_list`` decides: the exact sum of
+    finite terms, an infinity only beyond the float range, and the IEEE
+    sum, NaN or an infinity, where a term is not finite.
     """
     n = p.shape[0]
     if n >= _VECTOR_MIN:
@@ -190,73 +188,7 @@ def fsum(p: np.ndarray) -> float:
                 return 0.0
             p = np.append(low, total)
             n += 1
-    return fsum_list(p.tolist())
-
-
-def fsum_list(values: list) -> float:
-    """``math.fsum(values)``, an exact zero as +0.0; where math.fsum raises
-    (inf + -inf, or an intermediate overflow), the IEEE sum taken left to
-    right from 0.0 instead: NaN, or the infinity it overflows to."""
-    try:
-        return math.fsum(values) + 0.0
-    except (ValueError, OverflowError):
-        total = 0.0
-        for v in values:
-            total += v
-        return total
-
-
-def _two_sum_cascade(cols):
-    """The left-to-right float sum of the columns and the exact rounding
-    error of each addition (Knuth's TwoSum): the float sum plus every error
-    is the exact sum of the row, barring overflow."""
-    s, errors = cols[0], []
-    for c in cols[1:]:
-        t = s + c
-        z = t - s
-        errors.append((s - (t - z)) + (c - z))
-        s = t
-    return s, errors
-
-
-def row_fsum(cols) -> np.ndarray:
-    """``fsum_list`` of every row of two or more columns, at their broadcast
-    shape: row r holds entry r of each column broadcast to that shape.
-
-    Cascaded TwoSum (Ogita, Rump & Oishi, "Accurate sum and dot product",
-    SIAM J. Sci. Comput. 26(6), 2005) splits each row's exact sum into its
-    float sum s and the exact errors e_j; a second cascade splits those into
-    their float sum t and exact errors f_j.  Where every f_j is zero, s + t
-    is the exact sum, so its one rounding is the correctly rounded total,
-    ties included.  Elsewhere the exact sum lies within sum |f_j| of s + t,
-    and a row is certified when both ends of that bracket, widened outward
-    by an ulp, round to the same float, as rounding is monotone.  The rows
-    left (near ties, and every row with an inf, a NaN or an overflow) get
-    ``fsum_list``.  Rows go in blocks of ``_ROW_BLOCK``.
-    """
-    shape = np.broadcast_shapes(*map(np.shape, cols))
-    cols = [np.broadcast_to(c, shape).ravel() for c in cols]
-    n, k = cols[0].shape[0], len(cols)
-    out = np.empty(n)
-    with np.errstate(invalid="ignore", over="ignore"):
-        for lo in range(0, n, _ROW_BLOCK):
-            block = [c[lo:lo + _ROW_BLOCK] for c in cols]
-            s, errors = _two_sum_cascade(block)
-            t, errors2 = _two_sum_cascade(errors)
-            total = s + t
-            spread = sum((np.abs(f) for f in errors2), np.zeros_like(s))
-            # bracket only the rows whose second errors do not vanish
-            hard = np.flatnonzero((spread != 0.0) | ~np.isfinite(total))
-            if hard.size:
-                width = spread[hard] * (1.0 + k * 2.0 ** -50) + k * 5e-324
-                down = s[hard] + np.nextafter(t[hard] - width, -math.inf)
-                up = s[hard] + np.nextafter(t[hard] + width, math.inf)
-                certified = (down == up) & np.isfinite(down)
-                total[hard[certified]] = down[certified]
-                for i in hard[~certified].tolist():
-                    total[i] = fsum_list([c[i] for c in block])
-            out[lo:lo + _ROW_BLOCK] = total + 0.0
-    return out.reshape(shape)
+    return expr.fsum_list(p.tolist())
 
 
 def tensor_grid(axes) -> np.ndarray:

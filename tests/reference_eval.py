@@ -3,13 +3,15 @@
 They walk an expression as a tree, with no memo and no evaluation plan,
 applying per node the float operations the library documents, in the same
 order: numpy's ufuncs for the elementary functions, right-to-left binary
-powering for integer powers, and for a sum ``math.fsum``'s value (the IEEE
-sum, left to right from 0.0, where math.fsum raises), taken one row at a
-time on arrays.  The differential tests require the library's DAG
+powering for integer powers, and for a sum ``math.fsum``'s value (where
+math.fsum raises, the exact sum of finite terms, correctly rounded, and
+otherwise the IEEE sum, left to right from 0.0), taken one row at a time
+on arrays.  The differential tests require the library's DAG
 evaluation to reproduce these values bit for bit.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -19,10 +21,18 @@ _UFUNCS = {ex.Exp: np.exp, ex.Sin: np.sin, ex.Cos: np.cos}
 
 
 def sum_of(values) -> float:
-    """math.fsum's value, or where it raises the IEEE sum from 0.0."""
+    """math.fsum's value; where it raises, the exact sum of finite values,
+    correctly rounded (an infinity beyond the float range), else the IEEE
+    sum from 0.0."""
     try:
         return math.fsum(values) + 0.0
     except (ValueError, OverflowError):
+        if all(map(math.isfinite, values)):
+            exact = sum(map(Fraction, values))
+            try:
+                return float(exact)
+            except OverflowError:
+                return math.inf if exact > 0 else -math.inf
         total = 0.0
         for v in values:
             total = total + v

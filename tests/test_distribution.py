@@ -428,6 +428,26 @@ class TestLocalization:
         with pytest.raises(ExprError, match="requires the restriction"):
             dist.localize_decompose(T_dirac, (0.0,))
 
+    # exp(1000*t) overflows past t = 0.71, so inf - inf makes each of these
+    # NaN at 0.75 (a zero-test sample of the density) and 0 below
+    @pytest.mark.parametrize("kind, text", [
+        ("dirac", "(exp(1000*x0) - exp(1000*x0))*bump(x0)"),
+        ("density", "(exp(1000*y0) - exp(1000*y0))*bump(x0)*bump(y0)")])
+    def test_a_nan_restriction_is_not_zero(self, line_bundle, diag_section, kind, text):
+        w = line_bundle.parse_base(text) if kind == "dirac" else line_bundle.parse_total(text)
+        T = (dist.dirac_section(diag_section, w) if kind == "dirac"
+             else dist.density(line_bundle, w))
+        x = (0.75,) if kind == "dirac" else (0.0,)
+        v = dist.restrict(T, x)
+        assert math.isnan(v.atoms[0][2] if kind == "dirac" else v.density.evaluate((0.75,)))
+        assert not v.is_numerically_zero()
+        with pytest.raises(ExprError, match="requires the restriction at x to vanish"):
+            dist.localize_decompose(T, x)
+
+    def test_a_nan_atom_is_not_zero(self):
+        atom = ((0.0,), (0,), math.nan)
+        assert not dist.PointDistribution(1, (atom,)).is_numerically_zero()
+
     def test_zero_distribution_gives_empty_list(self, line_bundle):
         assert dist.localize_decompose(dist.zero_distribution(line_bundle),
                                        (0.0,)) == []

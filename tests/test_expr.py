@@ -1,6 +1,7 @@
 import decimal
 import math
 import operator
+import sys
 from fractions import Fraction
 from functools import reduce
 
@@ -345,6 +346,12 @@ sum_products = st.recursive(
 iv_coords = st.one_of(st.floats(-2.0, 2.0), st.floats(1.0, 2.0),
                       st.sampled_from([1.0, 2.0 ** -53, -(2.0 ** -53), 1.0 + 2.0 ** -52]))
 
+# Terms near the float range's ends, sometimes with an inf or a NaN among them.
+overflow_terms = st.one_of(st.floats(1e307, sys.float_info.max),
+                           st.floats(-sys.float_info.max, -1e307),
+                           st.sampled_from([1e308, -1e308, 1.0, -0.0, math.inf, -math.inf,
+                                            math.nan]))
+
 
 class TestIntervalEnclosure:
     """``Expr.interval`` rounds outward at every rounding step."""
@@ -418,10 +425,34 @@ class TestIntervalEnclosure:
         assert hi == math.inf and 1e308 < lo < math.inf
 
     def test_an_overflowing_sum_takes_its_ends_from_the_exact_sum(self):
+        """So does its value, on the scalar and the array path."""
         e = ex.parse("x0 + x1 - x2", 3)
         lo, hi = e.interval(Box.of([(1e308, 1e308)] * 3))
         assert lo <= Fraction(1e308) <= hi
         assert hi < math.inf
+        assert e.evaluate((1e308,) * 3) == 1e308
+        assert e.eval_array(np.full((2, 3), 1e308)).tolist() == [1e308, 1e308]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(overflow_terms, min_size=3, max_size=6))
+    def test_a_sum_has_one_overflow_rule(self, terms):
+        """``Sum.evaluate``, its ``eval_array`` row, ``row_fsum`` and
+        ``fsum_list`` agree bit for bit: the exact sum where every term is
+        finite, and the interval of the point box, where there is one, holds
+        that value."""
+        n = len(terms)
+        e = ex.add(*(ex.var(i, n) for i in range(n)))
+        value = e.evaluate(tuple(terms))
+        got = [e.eval_array(np.array([terms]))[0],
+               ex.row_fsum([np.array([t]) for t in terms])[0], ex.fsum_list(terms)]
+        assert [g.hex() for g in got] == [value.hex()] * 3 or all(map(math.isnan, got + [value]))
+        if all(map(math.isfinite, terms)):
+            exact = sum(map(Fraction, terms))
+            if abs(exact) < 2 ** 1024 - 2 ** 970:  # within the float range once rounded
+                assert value.hex() == float(exact).hex()
+        if not any(map(math.isnan, terms)):  # no box holds a NaN
+            lo, hi = e.interval(Box.of([(t, t) for t in terms]))
+            assert lo <= value <= hi or (math.isnan(value) and (lo, hi) == (-math.inf, math.inf))
 
     def test_a_sum_with_an_infinite_term_keeps_that_end_infinite(self):
         e = ex.parse("x0 + x1 + x2", 3)

@@ -200,8 +200,9 @@ class TestCorrectlyRoundedSum:
         assert same_float(qd.fsum(np.array(half + [-v for v in half[::-1]])), 0.0)
 
     def test_non_finite_sums_are_ieee_sums(self):
-        """Where math.fsum raises, fsum gives fsum_list's IEEE sum instead,
-        on short arrays and on the vectorized path alike."""
+        """Where math.fsum raises, fsum gives ``expr.fsum_list``'s sum instead,
+        on short arrays and on the vectorized path alike: an infinity beyond
+        the float range, NaN on inf + -inf or a NaN term."""
         for n in (6, 600):
             assert qd.fsum(np.full(n, 1e308)) == math.inf
             assert math.isnan(qd.fsum(np.array([math.inf, -math.inf] * (n // 2))))
@@ -217,10 +218,18 @@ def rows_of(cols):
 
 
 def math_fsum_or_ieee(row):
-    """math.fsum's value, or where it raises the IEEE sum from 0.0."""
+    """math.fsum's value; where it raises, the exact sum of finite terms,
+    correctly rounded (an infinity beyond the float range), else the IEEE
+    sum from 0.0."""
     try:
         return math.fsum(row) + 0.0
     except (ValueError, OverflowError):
+        if all(map(math.isfinite, row)):
+            exact = sum(map(Fraction, row))
+            try:
+                return float(exact)
+            except OverflowError:
+                return math.inf if exact > 0 else -math.inf
         total = 0.0
         for v in row:
             total += v
@@ -237,13 +246,13 @@ class TestRowFsum:
         cols = [np.asarray(c, dtype=float) for c in cols]
         with pytest.MonkeyPatch.context() as m:
             if block is not None:
-                m.setattr(qd, "_ROW_BLOCK", block)
-            got = qd.row_fsum(cols).tolist()
+                m.setattr(ex, "_ROW_BLOCK", block)
+            got = ex.row_fsum(cols).tolist()
         want = [math_fsum_or_ieee(row) for row in rows_of(cols)]
         bad = [(row, g, w) for row, g, w in zip(rows_of(cols), got, want)
                if not same_or_nan(g, w)]
         assert bad == []
-        assert all(same_or_nan(qd.fsum_list(row), g) for row, g in zip(rows_of(cols), got))
+        assert all(same_or_nan(ex.fsum_list(row), g) for row, g in zip(rows_of(cols), got))
 
     def test_exact_ties(self):
         # 1 + 2^-53 is a tie; the third term keeps it, breaks it up or down
@@ -252,7 +261,7 @@ class TestRowFsum:
         third = [0.0, 2.0 ** -106, -(2.0 ** -106), 0.0, -(2.0 ** -106), 2.0 ** -200]
         self.check([one, half, third])
         self.check([third, half, one])
-        assert qd.row_fsum([np.array(c) for c in (one, half, third)]).tolist()[:3] == [
+        assert ex.row_fsum([np.array(c) for c in (one, half, third)]).tolist()[:3] == [
             1.0, 1.0 + 2 * HALF_ULP, -1.0 - 2 * HALF_ULP]
 
     def test_cancellation(self):
@@ -277,17 +286,21 @@ class TestRowFsum:
                 [1.0, -inf, 1.0, big, -big, -big, inf, 2.0],
                 [-inf, 3.0, 1.0, -big, 1.0, big, -1.0, -2.0]]
         self.check(cols)
-        got = qd.row_fsum([np.array(c) for c in cols]).tolist()
-        # fsum raises on rows 0 and 1 (inf + -inf), 3 and 5 (intermediate
-        # overflow): the IEEE sums are NaN, NaN, inf and -inf
+        got = ex.row_fsum([np.array(c) for c in cols]).tolist()
+        # fsum raises on rows 0 and 1 (inf + -inf), where the IEEE sums are
+        # NaN, and on 3 and 5 (intermediate overflow), where the exact sums
+        # are 1e308 and -1e308
         assert math.isnan(got[0]) and math.isnan(got[1]) and math.isnan(got[2])
-        assert got[3:] == [math.inf, 1.0, -math.inf, math.inf, inf]
+        assert got[3:] == [big, 1.0, -big, math.inf, inf]
 
-    def test_fsum_list_takes_the_ieee_sum_where_fsum_raises(self):
-        assert math.isnan(qd.fsum_list([1.0, math.inf, -math.inf]))
-        assert qd.fsum_list([1e308, 1e308, -1e308]) == math.inf
-        assert qd.fsum_list([0.1, 0.2, 0.3]) == math.fsum([0.1, 0.2, 0.3])
-        assert same_float(qd.fsum_list([-0.0, -0.0, -0.0]), 0.0)
+    def test_fsum_list_where_math_fsum_raises(self):
+        """The exact sum of finite terms, an infinity only beyond the float
+        range; the IEEE sum where a term is not finite."""
+        assert math.isnan(ex.fsum_list([1.0, math.inf, -math.inf]))
+        assert ex.fsum_list([1e308, 1e308, -1e308]) == 1e308
+        assert ex.fsum_list([1e308] * 3) == math.inf
+        assert ex.fsum_list([0.1, 0.2, 0.3]) == math.fsum([0.1, 0.2, 0.3])
+        assert same_float(ex.fsum_list([-0.0, -0.0, -0.0]), 0.0)
 
 
 class TestDefaultOrder:

@@ -13,6 +13,7 @@ and the reuse of values built from one grid each have one owner in
 """
 
 import ast
+import graphlib
 from pathlib import Path
 
 import transdist
@@ -48,6 +49,31 @@ def calls_of(name: str):
 def reads_of(name: str):
     return nodes_where(lambda n: isinstance(getattr(n, "ctx", None), ast.Load)
                        and _name(n) == name)
+
+
+def sibling_imports() -> dict:
+    """Each package module's name, mapped to the set of package modules it
+    reads by ``from . import X`` or ``from .X import ...``."""
+    graph = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        graph[path.stem] = set()
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                graph[path.stem] |= ({node.module} if node.module
+                                     else {a.name for a in node.names})
+    return graph
+
+
+def test_package_imports_form_no_cycle():
+    """The modules import one another in a topological order.  The
+    expression kernel imports no sibling: it owns the sums its ``Sum`` node
+    takes (``fsum_list``, ``row_fsum``), which ``quadrature.fsum`` calls."""
+    graph = sibling_imports()
+    assert graph["quadrature"] == {"expr"}  # the walk sees the imports
+    graphlib.TopologicalSorter(graph).prepare()  # raises CycleError on a cycle
+    assert graph["expr"] == set()
+    for name in ("fsum_list", "row_fsum"):
+        assert not hasattr(transdist.quadrature, name)
 
 
 def test_package_sources_are_found():
@@ -138,7 +164,9 @@ def test_no_loop_in_topology_runs_over_lattice_points():
 
 def test_one_owner_of_the_pass_budget():
     """Every pass over many rows is cut by ``quadrature.row_blocks``, the one
-    reader of ``PAIR_BLOCK``."""
+    reader of ``PAIR_BLOCK``, except ``expr.row_fsum``: its fixed
+    ``_ROW_BLOCK`` keeps the expression kernel free of sibling imports, and
+    cutting it by ``row_blocks`` made lattice-scan slower (see its comment)."""
     assert reads_of("PAIR_BLOCK") == [("quadrature.py", "row_blocks")]
     assert set(calls_of("row_blocks")) == {("quadrature.py", "integrate_rows"),
                                            ("operators.py", "pair_values"),
