@@ -46,6 +46,14 @@ from .bundle import (Section, TrivialBundle, extend_base_function, extend_functi
                      pullback_along_section, restrict_function, section_graph_support)
 from .expr import Box, DimensionError, Expr, ExprError
 
+# The most terms a family derivative step may build.  A Dirac term whose
+# section moves with x doubles at every step, so D^alpha T of one such term
+# has 2^|alpha| terms: 4,096 at |alpha| = 12 (1.2 MB of ``transdist derive``
+# output), and 468 MB of output at 20.  The largest tower entry the tests
+# build has 32 terms.  A step over the budget raises ``ExprError`` before it
+# builds any term.
+MAX_TOWER_TERMS = 4096
+
 ZERO_GRID_POINTS = 9  # is_numerically_zero's density samples per axis,
 ZERO_TOL = 0.0  # and the largest magnitude it takes for zero
 
@@ -487,18 +495,22 @@ def family_derivatives(T: TransversalDistribution, alpha_max: int) -> dict:
 
 
 def _family_derivative_1(T: TransversalDistribution, slot: int) -> TransversalDistribution:
-    b = T.bundle
-    new_terms = []
+    moves = []  # per term, each section component j that moves along the slot
     for term in T.terms:
+        dcomps = [c.diff1(slot) for c in (() if term.section is None else term.section.components)]
+        moves.append([(j, d) for j, d in enumerate(dcomps) if ex.constant_value(d) != 0])
+    count = len(T.terms) + sum(map(len, moves))
+    if count > MAX_TOWER_TERMS:
+        raise ExprError(f"a family derivative step would build {count} terms, over the "
+                        f"budget MAX_TOWER_TERMS = {MAX_TOWER_TERMS}")
+    new_terms = []
+    for term, moved in zip(T.terms, moves):
         # every new weight vanishes wherever term.weight does
         new_terms.append(term._derived(term.weight.diff1(slot), term.beta))
-        for j, comp in enumerate(() if term.section is None else term.section.components):
-            dcomp = comp.diff1(slot)
-            if ex.constant_value(dcomp) == 0:
-                continue
+        for j, dcomp in moved:
             beta_j = tuple(bb + (1 if idx == j else 0) for idx, bb in enumerate(term.beta))
             new_terms.append(term._derived(ex.mul(term.weight, dcomp), beta_j))
-    return TransversalDistribution(b, tuple(new_terms))
+    return TransversalDistribution(T.bundle, tuple(new_terms))
 
 
 def module_action_base(f: Expr, T: TransversalDistribution) -> TransversalDistribution:

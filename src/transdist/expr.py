@@ -33,8 +33,20 @@ same order, to the same child values as a tree walk would, so results do
 not depend on how much is shared.  The memos hold only values that are pure
 functions of their node and die with it (so does the last fibre
 integral that ``distribution.QuadPart.values`` keeps on an integrand
-node); there is no intern table, so structurally equal nodes built
-separately stay distinct objects.
+node).
+
+Structurally equal nodes are one object, however they were built: every
+node comes from ``_node``, which interns it, so a product rule that meets
+a term twice builds and differentiates it once, and the memos serve every
+equal construction.  The intern table maps a flat key to a weak reference
+to the node.  The key is the class, the dimension, the children's ids and
+the other fields as ints and strings (a constant's numerator and
+denominator, a bump's pole order and coefficient integers), so no lookup
+hashes a Fraction or a subtree.  An entry dies with its node, and the ids
+in a key stay unique while the node lives, as it holds its children.
+There is no lock: two threads that miss together build two equal nodes,
+both correct, and the table keeps one.  An unpickled node is not interned;
+it equals the table's node but is another object.
 
 Array evaluation is grid evaluation: ``eval_grid`` takes point blocks
 whose columns broadcast along one axis each, so every node runs at the
@@ -61,8 +73,9 @@ zero mask only from the factors that hold an exact zero, and returns its
 IEEE product as it is when none does.
 
 Expression equality is structural only in the trivial sense (identical
-trees compare equal); semantic equality is always tested extensionally on
-grids, since simplification beyond constant folding is out of scope.
+trees compare equal, and are one object); semantic equality is always
+tested extensionally on grids, since simplification beyond constant
+folding is out of scope.
 """
 
 from __future__ import annotations
@@ -71,7 +84,8 @@ import itertools
 import math
 import operator
 import re
-from dataclasses import dataclass, replace
+import weakref
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
 
@@ -413,8 +427,10 @@ class Expr:
         def leaf_fn(leaf):
             if isinstance(leaf, Var):
                 image = images.get(leaf.slot, leaf)
-                return image if isinstance(image, Expr) else Var(dim, image, leaf.name)
-            return leaf if dim == self.dim else replace(leaf, dim=dim)
+                return image if isinstance(image, Expr) else var(image, dim, leaf.name)
+            if dim == self.dim:
+                return leaf
+            return _const(dim, leaf.value) if isinstance(leaf, Const) else pi(dim)
 
         return self._map_leaves(leaf_fn)
 
@@ -523,7 +539,7 @@ class Const(Expr):
         return jets.const(self._float)
 
     def _diff1(self, slot):
-        return Const(self.dim, Fraction(0))
+        return _const(self.dim, _ZERO)
 
     def _support(self):
         return Box.empty(self.dim) if self.value == 0 else Box.whole(self.dim)
@@ -560,7 +576,7 @@ class NamedConst(Expr):
         return jets.const(self._float)
 
     def _diff1(self, slot):
-        return Const(self.dim, Fraction(0))
+        return _const(self.dim, _ZERO)
 
     def _interval(self, box, memo):
         return _round_out(self._float, self._float)
@@ -588,7 +604,7 @@ class Var(Expr):
         return jets.var(self.slot)
 
     def _diff1(self, slot):
-        return Const(self.dim, Fraction(1 if slot == self.slot else 0))
+        return _const(self.dim, _ONE if slot == self.slot else _ZERO)
 
     @_memo
     def free_slots(self) -> frozenset:
@@ -767,7 +783,7 @@ class Product(Expr):
                 lead = 1 if isinstance(ds[0], Const) else 0
                 terms.append(_product(self.dim, [*fs[start:i], *ds[lead:], *fs[i + 1:]],
                                       [*fs[:start], *ds[:lead]]))
-        return add(*terms) if terms else Const(self.dim, Fraction(0))
+        return add(*terms) if terms else _const(self.dim, _ZERO)
 
     def _rebuild(self, args):
         return mul(*args)
@@ -860,7 +876,7 @@ class _Unary(Expr):
         return type(self)._np_fn(vals[args[0]])
 
     def _rebuild(self, args):
-        return type(self)(args[0].dim, args[0])
+        return _unary(type(self), args[0])
 
     def _children(self):
         return (self.arg,)
@@ -903,7 +919,7 @@ class Sin(_Unary):
         return jets.sin_cos(vals[args[0]])[0]
 
     def _diff1(self, slot):
-        return mul(Cos(self.dim, self.arg), self.arg.diff1(slot))
+        return mul(cos(self.arg), self.arg.diff1(slot))
 
     def _interval(self, box, memo):
         return (-1.0, 1.0)
@@ -919,7 +935,7 @@ class Cos(_Unary):
         return jets.sin_cos(vals[args[0]])[1]
 
     def _diff1(self, slot):
-        return mul(const(-1, self.dim), Sin(self.dim, self.arg), self.arg.diff1(slot))
+        return mul(const(-1, self.dim), sin(self.arg), self.arg.diff1(slot))
 
     def _interval(self, box, memo):
         return (-1.0, 1.0)
@@ -1327,32 +1343,65 @@ def _float_or(v: Fraction, beyond: float) -> float:
 def _split_sign(e: Expr):
     """Split off a leading minus sign for printing purposes."""
     if isinstance(e, Const) and e.value < 0:
-        return -1, Const(e.dim, -e.value)
+        return -1, _const(e.dim, -e.value)
     if isinstance(e, Product):
         f0 = e.factors[0]
         if isinstance(f0, Const) and f0.value < 0:
             if f0.value == -1 and len(e.factors) > 1:
                 return -1, mul(*e.factors[1:])
-            return -1, mul(Const(e.dim, -f0.value), *e.factors[1:])
+            return -1, mul(_const(e.dim, -f0.value), *e.factors[1:])
     return 1, e
 
 
 # ---------------------------------------------------------------------------
 # Smart constructors (the only supported way to build nodes)
 
+_ZERO, _ONE = Fraction(0), Fraction(1)
+_NODES: dict = {}  # the intern table: key -> _Entry of the one live node (``_node``)
+
+
+class _Entry(weakref.ref):
+    __slots__ = ("key",)
+
+
+def _forget(entry, nodes=_NODES):
+    """Drop a dead node's entry unless a racing thread replaced it (a race
+    here can drop the newer one: lost sharing, never a wrong value).
+    ``nodes`` is bound early, as interpreter exit may clear the globals."""
+    if nodes.get(entry.key) is entry:
+        nodes.pop(entry.key, None)
+
+
+def _node(key: tuple, *fields) -> Expr:
+    """The one live node ``key[0](*fields)``, built on a miss.  ``key`` is the
+    class, the dimension, the children's ids and the other fields as ints
+    and strings, each class's made in one smart constructor."""
+    entry = _NODES.get(key)
+    node = None if entry is None else entry()
+    if node is None:
+        node = key[0](*fields)
+        entry = _NODES[key] = _Entry(node, _forget)
+        entry.key = key
+    return node
+
+
+def _const(dim: int, value: Fraction) -> Expr:
+    return _node((Const, dim, value.numerator, value.denominator), dim, value)
+
 
 def const(value, dim: int) -> Expr:
     if isinstance(value, float) and not value.is_integer():
         value = Fraction(value)  # exact binary value
-    return Const(dim, Fraction(value))
+    return _const(dim, Fraction(value))
 
 
 def var(slot: int, dim: int, name: str | None = None) -> Expr:
-    return Var(dim, slot, name if name is not None else f"x{slot}")
+    name = name if name is not None else f"x{slot}"
+    return _node((Var, dim, slot, name), dim, slot, name)
 
 
 def pi(dim: int) -> Expr:
-    return NamedConst(dim, "pi")
+    return _node((NamedConst, dim, "pi"), dim, "pi")
 
 
 def add(*terms) -> Expr:
@@ -1367,11 +1416,11 @@ def add(*terms) -> Expr:
             (consts if isinstance(item, Const) else flat).append(item)
     if consts:
         c = _fold(consts, operator.add, dim)
-        if c.value != 0 or not flat:
+        if c.value.numerator != 0 or not flat:
             flat.append(c)
     if len(flat) == 1:
         return flat[0]
-    return Sum(dim, tuple(flat))
+    return _node((Sum, dim, *map(id, flat)), dim, tuple(flat))
 
 
 def neg(e: Expr) -> Expr:
@@ -1399,13 +1448,14 @@ def _product(dim: int, flat: list, consts: list) -> Expr:
     """``mul``'s node for its non-constant factors ``flat`` and its constants."""
     if consts:
         c = _fold(consts, operator.mul, dim)
-        if c.value == 0:
+        n, d = c.value.numerator, c.value.denominator  # the integers, not Fraction's ==
+        if n == 0:
             return c
-        if c.value != 1 or not flat:
+        if n != d or not flat:
             flat.insert(0, c)
     if len(flat) == 1:
         return flat[0]
-    return Product(dim, tuple(flat))
+    return _node((Product, dim, *map(id, flat)), dim, tuple(flat))
 
 
 def _fold(consts, fold, dim: int) -> Const:
@@ -1421,8 +1471,8 @@ def _fold(consts, fold, dim: int) -> Const:
             n, d = c.value.as_integer_ratio()
             num *= n
             den *= d
-        return Const(dim, Fraction(num, den))
-    return Const(dim, reduce(fold, [c.value for c in consts]))
+        return _const(dim, Fraction(num, den))
+    return _const(dim, reduce(fold, [c.value for c in consts]))
 
 
 def div(num: Expr, den: Expr) -> Expr:
@@ -1431,7 +1481,7 @@ def div(num: Expr, den: Expr) -> Expr:
         raise ExprError("denominator must fold to a constant (nonvanishing by construction)")
     if c == 0:
         raise ExprError("division by zero constant")
-    return mul(Const(num.dim, 1 / c), num)
+    return mul(_const(num.dim, 1 / c), num)
 
 
 def int_pow(base: Expr, n) -> Expr:
@@ -1441,32 +1491,36 @@ def int_pow(base: Expr, n) -> Expr:
     if c is not None:
         if n < 0 and c == 0:
             raise ExprError("zero raised to a negative power")
-        return Const(base.dim, c ** n)
+        return _const(base.dim, c ** n)
     if n < 0:
         raise ExprError("negative powers require a nonzero constant base")
     if n == 0:
-        return Const(base.dim, Fraction(1))
+        return _const(base.dim, _ONE)
     if n == 1:
         return base
     if isinstance(base, IntPow):
-        return IntPow(base.dim, base.base, base.exponent * n)
-    return IntPow(base.dim, base, n)
+        base, n = base.base, base.exponent * n
+    return _node((IntPow, base.dim, id(base), n), base.dim, base, n)
+
+
+def _unary(cls, arg: Expr) -> Expr:
+    return _node((cls, arg.dim, id(arg)), arg.dim, arg)
 
 
 def exp(arg: Expr) -> Expr:
-    return Exp(arg.dim, arg)
+    return _unary(Exp, arg)
 
 
 def sin(arg: Expr) -> Expr:
-    return Sin(arg.dim, arg)
+    return _unary(Sin, arg)
 
 
 def cos(arg: Expr) -> Expr:
-    return Cos(arg.dim, arg)
+    return _unary(Cos, arg)
 
 
 def bump(arg: Expr) -> Expr:
-    return bump_rat(arg, (Fraction(1),), 0)
+    return bump_rat(arg, (_ONE,), 0)
 
 
 def bump_rat(arg: Expr, coeffs, pole_order: int) -> Expr:
@@ -1476,11 +1530,13 @@ def bump_rat(arg: Expr, coeffs, pole_order: int) -> Expr:
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
-        return Const(arg.dim, Fraction(0))
+        return _const(arg.dim, _ZERO)
     c = constant_value(arg)
     if c is not None and abs(c) >= 1:
-        return Const(arg.dim, Fraction(0))
-    return BumpRat(arg.dim, arg, tuple(coeffs), pole_order)
+        return _const(arg.dim, _ZERO)
+    key = (BumpRat, arg.dim, id(arg), pole_order,
+           *[c.numerator for c in coeffs], *[c.denominator for c in coeffs])
+    return _node(key, arg.dim, arg, tuple(coeffs), pole_order)
 
 
 def constant_value(e: Expr):
@@ -1551,13 +1607,13 @@ def as_polynomial(e: Expr):
 
 def polynomial_to_expr(poly, dim: int) -> Expr:
     if not poly:
-        return Const(dim, Fraction(0))
+        return _const(dim, _ZERO)
     terms = []
     for mono, c in sorted(poly.items()):
-        factors = [Const(dim, c)]
+        factors = [_const(dim, c)]
         for slot, n in enumerate(mono):
             if n:
-                factors.append(int_pow(Var(dim, slot, f"x{slot}"), n))
+                factors.append(int_pow(var(slot, dim), n))
         terms.append(mul(*factors))
     return add(*terms)
 
@@ -1668,7 +1724,7 @@ class _Parser:
         if kind == "number":
             self.advance()
             lit = "0" + val if val.startswith(".") else val
-            return Const(self.ambient, Fraction(lit))
+            return _const(self.ambient, Fraction(lit))
         if kind == "op" and val == "(":
             self.advance()
             e = self.parse_expr()
@@ -1685,7 +1741,7 @@ class _Parser:
                 return _FUNCS[letters](arg)
             if letters == "pi" and not digits:
                 self.advance()
-                return NamedConst(self.ambient, "pi")
+                return pi(self.ambient)
             if letters in ("x", "y") and digits:
                 self.advance()
                 return self._make_var(letters, int(digits), pos)
@@ -1699,7 +1755,7 @@ class _Parser:
         if index >= size:
             raise ExprSyntaxError(
                 f"variable {kind}{index} out of range ({part} dimension {size})", pos)
-        return Var(self.ambient, first + index, f"{kind}{index}")
+        return var(first + index, self.ambient, f"{kind}{index}")
 
 
 def parse(text: str, ambient_dim: int, base_dim: int | None = None) -> Expr:

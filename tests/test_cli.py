@@ -1,8 +1,10 @@
+import hashlib
 import json
 import math
 import os
 import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 from importlib import resources
 from pathlib import Path
@@ -305,6 +307,25 @@ class TestExitCodes:
                                 "--quad-order", order)
             assert code == cli.EXIT_USAGE
             assert "over the budget" in json.loads(out)["error"]
+
+    def test_family_derivative_over_the_term_budget_is_exit_2(self, capsys, dirac_scene):
+        """T on the diagonal has 2^N terms at --alpha N: 13 is over the budget,
+        and the command says so at once instead of building them."""
+        start = time.perf_counter()
+        code, out = run_cli(capsys, "derive", dirac_scene, "T", "--alpha", "13")
+        assert time.perf_counter() - start < 1.0
+        assert code == cli.EXIT_USAGE
+        assert json.loads(out)["error"] == (
+            "a family derivative step would build 8192 terms, over the budget "
+            "MAX_TOWER_TERMS = 4096")
+
+    def test_family_derivative_at_the_term_budget_prints_as_before(self, capsys, dirac_scene):
+        """--alpha 12 builds 4,096 terms, the budget, and prints the 1.2 MB it
+        printed before there was one."""
+        code, out = run_cli(capsys, "derive", dirac_scene, "T", "--alpha", "12")
+        assert code == cli.EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "fa2406d5ddb49b4218e67c4a0b87d6174128f0fc0379e78eae37eb0597a9192f")
 
     def test_bad_multi_index_length_stays_exit_6(self, capsys, dirac_scene):
         code, _ = run_cli(capsys, "derive", dirac_scene, "T", "--alpha", "1,1")

@@ -217,6 +217,19 @@ class TestFamilyDerivative:
         dist.family_derivatives(deep, 4)
         assert calls == []
 
+    def test_a_step_over_the_term_budget_raises_before_it_builds(self, T_dirac, monkeypatch):
+        """On the diagonal every step doubles the terms: 2^12 fit the budget,
+        and the step to 2^13 raises before it derives a single term."""
+        D12 = dist.family_derivative(T_dirac, (12,))
+        assert len(D12.terms) == dist.MAX_TOWER_TERMS == 4096
+        with pytest.raises(ExprError, match="8192 terms, over the budget MAX_TOWER_TERMS = 4096"):
+            dist.family_derivative(T_dirac, (13,))
+        derived = []
+        monkeypatch.setattr(dist.Term, "_derived", lambda *args: derived.append(args))
+        with pytest.raises(ExprError, match="over the budget"):
+            dist.family_derivatives(D12, 1)
+        assert derived == []
+
     def test_kept_box_is_not_part_of_the_term(self, deep):
         (root,) = deep.terms
         derived = dist.family_derivative(deep, (1,)).terms
@@ -1004,7 +1017,9 @@ class TestFibreIntegralReuse:
     def test_density_scene_runs_each_nine_row_pass_once(self, tmp_path, passes):
         """The 2+2 density and mixed scene of the density-2x2 benchmark: the
         restriction, Leibniz and duality suites ran 26 nine-row passes, 12 of
-        them a repeat of an earlier one; the 18 one-row passes are the
+        them a repeat of an earlier one.  Equal nodes are one node, so the
+        Leibniz sides' d/dx1(phi*F) and (d/dx1 phi)*F (F is free of x1) are
+        one integrand, and 16 passes remain; the 18 one-row passes are the
         restriction suite's pointwise pairings."""
         scene = {
             "bundle": {"base_dim": 2, "fibre_dim": 2},
@@ -1023,26 +1038,32 @@ class TestFibreIntegralReuse:
         reports = cli.run_checks(cli.load_scene(str(path)),
                                  ("restriction", "leibniz", "duality"))
         assert all(r.passed for r in reports)
-        assert passes == {9: 18, 1: 18}
+        assert passes == {9: 16, 1: 18}
 
     def test_the_same_term_and_function_give_the_same_integrand(self, b, T, F):
         first, again = (dist.evaluate(T, F).quad_parts[0].integrand for _ in range(2))
         other = dist.evaluate(T, b.parse_total("exp(x0*y0/4)*cos(y1) + y0*y1"))
         assert first is again
-        assert other.quad_parts[0].integrand is not first  # equal, but not F itself
+        assert other.quad_parts[0].integrand is first  # an equal F built apart is F
 
-    def test_warm_values_equal_cold_ones(self, b, T, F, X, passes):
+    def test_warm_values_equal_cold_ones(self, b, T, X, passes):
         def base_functions(T, F):
             bf = dist.evaluate(T, F, order=self.ORDER)
             return bf, bf.derivative((1, 0))
 
+        F = b.parse_total("exp(x0*y0/17)*cos(y1) + y0*y1")  # built by no other test
+        phi, T = T.terms[0].weight, dist.density(b, T.terms[0].weight)
         warm = base_functions(T, F)
         first = [hexes(bf.values(X)) for bf in warm]
         assert passes == {9: 2}
         again = [hexes(bf.values(X)) for bf in warm + base_functions(T, F)]
         assert passes == {9: 2}  # every one a hit
-        cold = [hexes(bf.values(X))
-                for bf in base_functions(dist.density(b, T.terms[0].weight), F)]
+        # equal integrands are one node: a cold pass needs the warm ones gone
+        warm_nodes = [weakref.ref(bf.quad_parts[0].integrand) for bf in warm]
+        del warm, T
+        gc.collect()
+        assert all(ref() is None for ref in warm_nodes)
+        cold = [hexes(bf.values(X)) for bf in base_functions(dist.density(b, phi), F)]
         assert passes == {9: 4}
         assert first == cold and again == cold + cold
         assert any(float.fromhex(h) for h in cold[0])
@@ -1053,15 +1074,22 @@ class TestFibreIntegralReuse:
         assert not row.flags.writeable
         assert part.values(X, self.ORDER) is row
 
-    def test_key_is_the_grid_content(self, T, F, X, passes):
-        part = dist.evaluate(T, F, order=self.ORDER).quad_parts[0]
+    def test_key_is_the_grid_content(self, T, X, passes):
+        F = T.bundle.parse_total("exp(x0*y0/19)*cos(y1) + y0*y1")  # built by no other test
         X = X.copy()
+        # a cold integral on the changed grid, made first and let go: equal
+        # integrands are one node, which would keep it
+        fresh = dist.evaluate(dist.density(T.bundle, T.terms[0].weight), F, order=self.ORDER)
+        fresh_node = weakref.ref(fresh.quad_parts[0].integrand)
+        want = hexes(fresh.quad_parts[0].values(X * 0.5, self.ORDER))
+        del fresh
+        gc.collect()
+        assert fresh_node() is None and passes == {9: 1}
+        part = dist.evaluate(T, F, order=self.ORDER).quad_parts[0]
         before = hexes(part.values(X, self.ORDER))
         X *= 0.5  # the same array, changed in place
         after = hexes(part.values(X, self.ORDER))
-        assert passes == {9: 2}
-        fresh = dist.evaluate(dist.density(T.bundle, T.terms[0].weight), F, order=self.ORDER)
-        assert after == hexes(fresh.quad_parts[0].values(X.copy(), self.ORDER))
+        assert after == want
         assert after != before
         assert passes == {9: 3}
         part.values(X.copy(), self.ORDER)  # equal bytes in another array: a hit
@@ -1098,8 +1126,9 @@ class TestFibreIntegralReuse:
     def test_a_long_lived_term_keeps_no_transient_function_alive(self, b, T, X):
         """The term holds its last function weakly; phi * F holds F itself
         only when F is not a product, until the term meets another function."""
-        product = b.parse_total("exp(x0*y0/4)*cos(y1)")
-        total = b.parse_total("exp(x0*y0/4)*cos(y1) + y0*y1")
+        # built by no other test, and neither holds the other
+        product = b.parse_total("exp(x0*y0/11)*cos(y1)")
+        total = b.parse_total("exp(x0*y0/13)*cos(y1) + y0*y1")
         refs = [weakref.ref(product), weakref.ref(total)]
         for F in (product, total):
             dist.evaluate(T, F, order=self.ORDER).values(X)
@@ -1144,10 +1173,14 @@ class TestDiracIntegrand:
         first = term.integrand(F)
         assert term.integrand(F) is first
         assert dist.evaluate(T, F).symbolic is first
+        # an equal function built apart is the same node, so it meets the entry
         other = line_bundle.parse_total("exp(x0*y0)*cos(y0) + y0^3")
-        replaced = term.integrand(other)
-        assert replaced is not first and str(replaced) == str(first)
-        assert term.integrand(other) is replaced and term.integrand(F) is not first
+        assert other is F and term.integrand(other) is first
+        different = line_bundle.parse_total("exp(x0*y0)*cos(y0) + y0^5")
+        replaced = term.integrand(different)
+        assert replaced is not first and str(replaced) != str(first)
+        assert term.integrand(different) is replaced and term._product[0]() is different
+        assert term.integrand(F) is first  # rebuilt, and equal nodes are one
 
     def test_the_integrand_is_the_weighted_pullback(self, line_bundle, T, F):
         (term,) = T.terms

@@ -2,6 +2,7 @@
 
 import gc
 import math
+import pickle
 import sys
 import threading
 import warnings
@@ -416,7 +417,7 @@ def test_repeated_diff1_returns_the_memoized_object():
 def test_order_six_reference_derivative_is_a_compact_dag():
     d = ex.parse(REFERENCE, 1).diff((6,))
     assert distinct_nodes(d) <= 12_000
-    assert len(d._plan) == 9_582
+    assert len(d._plan) == 168  # equal nodes are one node: 9,582 before interning
     # the correctly rounded derivative (mpmath at 50 digits gives
     # 1138.24313634265043...), on the scalar and the array path alike
     value = 1138.2431363426504
@@ -548,6 +549,119 @@ def test_concurrent_differentiation_matches_sequential():
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in threads)
     assert results == [expected] * 4
+
+
+# ---------------------------------------------------------------------------
+# The intern table: structurally equal nodes are one object
+
+NODE_CLASSES = (ex.Const, ex.NamedConst, ex.Var, ex.Sum, ex.Product, ex.IntPow,
+                ex.Exp, ex.Sin, ex.Cos, ex.BumpRat)
+
+
+def _plan_nodes(root):
+    return [node or root for node, _, _ in root._plan]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(expressions.map(str), min_size=1, max_size=4))
+def test_equal_structures_are_one_node(texts):
+    """A text parsed twice is one object, and two nodes are one object
+    exactly when they are equal.  Dataclass equality is structural, so no
+    two different structures share a node."""
+    roots = [ex.parse(t, DIM) for t in texts]
+    assert all(ex.parse(t, DIM) is e for t, e in zip(texts, roots))
+    nodes = [n for e in roots for n in _plan_nodes(e)]
+    for a in nodes:
+        for b in nodes:
+            assert (a is b) == (a == b), (str(a), str(b))
+
+
+def test_each_distinct_node_is_differentiated_once(monkeypatch):
+    """Roots parsed apart are one node, so their derivatives are one object,
+    and a product rule that meets a term twice differentiates it once."""
+    text = "bump(x0/23)*exp(sin(x0/23))*cos(x0^2/23)"  # built by no other test
+    seen = []
+    for cls in NODE_CLASSES:
+        diff1 = cls._diff1
+        monkeypatch.setattr(cls, "_diff1",
+                            lambda self, slot, diff1=diff1: seen.append(self) or diff1(self, slot))
+    d = ex.parse(text, 1).diff((5,))
+    assert ex.parse(text, 1).diff((5,)) is d
+    assert len({id(n) for n in seen}) == len(seen) > 5
+    assert {id(n) for n in seen} <= {id(n) for k in range(5)
+                                     for n in _plan_nodes(ex.parse(text, 1).diff((k,)))}
+
+
+def test_a_dead_node_leaves_the_intern_table():
+    gc.collect()
+    before = len(ex._NODES)
+    e = ex.parse("exp(x0*29/31) + sin(x0*29/31)^2", 1)  # built by no other test
+    key = (ex.Const, 1, 29, 31)
+    assert ex._NODES[key]() is e.terms[0].arg.factors[0]
+    assert len(ex._NODES) > before
+    del e
+    gc.collect()
+    assert key not in ex._NODES
+    assert len(ex._NODES) == before
+
+
+def test_a_raced_entry_outlives_the_node_it_replaced():
+    """A thread can replace an entry while the old one's callback is still
+    to run (a thread switch after its node died); that callback leaves the
+    new entry in place."""
+    key = (ex.Const, 1, 37, 41)  # built by no other test
+    first = ex.const(Fraction(37, 41), 1)
+    stale = ex._NODES.pop(key)  # held, as a pending callback holds it
+    second = ex.const(Fraction(37, 41), 1)
+    assert second is not first and second == first
+    del first
+    gc.collect()
+    assert stale() is None
+    assert ex._NODES[key]() is second and ex.const(Fraction(37, 41), 1) is second
+
+
+def test_threads_interning_together_match_one_thread():
+    """Four threads build the same order-5 derivative from a fresh parse at
+    once, so they race for the same table entries; every value equals the
+    single-thread one bit for bit."""
+    grid = np.linspace(-0.9, 0.9, 7).reshape(-1, 1)
+
+    def work():
+        d = ex.parse(REFERENCE, 1).diff((5,))
+        return [float.hex(v) for v in [d.evaluate((0.3,)), *d.eval_array(grid).tolist()]]
+
+    expected = work()
+    gc.collect()
+    start = threading.Barrier(4, timeout=60)
+    results = [None] * 4
+
+    def run(i):
+        start.wait()
+        results[i] = work()
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [expected] * 4
+
+
+def test_an_unpickled_node_is_not_interned_and_evaluates_alike():
+    grid = np.linspace(-0.9, 0.9, 7).reshape(-1, 1)
+    d = ex.parse(REFERENCE, 1).diff((3,))
+    copy = pickle.loads(pickle.dumps(d))
+    assert copy == d and copy is not d
+    assert ex.parse(REFERENCE, 1).diff((3,)) is d  # the table still holds d
+    assert copy.evaluate((0.3,)).hex() == d.evaluate((0.3,)).hex()
+    assert copy.eval_array(grid).tolist() == d.eval_array(grid).tolist()
+    assert copy.diff1(0).evaluate((0.3,)).hex() == d.diff1(0).evaluate((0.3,)).hex()
 
 
 # ---------------------------------------------------------------------------

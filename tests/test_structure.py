@@ -9,14 +9,16 @@ by one.  The default quadrature order and grid density
 are constants, each read in the one function that resolves ``None``, and
 no module rebinds a global: settings travel as arguments.  The pass budget
 and the reuse of values built from one grid each have one owner in
-``quadrature.py``.
+``quadrature.py``, and every expression node is built by ``expr._node``.
 """
 
 import ast
 import graphlib
+from dataclasses import fields
 from pathlib import Path
 
 import transdist
+from transdist import expr as ex
 
 PACKAGE = Path(transdist.__file__).parent
 
@@ -392,3 +394,28 @@ def test_bump_derivatives_use_no_fraction_polynomial_helpers():
     called = {_name(n.func) for n in ast.walk(diff1) if isinstance(n, ast.Call)}
     assert "bump_rat" in called
     assert not any(name and name.startswith("_poly_") for name in called)
+
+
+NODE_CLASSES = {"Const", "NamedConst", "Var", "Sum", "Product", "IntPow", "Exp", "Sin",
+                "Cos", "BumpRat"}
+
+
+def test_nodes_are_built_only_by_the_interning_constructor():
+    """``expr._node`` is the one place that makes an expression node, so
+    structurally equal nodes are one object.  A node built anywhere else
+    would still be right, but unshared, and the sharing would erode
+    without any other test failing.  So no module calls a node class, makes
+    one through ``object.__new__``, or copies one by ``dataclasses.replace``
+    (which would set a node's field)."""
+    assert {name for name in NODE_CLASSES if isinstance(getattr(ex, name), type)} == NODE_CLASSES
+    assert nodes_where(lambda n: isinstance(n, ast.Call) and _name(n.func) in NODE_CLASSES) == []
+    assert nodes_where(lambda n: isinstance(n, ast.Call) and _name(n.func) == "__new__"
+                       and any(_name(a) in NODE_CLASSES for a in n.args)) == []
+    node_fields = {f.name for name in NODE_CLASSES for f in fields(getattr(ex, name))}
+    replaced = [n for path in sorted(PACKAGE.glob("*.py"))
+                for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                if isinstance(n, ast.Call) and _name(n.func) == "replace"]
+    assert replaced  # the walk sees the term and base-function copies
+    assert all(k.arg not in node_fields for n in replaced for k in n.keywords)
+    assert ("expr.py", "_node") in nodes_where(
+        lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Subscript))
