@@ -262,18 +262,18 @@ def pair_table(pairs, X, order: int | None = None) -> list:
     diracs = [(p, t) for p, (T, _) in enumerate(pairs)
               for t in T.terms if t.section is not None]
     weights = ex.evaluate_many([t.weight for _, t in diracs], X)
-    keys = [(id(t.section), t.bundle.fibre_beta_to_total(t.beta)) for _, t in diracs]
-    by_section = {}  # id(section) -> [term index, ...]
-    for k, (section_id, _) in enumerate(keys):
-        by_section.setdefault(section_id, []).append(k)
-    paired = {}  # (id(section), beta, id(F)) -> values, 0 off the live rows
-    for ks in by_section.values():
+    keys = [(t.section, t.bundle.fibre_beta_to_total(t.beta)) for _, t in diracs]
+    by_section = {}  # section -> [term index, ...]
+    for k, (section, _) in enumerate(keys):
+        by_section.setdefault(section, []).append(k)
+    paired = {}  # (section, beta, F) -> values, 0 off the live rows
+    for section, ks in by_section.items():
         live = np.flatnonzero((weights[ks] != 0.0).any(axis=0))
         if not live.size:
             continue
-        section, rows = diracs[ks[0]][1].section, X[live]
+        rows = X[live]
         at = np.concatenate([rows, ex.evaluate_many(section.components, rows).T], axis=1)
-        roots = {(*keys[k], id(F)): (F, keys[k][1]) for k in ks for F in pairs[diracs[k][0]][1]}
+        roots = {(*keys[k], F): (F, keys[k][1]) for k in ks for F in pairs[diracs[k][0]][1]}
         values = np.zeros((len(roots), X.shape[0]))
         values[:, live] = ex.evaluate_many([F.diff(beta) for F, beta in roots.values()], at)
         paired.update(zip(roots, values))
@@ -281,8 +281,8 @@ def pair_table(pairs, X, order: int | None = None) -> list:
     with np.errstate(invalid="ignore", over="ignore"):  # 0 * inf and inf - inf, quietly
         for (p, _), key, w in zip(diracs, keys, weights):
             members = pairs[p][1]
-            if members and (*key, id(members[0])) in paired:  # else every weight is 0 here
-                v = np.array([paired[(*key, id(F))] for F in members])
+            if members and (*key, members[0]) in paired:  # else every weight is 0 here
+                v = np.array([paired[(*key, F)] for F in members])
                 out[p] += np.where(w != 0.0, w * v, 0.0)
         for values, (T, members) in zip(out, pairs):
             D = _only(T, dirac=False)

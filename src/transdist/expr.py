@@ -38,15 +38,18 @@ node).
 Structurally equal nodes are one object, however they were built: every
 node comes from ``_node``, which interns it, so a product rule that meets
 a term twice builds and differentiates it once, and the memos serve every
-equal construction.  The intern table maps a flat key to a weak reference
-to the node.  The key is the class, the dimension, the children's ids and
-the other fields as ints and strings (a constant's numerator and
-denominator, a bump's pole order and coefficient integers), so no lookup
-hashes a Fraction or a subtree.  An entry dies with its node, and the ids
-in a key stay unique while the node lives, as it holds its children.
-There is no lock: two threads that miss together build two equal nodes,
-both correct, and the table keeps one.  An unpickled node is not interned;
-it equals the table's node but is another object.
+equal construction.  So equality is identity: ``==`` and ``hash`` are
+``object``'s, and neither walks a tree.  Pickling and copying go through
+the smart constructors too (``Expr.__reduce__``), so they return the
+table's node, and no memo travels.  The intern table maps a flat key to a
+weak reference to the node.  The key is the class, the dimension, the
+children's ids and the other fields as ints and strings (a constant's
+numerator and denominator, a bump's pole order and coefficient integers),
+so no lookup hashes a Fraction or a subtree.  An entry dies with its node,
+and the ids in a key stay unique while the node lives, as it holds its
+children.  There is no lock: two threads that miss together build two
+equal nodes, both correct, and the table keeps one.  The other has equal
+values but compares unequal, so only sharing is lost.
 
 Array evaluation is grid evaluation: ``eval_grid`` takes point blocks
 whose columns broadcast along one axis each, so every node runs at the
@@ -72,10 +75,8 @@ quiet as the scalar path where a value saturates.  A product builds its
 zero mask only from the factors that hold an exact zero, and returns its
 IEEE product as it is when none does.
 
-Expression equality is structural only in the trivial sense (identical
-trees compare equal, and are one object); semantic equality is always
-tested extensionally on grids, since simplification beyond constant
-folding is out of scope.
+Semantic equality is tested extensionally on grids, since simplification
+beyond constant folding is out of scope.
 """
 
 from __future__ import annotations
@@ -303,7 +304,7 @@ def _poly_eval_float(coeffs_float, u):
 # Expression nodes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Expr:
     dim: int
 
@@ -435,15 +436,19 @@ class Expr:
         return self._map_leaves(leaf_fn)
 
     def _map_leaves(self, leaf_fn) -> "Expr":
-        """Rebuild the DAG bottom-up with each leaf replaced by leaf_fn(leaf)."""
+        """Rebuild the DAG bottom-up, a leaf as leaf_fn(leaf), other nodes by their ``__reduce__``."""
         out = []
         for node, args, _ in self._plan:
             node = node or self
-            out.append(node._rebuild([out[i] for i in args]) if args else leaf_fn(node))
+            make, fields = node.__reduce__()
+            out.append(make(*[out[i] for i in args], *fields[len(args):]) if args
+                       else leaf_fn(node))
         return out[-1]
 
-    def _rebuild(self, args):
-        """This interior node over new children, through the smart constructor."""
+    def __reduce__(self):
+        """The smart constructor and the arguments, children first, that make
+        this node: ``pickle`` and ``copy`` return the interned node itself,
+        and no memo travels with it."""
         raise NotImplementedError
 
     # -- structure ----------------------------------------------------------
@@ -483,9 +488,9 @@ class Expr:
 
     def _iv(self, box, memo):
         """This node's interval, computed once per ``interval`` call."""
-        iv = memo.get(id(self))
+        iv = memo.get(self)
         if iv is None:
-            iv = memo[id(self)] = self._interval(box, memo)
+            iv = memo[self] = self._interval(box, memo)
         return iv
 
     def _interval(self, box, memo):
@@ -498,9 +503,8 @@ class Expr:
         expressions degrade; returns inf when no bump node is present.
         """
         nodes = [node or self for node, _, _ in self._plan]
-        bump_args = {id(n.arg): n.arg for n in nodes if isinstance(n, BumpRat)}
         d = _INF
-        for arg in bump_args.values():
+        for arg in {n.arg for n in nodes if isinstance(n, BumpRat)}:
             u = arg.evaluate(point)
             d = min(d, abs(abs(u) - 1.0))
         return d
@@ -515,7 +519,7 @@ class Expr:
         raise NotImplementedError
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Const(Expr):
     value: Fraction
 
@@ -529,11 +533,10 @@ class Const(Expr):
             raise ExprError(f"constant of magnitude about 10^{scale:.0f} is beyond "
                             "the float range") from None
 
-    def _eval(self, point, vals, args):
-        return self._float
-
     def _eval_arr(self, cols, vals, args):
         return self._float
+
+    _eval = _eval_arr
 
     def _jet(self, jets, vals, args):
         return jets.const(self._float)
@@ -541,11 +544,16 @@ class Const(Expr):
     def _diff1(self, slot):
         return _const(self.dim, _ZERO)
 
+    def __reduce__(self):
+        return _const, (self.dim, self.value)
+
     def _support(self):
         return Box.empty(self.dim) if self.value == 0 else Box.whole(self.dim)
 
     def _interval(self, box, memo):
-        return (self._float, self._float)
+        f = self._float  # the value itself, or else an ulp either side holds it
+        exact = f.as_integer_ratio() == self.value.as_integer_ratio()
+        return (f, f) if exact else _round_out(f, f)
 
     def _text(self, prec):
         v = self.value
@@ -558,7 +566,7 @@ class Const(Expr):
         return s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NamedConst(Expr):
     name: str  # only "pi" currently
 
@@ -566,17 +574,19 @@ class NamedConst(Expr):
     def _float(self):
         return math.pi
 
-    def _eval(self, point, vals, args):
-        return self._float
-
     def _eval_arr(self, cols, vals, args):
         return self._float
+
+    _eval = _eval_arr
 
     def _jet(self, jets, vals, args):
         return jets.const(self._float)
 
     def _diff1(self, slot):
         return _const(self.dim, _ZERO)
+
+    def __reduce__(self):
+        return pi, (self.dim,)
 
     def _interval(self, box, memo):
         return _round_out(self._float, self._float)
@@ -585,7 +595,7 @@ class NamedConst(Expr):
         return self.name
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Var(Expr):
     slot: int
     name: str
@@ -594,17 +604,19 @@ class Var(Expr):
         if not 0 <= self.slot < self.dim:
             raise DimensionError(f"variable slot {self.slot} outside ambient {self.dim}")
 
-    def _eval(self, point, vals, args):
-        return point[self.slot]
-
     def _eval_arr(self, cols, vals, args):
         return cols[self.slot]
+
+    _eval = _eval_arr  # a point's coordinates, or the columns
 
     def _jet(self, jets, vals, args):
         return jets.var(self.slot)
 
     def _diff1(self, slot):
         return _const(self.dim, _ONE if slot == self.slot else _ZERO)
+
+    def __reduce__(self):
+        return var, (self.slot, self.dim, self.name)
 
     @_memo
     def free_slots(self) -> frozenset:
@@ -693,7 +705,7 @@ def row_fsum(cols) -> np.ndarray:
     return out.reshape(shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sum(Expr):
     terms: tuple
 
@@ -712,8 +724,8 @@ class Sum(Expr):
     def _diff1(self, slot):
         return add(*(t.diff1(slot) for t in self.terms))
 
-    def _rebuild(self, args):
-        return add(*args)
+    def __reduce__(self):
+        return add, self.terms
 
     def _support(self):
         box = Box.empty(self.dim)
@@ -741,7 +753,7 @@ class Sum(Expr):
         return f"({s})" if prec > 1 else s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Product(Expr):
     factors: tuple
 
@@ -785,8 +797,8 @@ class Product(Expr):
                                       [*fs[:start], *ds[:lead]]))
         return add(*terms) if terms else _const(self.dim, _ZERO)
 
-    def _rebuild(self, args):
-        return mul(*args)
+    def __reduce__(self):
+        return mul, self.factors
 
     def _support(self):
         box = Box.whole(self.dim)
@@ -807,16 +819,15 @@ class Product(Expr):
         return f"({s})" if prec > 2 else s
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntPow(Expr):
     base: Expr
     exponent: int
 
-    def _eval(self, point, vals, args):
-        return _power(vals[args[0]], self.exponent)
-
     def _eval_arr(self, cols, vals, args):
         return _power(vals[args[0]], self.exponent)
+
+    _eval = _eval_arr
 
     def _jet(self, jets, vals, args):
         return _power(vals[args[0]], self.exponent, jets.mul)
@@ -825,8 +836,8 @@ class IntPow(Expr):
         n = self.exponent
         return mul(const(n, self.dim), int_pow(self.base, n - 1), self.base.diff1(slot))
 
-    def _rebuild(self, args):
-        return int_pow(args[0], self.exponent)
+    def __reduce__(self):
+        return int_pow, (self.base, self.exponent)
 
     def _support(self):
         return self.base.support_box()
@@ -875,8 +886,8 @@ class _Unary(Expr):
     def _eval_arr(self, cols, vals, args):
         return type(self)._np_fn(vals[args[0]])
 
-    def _rebuild(self, args):
-        return _unary(type(self), args[0])
+    def __reduce__(self):
+        return _FUNCS[self._name], (self.arg,)
 
     def _children(self):
         return (self.arg,)
@@ -892,7 +903,7 @@ def _exp_or_inf(u: float) -> float:
         return _INF
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Exp(_Unary):
     arg: Expr
     _np_fn = np.exp
@@ -909,7 +920,7 @@ class Exp(_Unary):
         return _round_out(_exp_or_inf(a), _exp_or_inf(b))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sin(_Unary):
     arg: Expr
     _np_fn = np.sin
@@ -925,7 +936,7 @@ class Sin(_Unary):
         return (-1.0, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Cos(_Unary):
     arg: Expr
     _np_fn = np.cos
@@ -941,7 +952,7 @@ class Cos(_Unary):
         return (-1.0, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BumpRat(Expr):
     """bump(u) * p(u) / (1 - u^2)^q at u = arg, guarded to 0 for |u| >= 1."""
 
@@ -1005,8 +1016,8 @@ class BumpRat(Expr):
         dself = bump_rat(self.arg, r if den == 1 else [Fraction(c, den) for c in r], q + 2)
         return mul(dself, self.arg.diff1(slot))
 
-    def _rebuild(self, args):
-        return bump_rat(args[0], self.coeffs, self.pole_order)
+    def __reduce__(self):
+        return bump_rat, (self.arg, self.coeffs, self.pole_order)
 
     def _support(self):
         affine = self.arg._affine
@@ -1305,8 +1316,7 @@ def _number(roots):
     """Number every distinct node of the roots' DAGs once, children first:
     the nodes in that order, their children's positions, each root's position."""
     index, nodes, args = {}, [], []
-    at = [index[id(r)] if id(r) in index else _number_nodes(r, index, nodes, args)
-          for r in roots]
+    at = [index[r] if r in index else _number_nodes(r, index, nodes, args) for r in roots]
     return nodes, args, at
 
 
@@ -1314,9 +1324,9 @@ def _number_nodes(node, index, nodes, args) -> int:
     """Number a node not yet in ``index`` after its children (``_number``)."""
     kids = []
     for k in node._children():
-        pos = index.get(id(k))
+        pos = index.get(k)
         kids.append(_number_nodes(k, index, nodes, args) if pos is None else pos)
-    pos = index[id(node)] = len(nodes)
+    pos = index[node] = len(nodes)
     nodes.append(node)
     args.append(tuple(kids))
     return pos

@@ -1144,6 +1144,7 @@ class TestFibreIntegralReuse:
         want = hexes(dist.evaluate(T, F, order=self.ORDER).values(X))
         copy = pickle.loads(pickle.dumps(T))
         assert copy == T and copy.terms[0]._product is None
+        assert copy.terms[0].weight is T.terms[0].weight  # the interned node
         assert hexes(dist.evaluate(copy, F, order=self.ORDER).values(X)) == want
 
     def test_a_long_lived_function_keeps_no_transient_term_alive(self, b, F, X):

@@ -334,10 +334,11 @@ def _exact(e, point):
 
 
 IV_DIM = 4
-# constants exact in floats, so the exact value is that of the float inputs
-_dyadic = st.builds(lambda n, k: ex.const(Fraction(n, 2 ** k), IV_DIM),
-                    st.integers(-8, 8), st.integers(0, 3))
-_iv_leaves = st.one_of(st.integers(0, IV_DIM - 1).map(lambda s: ex.var(s, IV_DIM)), _dyadic)
+# small rationals of any denominator: most are not floats, and the exact
+# value is the one of the rationals and the float inputs
+_rationals = st.builds(lambda n, d: ex.const(Fraction(n, d), IV_DIM),
+                       st.integers(-8, 8), st.integers(1, 12))
+_iv_leaves = st.one_of(st.integers(0, IV_DIM - 1).map(lambda s: ex.var(s, IV_DIM)), _rationals)
 sum_products = st.recursive(
     _iv_leaves,
     lambda children: st.one_of(st.lists(children, min_size=2, max_size=6).map(lambda c: ex.add(*c)),
@@ -362,6 +363,13 @@ class TestIntervalEnclosure:
         lo, hi = e.interval(Box.of([(c, c) for c in point]))
         assert lo <= 1 + Fraction(3, 2 ** 53) <= hi
         assert lo <= e.evaluate(point) <= hi
+
+    def test_a_constant_that_is_not_a_float_is_held(self):
+        lo, hi = ex.const(Fraction(1, 3), 1).interval(Box.of([(0.0, 1.0)]))
+        assert lo < Fraction(1, 3) < hi
+
+    def test_a_float_constant_keeps_its_point_interval(self):
+        assert ex.const(Fraction(1, 4), 1).interval(Box.of([(0.0, 1.0)])) == (0.25, 0.25)
 
     def test_six_factor_products_over_point_boxes(self):
         e = ex.parse("x0*x1*x2*x3*x4*x5", 6)

@@ -1,5 +1,6 @@
 """Expressions as DAGs: memoized derivatives and one-visit-per-node passes."""
 
+import copy
 import gc
 import math
 import pickle
@@ -562,18 +563,45 @@ def _plan_nodes(root):
     return [node or root for node, _, _ in root._plan]
 
 
+CHILD_FIELDS = {"terms", "factors", "base", "arg"}
+
+
+def _structure(node, keys: dict):
+    """The node's structure, built here and not by ``==``: the class, the
+    dimension and the fields that are not nodes, then the children's
+    structures, each memoized by id in ``keys``."""
+    key = keys.get(id(node))
+    if key is None:
+        own = tuple(getattr(node, f.name) for f in fields(node) if f.name not in CHILD_FIELDS)
+        key = keys[id(node)] = (type(node), own,
+                                tuple(_structure(k, keys) for k in node._children()))
+    return key
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.lists(expressions.map(str), min_size=1, max_size=4))
 def test_equal_structures_are_one_node(texts):
     """A text parsed twice is one object, and two nodes are one object
-    exactly when they are equal.  Dataclass equality is structural, so no
-    two different structures share a node."""
+    exactly when their structures are equal: no two different structures
+    share a node, and no structure has two."""
     roots = [ex.parse(t, DIM) for t in texts]
     assert all(ex.parse(t, DIM) is e for t, e in zip(texts, roots))
     nodes = [n for e in roots for n in _plan_nodes(e)]
+    keys = {}
     for a in nodes:
         for b in nodes:
-            assert (a is b) == (a == b), (str(a), str(b))
+            assert (a is b) == (_structure(a, keys) == _structure(b, keys)), (str(a), str(b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(expressions, st.lists(st.integers(0, DIM - 1), min_size=1, max_size=3))
+def test_a_derivative_has_no_bump_argument_its_function_lacks(e, slots):
+    """A bump's derivative keeps its argument node, and no rule makes a new
+    one, so a function's bump-boundary scan covers its derivatives'."""
+    def bump_args(root):
+        return {n.arg for n in _plan_nodes(root) if isinstance(n, ex.BumpRat)}
+
+    assert bump_args(_differentiated(e, slots)) <= bump_args(e)
 
 
 def test_each_distinct_node_is_differentiated_once(monkeypatch):
@@ -613,7 +641,9 @@ def test_a_raced_entry_outlives_the_node_it_replaced():
     first = ex.const(Fraction(37, 41), 1)
     stale = ex._NODES.pop(key)  # held, as a pending callback holds it
     second = ex.const(Fraction(37, 41), 1)
-    assert second is not first and second == first
+    assert second is not first and second != first  # equality is identity
+    assert second.value == first.value
+    assert second.evaluate((0.0,)).hex() == first.evaluate((0.0,)).hex()
     del first
     gc.collect()
     assert stale() is None
@@ -653,15 +683,43 @@ def test_threads_interning_together_match_one_thread():
     assert results == [expected] * 4
 
 
-def test_an_unpickled_node_is_not_interned_and_evaluates_alike():
+def test_an_unpickled_node_is_the_interned_node_and_evaluates_alike():
     grid = np.linspace(-0.9, 0.9, 7).reshape(-1, 1)
     d = ex.parse(REFERENCE, 1).diff((3,))
-    copy = pickle.loads(pickle.dumps(d))
-    assert copy == d and copy is not d
+    unpickled = pickle.loads(pickle.dumps(d))
+    assert unpickled is d
     assert ex.parse(REFERENCE, 1).diff((3,)) is d  # the table still holds d
-    assert copy.evaluate((0.3,)).hex() == d.evaluate((0.3,)).hex()
-    assert copy.eval_array(grid).tolist() == d.eval_array(grid).tolist()
-    assert copy.diff1(0).evaluate((0.3,)).hex() == d.diff1(0).evaluate((0.3,)).hex()
+    assert unpickled.evaluate((0.3,)).hex() == d.evaluate((0.3,)).hex()
+    assert unpickled.eval_array(grid).tolist() == d.eval_array(grid).tolist()
+    assert unpickled.diff1(0).evaluate((0.3,)).hex() == d.diff1(0).evaluate((0.3,)).hex()
+
+
+def test_pickling_and_copying_return_the_interned_node():
+    d = ex.parse(REFERENCE, 1).diff((3,))
+    assert pickle.loads(pickle.dumps(d)) is d
+    assert copy.deepcopy(d) is d and copy.copy(d) is d
+
+
+def test_a_collected_node_unpickles_into_the_table():
+    """Unpickling goes through the smart constructors, so a node whose
+    entry died comes back interned, and parsing its text finds it."""
+    text = "cos(x0*43/47)"  # built by no other test
+    data = pickle.dumps(ex.parse(text, 1))
+    gc.collect()
+    key = (ex.Const, 1, 43, 47)
+    assert key not in ex._NODES
+    e = pickle.loads(data)
+    assert ex._NODES[key]() is e.arg.factors[0]
+    assert ex.parse(text, 1) is e
+
+
+def test_a_pickle_carries_no_memo():
+    """The bytes of a node's pickle do not grow as its memos fill."""
+    e = ex.parse(REFERENCE, 1)
+    before = pickle.dumps(e)
+    e.diff((6,))
+    e.eval_array(np.linspace(-0.9, 0.9, 7).reshape(-1, 1))
+    assert pickle.dumps(e) == before
 
 
 # ---------------------------------------------------------------------------

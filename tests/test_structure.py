@@ -419,3 +419,12 @@ def test_nodes_are_built_only_by_the_interning_constructor():
     assert all(k.arg not in node_fields for n in replaced for k in n.keywords)
     assert ("expr.py", "_node") in nodes_where(
         lambda n: isinstance(n, ast.Call) and isinstance(n.func, ast.Subscript))
+
+
+def test_node_equality_is_identity():
+    """Equal nodes are one node, so ``==`` and ``hash`` are ``object``'s.  A
+    node class declared without ``eq=False`` would bring back a structural
+    pair that walks the expanded tree."""
+    for name in NODE_CLASSES:
+        cls = getattr(ex, name)
+        assert cls.__eq__ is object.__eq__ and cls.__hash__ is object.__hash__, name
