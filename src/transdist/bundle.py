@@ -14,6 +14,7 @@ from fractions import Fraction
 
 from . import expr
 from .expr import Box, DimensionError, Expr
+from .quadrature import kept
 
 
 @dataclass(frozen=True)
@@ -104,16 +105,13 @@ def restrict_function(bundle: TrivialBundle, F: Expr, x) -> Expr:
 def extend_function(bundle: TrivialBundle, g: Expr) -> Expr:
     """The base-constant extension of a fibre function to the total space.
 
-    Memoized on g, so extending g to one bundle again returns the same DAG,
-    with the derivatives already taken of it."""
+    g keeps its last one (``quadrature.kept``, keyed on the bundle), so
+    extending g to that bundle again returns the same DAG, with the
+    derivatives already taken of it."""
     if g.dim != bundle.fibre_dim:
         raise DimensionError("extend_function expects a fibre function")
-    memo = g._extensions
-    G = memo.get(bundle)
-    if G is None:
-        G = memo.setdefault(bundle, g.substitute(
-            {j: bundle.base_dim + j for j in range(bundle.fibre_dim)}, bundle.total_dim))
-    return G
+    return kept(vars(g), "_extension", bundle, lambda: g.substitute(
+        {j: bundle.base_dim + j for j in range(bundle.fibre_dim)}, bundle.total_dim))
 
 
 def extend_base_function(bundle: TrivialBundle, f: Expr) -> Expr:

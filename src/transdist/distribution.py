@@ -21,14 +21,14 @@ against.  The terms of a family derivative, whose weights vanish wherever
 their parent's does, are checked against the parent's kept box instead,
 without walking their new weight DAGs.
 
-Equal fibre integrals are computed once.  A term keeps its last integrand
-(``Term.integrand``) while it meets the same F, checked by identity and
-held by a weak reference, so every base function built from it shares the
-integrand's plan, support box and derivatives.
-``QuadPart.values`` keeps the last row it computed on the integrand node,
-keyed on the fibre box, the order and ``quadrature.grid_key(X)``, and a
-``NumericPart`` keeps its fibre function on the last rule's axes; both go
-through ``quadrature.kept``, one entry each, with no lock.
+Equal fibre integrals are computed once, through ``quadrature.kept``, one
+entry each, with no lock.  A term keeps its last integrand
+(``Term.integrand``) keyed on a weak reference to F, which compares by
+identity while F lives, so every base function built from it shares the
+integrand's plan, support box and derivatives.  ``QuadPart.values`` keeps
+the last row it computed on the integrand node, keyed on the fibre box,
+the order and ``quadrature.grid_key(X)``, and a ``NumericPart`` keeps its
+fibre function on the last rule's axes.
 """
 
 from __future__ import annotations
@@ -103,17 +103,14 @@ class Term:
 
     def integrand(self, F: Expr) -> Expr:
         """f * (D^beta F) o sigma, or phi * F: the same node again while this
-        term meets the same F."""
-        entry = self._product  # read once: another thread may replace it
-        if entry is not None and entry[0]() is F:
-            return entry[1]
-        if self.section is None:
-            product = ex.mul(self.weight, F)
-        else:
+        term meets the same F, kept with a weak reference to F as its key
+        (while F lives the reference compares as F does, by identity)."""
+        def build():
+            if self.section is None:
+                return ex.mul(self.weight, F)
             dF = F.diff(self.bundle.fibre_beta_to_total(self.beta))
-            product = ex.mul(self.weight, pullback_along_section(self.bundle, dF, self.section))
-        object.__setattr__(self, "_product", (weakref.ref(F), product))
-        return product
+            return ex.mul(self.weight, pullback_along_section(self.bundle, dF, self.section))
+        return quadrature.kept(vars(self), "_product", weakref.ref(F), build)
 
     def __getstate__(self):
         return {**vars(self), "_product": None}  # a weak reference does not pickle

@@ -22,18 +22,17 @@ could ever divide by zero.
 Nodes are immutable and freely shared, so an expression is a DAG: the
 derivative rules reuse the node being differentiated and its children, and
 a high-order derivative has far fewer distinct nodes than its tree has
-paths.  The code treats it as one.  ``diff1``, ``support_box`` and a
-fibre function's extension to a bundle's total space are memoized on each
-node, so ``D^alpha`` reuses ``D^(alpha - e_i)`` and asking again returns
-the identical object.  Evaluation (scalar and array),
+paths.  The code treats it as one.  ``diff1`` and ``support_box`` are
+memoized on each node, so ``D^alpha`` reuses ``D^(alpha - e_i)`` and
+asking again returns the identical object.  Evaluation (scalar and array),
 substitution and the bump-boundary scan walk a per-node plan
 that lists every distinct node once, children first; ``interval`` keeps
 a per-call memo.  Each node still applies the same float operation, in the
 same order, to the same child values as a tree walk would, so results do
 not depend on how much is shared.  The memos hold only values that are pure
-functions of their node and die with it (so does the last fibre
-integral that ``distribution.QuadPart.values`` keeps on an integrand
-node).
+functions of their node and die with it (so do the last values that
+``quadrature.kept`` keeps on a node: a fibre integral, an extension to a
+bundle).
 
 Structurally equal nodes are one object, however they were built: every
 node comes from ``_node``, which interns it, so a product rule that meets
@@ -47,9 +46,9 @@ children's ids and the other fields as ints and strings (a constant's
 numerator and denominator, a bump's pole order and coefficient integers),
 so no lookup hashes a Fraction or a subtree.  An entry dies with its node,
 and the ids in a key stay unique while the node lives, as it holds its
-children.  There is no lock: two threads that miss together build two
-equal nodes, both correct, and the table keeps one.  The other has equal
-values but compares unequal, so only sharing is lost.
+children.  There is no lock: two threads that miss together may both
+build the node, and, as in every memo, the first write wins; the other
+thread drops its copy and returns the table's node.
 
 Array evaluation is grid evaluation: ``eval_grid`` takes point blocks
 whose columns broadcast along one axis each, so every node runs at the
@@ -367,11 +366,6 @@ class Expr:
 
     @_memo
     def _derivatives(self) -> dict:
-        return {}
-
-    @_memo
-    def _extensions(self) -> dict:
-        """``bundle.extend_function`` of this fibre function, by bundle."""
         return {}
 
     def _diff1(self, slot):
@@ -1375,9 +1369,10 @@ class _Entry(weakref.ref):
 
 
 def _forget(entry, nodes=_NODES):
-    """Drop a dead node's entry unless a racing thread replaced it (a race
-    here can drop the newer one: lost sharing, never a wrong value).
-    ``nodes`` is bound early, as interpreter exit may clear the globals."""
+    """Drop a dead node's entry unless ``_node`` has already replaced it
+    (a replacement made between the check and the pop is dropped too: lost
+    sharing, never a wrong value).  ``nodes`` is bound early, as
+    interpreter exit may clear the globals."""
     if nodes.get(entry.key) is entry:
         nodes.pop(entry.key, None)
 
@@ -1385,13 +1380,19 @@ def _forget(entry, nodes=_NODES):
 def _node(key: tuple, *fields) -> Expr:
     """The one live node ``key[0](*fields)``, built on a miss.  ``key`` is the
     class, the dimension, the children's ids and the other fields as ints
-    and strings, each class's made in one smart constructor."""
+    and strings, each class's made in one smart constructor.  The first
+    write wins: a node built on a miss gives way to one another thread
+    published meanwhile, and replaces only an entry whose node is dead."""
     entry = _NODES.get(key)
     node = None if entry is None else entry()
     if node is None:
         node = key[0](*fields)
-        entry = _NODES[key] = _Entry(node, _forget)
-        entry.key = key
+        ours = _Entry(node, _forget)
+        ours.key = key
+        first = _NODES.setdefault(key, ours)()  # ours, or another thread's
+        if first is not None:
+            return first
+        _NODES[key] = ours  # over the entry of a dead node
     return node
 
 

@@ -56,9 +56,6 @@ _DIGITS = 38
 # over a list: on an x86-64 VM with numpy 2.4 the two cross near 400
 # terms, and at 512 they take about 22 and 27 us.
 _VECTOR_MIN = 512
-# Extraction passes before fsum hands a hard case (a near tie, or more
-# cancellation than the passes resolve) to math.fsum.
-_EXTRACT_PASSES = 3
 # Rows per pass wherever many base points share one fibre grid: a pass
 # evaluates at most this many joined (x, z) rows, 2 MB of 2+2 points, where
 # a whole 2-d order-64 pair grid (4096 x 4096 rows) would take 0.5 GB.
@@ -146,48 +143,40 @@ def _gauss_nodes(q: int, digits: int = _DIGITS):
 def fsum(p: np.ndarray) -> float:
     """The correctly rounded sum of a 1-d float array: ``math.fsum``'s value.
 
-    Short arrays go to ``math.fsum`` directly.  Long ones are split at a
-    common power of two sigma = 2^s >= 2 n max|p| (Rump, Ogita & Oishi,
-    SIAM J. Sci. Comput. 31(1), 2008): the high parts ``(p + sigma) -
-    sigma`` are multiples of u = 2^(s-53) whose every partial sum stays
-    within sigma, so ``ndarray.sum`` adds them exactly in any order, and
-    the low parts are the exact remainders, each at most u in magnitude.  Their
-    float sum is then off by less than 2 n^2 2^-53 u.  When both ends of
-    that bracket, added to the exact high sum, round to the same float,
-    that float is the correctly rounded total, because rounding is
-    monotone.  An array antisymmetric under reversal, as odd integrands on
-    the symmetric rules give, sums to exactly zero.  Otherwise the
-    remainders and the high sum, which add up to the same total, are split
-    again, and after ``_EXTRACT_PASSES`` passes, or on a non-finite or
-    out-of-range maximum, ``expr.fsum_list`` decides: the exact sum of
-    finite terms, an infinity only beyond the float range, and the IEEE
-    sum, NaN or an infinity, where a term is not finite.
+    A long array is split at a common power of two sigma = 2^s >= 2 n
+    max|p| (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 31(1), 2008): the
+    high parts ``(p + sigma) - sigma`` are multiples of u = 2^(s-53) whose
+    every partial sum stays within sigma, so ``ndarray.sum`` adds them
+    exactly in any order, and the low parts are the exact remainders, each
+    at most u in magnitude.  Their float sum is then off by less than
+    2 n^2 2^-53 u.  When both ends of that bracket, added to the exact high
+    sum, round to the same float, that float is the correctly rounded
+    total, because rounding is monotone.  An array antisymmetric under
+    reversal, as odd integrands on the symmetric rules give, sums to
+    exactly zero.  A short array, and any other case (a near tie, a
+    non-finite or out-of-range maximum), goes to ``expr.fsum_list``: the
+    exact sum of finite terms, an infinity only beyond the float range, and
+    the IEEE sum, NaN or an infinity, where a term is not finite.
     """
     n = p.shape[0]
-    if n >= _VECTOR_MIN:
-        for _ in range(_EXTRACT_PASSES):
-            lo, hi = float(p.min()), float(p.max())
-            if not -math.inf < lo <= hi < math.inf:
-                break
-            mu = max(hi, -lo)
-            if mu == 0.0:
-                return 0.0
-            s = math.frexp(mu)[1] + (2 * n).bit_length()
-            if not -900 <= s <= 1023:  # err below stays normal, sigma finite
-                break
-            sigma = math.ldexp(1.0, s)
-            high = (p + sigma) - sigma
-            low = p - high
-            total = float(high.sum())
-            approx = float(low.sum())
-            err = math.ldexp(2 * n * n, s - 106)
-            down = total + math.nextafter(approx - err, -math.inf)
-            if down == total + math.nextafter(approx + err, math.inf):
-                return down + 0.0
-            if not np.any(p + p[::-1]):
-                return 0.0
-            p = np.append(low, total)
-            n += 1
+    if n < _VECTOR_MIN:
+        return expr.fsum_list(p.tolist())
+    lo, hi = float(p.min()), float(p.max())
+    mu = max(hi, -lo)
+    if mu == 0.0:
+        return 0.0
+    s = math.frexp(mu)[1] + (2 * n).bit_length()
+    if -math.inf < lo <= hi < math.inf and -900 <= s <= 1023:  # err normal, sigma finite
+        sigma = math.ldexp(1.0, s)
+        high = (p + sigma) - sigma
+        total = float(high.sum())
+        approx = float((p - high).sum())
+        err = math.ldexp(2 * n * n, s - 106)
+        down = total + math.nextafter(approx - err, -math.inf)
+        if down == total + math.nextafter(approx + err, math.inf):
+            return down + 0.0
+        if not np.any(p + p[::-1]):
+            return 0.0
     return expr.fsum_list(p.tolist())
 
 
@@ -299,14 +288,16 @@ def grid_key(a: np.ndarray) -> tuple:
     return a.shape, a.dtype.str, a.tobytes()
 
 
-def kept(memo: dict, name: str, key, build) -> np.ndarray:
-    """The array ``build()``, read-only, kept with ``key`` as ``memo[name]``
-    and returned again, uncopied, while the key is equal.  No lock: the
-    entry is read once and replaced by one assignment, so racing threads
-    build an equal array twice at worst."""
+def kept(memo: dict, name: str, key, build):
+    """The value ``build()``, kept with ``key`` as ``memo[name]`` and returned
+    again, uncopied, while the stored key compares equal (``!=`` is false):
+    the one cache of a last entry in the package.  An array is made
+    read-only.  No lock: the entry is read once and replaced by one
+    assignment, so racing threads build an equal value twice at worst."""
     entry = memo.get(name)  # read once: another thread may replace it
     if entry is None or entry[0] != key:
         entry = (key, build())
-        entry[1].flags.writeable = False
+        if isinstance(entry[1], np.ndarray):
+            entry[1].flags.writeable = False
         memo[name] = entry
     return entry[1]

@@ -3,6 +3,7 @@ import sys
 import threading
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -363,6 +364,17 @@ class TestSharedRule:
             r.weights[0] = 5.0
         with pytest.raises(ValueError):
             r.points += 1.0
+
+    def test_kept_makes_only_an_array_read_only(self):
+        """``kept`` keeps any value: an array comes back read-only, any other
+        value as it is, with no flag touched."""
+        memo, other = {}, SimpleNamespace(flags=SimpleNamespace(writeable=True))
+        assert qd.kept(memo, "v", 1, lambda: other) is other
+        assert other.flags.writeable
+        assert qd.kept(memo, "v", 1, lambda: None) is other  # an equal key
+        array = qd.kept(memo, "v", 2, lambda: np.zeros(3))
+        assert not array.flags.writeable
+        assert qd.kept(memo, "v", 2, lambda: None) is array
 
     def test_threads_sharing_the_cache_match_sequential_results(self):
         # more boxes than the cache holds, so threads also race on evictions
