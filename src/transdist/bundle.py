@@ -4,13 +4,15 @@ Total-space coordinates split into base variables x0..x(l-1) occupying
 slots 0..l-1 and fibre variables y0..y(k-1) occupying slots l..l+k-1.
 Functions on a single fibre are re-indexed so the y-variables occupy
 slots 0..k-1 of an ambient R^k; ``restrict_function`` and
-``extend_function`` translate between the two indexings exactly.
+``extend_function`` translate between the two indexings exactly.  Each
+keeps its last result on the function it was given (``quadrature.kept``),
+so a loop over base points holds one restriction of F at a time, and the
+parts of it that do not read x outlive the step to the next point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import expr
 from .expr import Box, DimensionError, Expr
@@ -92,14 +94,20 @@ def section_from_strings(bundle: TrivialBundle, texts, domain: Box | None = None
 
 
 def restrict_function(bundle: TrivialBundle, F: Expr, x) -> Expr:
-    """F(x, .) as a function on the fibre R^k (exact substitution)."""
+    """F(x, .) as a function on the fibre R^k (exact substitution).
+
+    F keeps its last one (``quadrature.kept``, keyed on the bundle and x
+    as floats), so restricting F at x again returns the same DAG, and the
+    restriction at the next point finds the nodes that do not read x, such
+    as ``bump(y0)`` on R^k, still interned."""
     if F.dim != bundle.total_dim:
         raise DimensionError("restrict_function expects a total-space function")
     if len(x) != bundle.base_dim:
         raise DimensionError("base point dimension mismatched with bundle")
-    images = {i: expr.const(Fraction(float(x[i])), bundle.fibre_dim) for i in bundle.base_slots}
-    images.update({bundle.base_dim + j: j for j in range(bundle.fibre_dim)})
-    return F.substitute(images, bundle.fibre_dim)
+    x = tuple(map(float, x))
+    images = dict(zip(bundle.fibre_slots, range(bundle.fibre_dim)))
+    return kept(vars(F), "_restriction", (bundle, x), lambda: F.substitute(
+        images | {i: expr.const(c, bundle.fibre_dim) for i, c in enumerate(x)}, bundle.fibre_dim))
 
 
 def extend_function(bundle: TrivialBundle, g: Expr) -> Expr:

@@ -32,7 +32,7 @@ same order, to the same child values as a tree walk would, so results do
 not depend on how much is shared.  The memos hold only values that are pure
 functions of their node and die with it (so do the last values that
 ``quadrature.kept`` keeps on a node: a fibre integral, an extension to a
-bundle).
+bundle, a restriction to a fibre).
 
 Structurally equal nodes are one object, however they were built: every
 node comes from ``_node``, which interns it, so a product rule that meets
@@ -85,6 +85,7 @@ import math
 import operator
 import re
 import weakref
+from _weakref import _remove_dead_weakref
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, reduce
@@ -453,7 +454,8 @@ class Expr:
 
     @_memo
     def _affine(self):
-        """``as_affine(self)``, shared by every bump of this argument."""
+        """``as_affine(self)``, shared by every bump of this argument and
+        read by the forms of its parents."""
         return as_affine(self)
 
     def support_box(self) -> Box:
@@ -1019,7 +1021,7 @@ class BumpRat(Expr):
             slots = [s for s in affine if s >= 0 and affine[s] != 0]
             if len(slots) == 1:
                 s = slots[0]
-                a, b = affine[s], affine.get(-1, Fraction(0))
+                a, b = affine[s], affine.get(-1, _ZERO)
                 lo, hi = sorted(((-1 - b) / a, (1 - b) / a))
                 ivs = [(-_INF, _INF)] * self.dim
                 ivs[s] = (_float_or(lo, -_INF), _float_or(hi, _INF))
@@ -1368,13 +1370,12 @@ class _Entry(weakref.ref):
     __slots__ = ("key",)
 
 
-def _forget(entry, nodes=_NODES):
-    """Drop a dead node's entry unless ``_node`` has already replaced it
-    (a replacement made between the check and the pop is dropped too: lost
-    sharing, never a wrong value).  ``nodes`` is bound early, as
-    interpreter exit may clear the globals."""
-    if nodes.get(entry.key) is entry:
-        nodes.pop(entry.key, None)
+def _forget(entry, nodes=_NODES, remove=_remove_dead_weakref):
+    """Drop a dead node's entry, in one step that keeps an entry ``_node``
+    has already replaced (``remove`` deletes a key only while it maps to a
+    dead reference, as ``weakref.WeakValueDictionary`` does).  The
+    arguments are bound early, as interpreter exit may clear the globals."""
+    remove(nodes, entry.key)
 
 
 def _node(key: tuple, *fields) -> Expr:
@@ -1382,17 +1383,17 @@ def _node(key: tuple, *fields) -> Expr:
     class, the dimension, the children's ids and the other fields as ints
     and strings, each class's made in one smart constructor.  The first
     write wins: a node built on a miss gives way to one another thread
-    published meanwhile, and replaces only an entry whose node is dead."""
+    published meanwhile.  A dead node's entry is removed in one step and
+    the publication retried, so two threads that find it both publish
+    through ``setdefault`` and return one node."""
     entry = _NODES.get(key)
     node = None if entry is None else entry()
     if node is None:
-        node = key[0](*fields)
-        ours = _Entry(node, _forget)
+        built = key[0](*fields)
+        ours = _Entry(built, _forget)
         ours.key = key
-        first = _NODES.setdefault(key, ours)()  # ours, or another thread's
-        if first is not None:
-            return first
-        _NODES[key] = ours  # over the entry of a dead node
+        while (node := _NODES.setdefault(key, ours)()) is None:  # a dead node's entry
+            _remove_dead_weakref(_NODES, key)
     return node
 
 
@@ -1401,9 +1402,8 @@ def _const(dim: int, value: Fraction) -> Expr:
 
 
 def const(value, dim: int) -> Expr:
-    if isinstance(value, float) and not value.is_integer():
-        value = Fraction(value)  # exact binary value
-    return _const(dim, Fraction(value))
+    """The constant ``Fraction(value)``: a float's exact binary value."""
+    return _const(dim, value if type(value) is Fraction else Fraction(value))
 
 
 def var(slot: int, dim: int, name: str | None = None) -> Expr:
@@ -1435,6 +1435,8 @@ def add(*terms) -> Expr:
 
 
 def neg(e: Expr) -> Expr:
+    if isinstance(e, Const):
+        return _const(e.dim, -e.value)
     return mul(const(-1, e.dim), e)
 
 
@@ -1537,7 +1539,7 @@ def bump(arg: Expr) -> Expr:
 def bump_rat(arg: Expr, coeffs, pole_order: int) -> Expr:
     if type(pole_order) is not int or pole_order < 0:
         raise ExprError(f"pole order must be a nonnegative int, got {pole_order!r}")
-    coeffs = [Fraction(c) for c in coeffs]
+    coeffs = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
         coeffs.pop()
     if not coeffs:
@@ -1558,28 +1560,48 @@ def constant_value(e: Expr):
 
 
 # ---------------------------------------------------------------------------
-# Polynomial view (used by Hadamard factorization)
+# Affine view (bump supports, section inversion) and polynomial view
+# (Hadamard factorization)
 
 
 def as_affine(e: Expr):
-    """Write e as sum of coeff * x_slot plus constant; None if not affine.
+    """e as sum of coeff * x_slot plus a constant, read from its children's
+    memoized forms (``Expr._affine``); None if it is not affine that way.
 
-    Returned dict maps slot -> Fraction coefficient, with key -1 for the
-    constant term.
+    The dict maps slot -> nonzero Fraction coefficient, with key -1 for the
+    constant term.  A product takes the form of its one non-constant factor
+    times its constant ones, and an integer power needs a constant base, so
+    an affine polynomial written through a nonlinear term, such as
+    ``(x0 - x0)*x0^2``, has no form here.
     """
-    p = as_polynomial(e)
-    if p is None:
+    if isinstance(e, Const):
+        return {-1: e.value} if e.value else {}
+    if isinstance(e, Var):
+        return {e.slot: _ONE}
+    if not isinstance(e, (Sum, Product, IntPow)):
         return None
-    out = {}
-    for mono, c in p.items():
-        if order(mono) == 0:
-            out[-1] = out.get(-1, Fraction(0)) + c
-        elif order(mono) == 1:
-            slot = mono.index(1)
-            out[slot] = out.get(slot, Fraction(0)) + c
+    forms = [c._affine for c in e._children()]
+    if any(f is None for f in forms):
+        return None
+    if isinstance(e, Sum):
+        out = {}
+        for form in forms:
+            for k, c in form.items():
+                out[k] = out[k] + c if k in out else c
+        return {k: c for k, c in out.items() if c}
+    scale, linear = _ONE, None
+    for form in forms:
+        if form.keys() - {-1}:
+            if linear is not None or isinstance(e, IntPow):
+                return None
+            linear = form
         else:
-            return None
-    return out
+            scale *= form.get(-1, _ZERO)
+    if isinstance(e, IntPow):
+        scale **= e.exponent
+    if not scale:
+        return {}
+    return {-1: scale} if linear is None else {k: scale * c for k, c in linear.items()}
 
 
 def as_polynomial(e: Expr):

@@ -377,8 +377,7 @@ def _bump_probe(bundle: TrivialBundle, centre, radius: float) -> Expr:
     r = Fraction(radius)
     for slot, c in enumerate(centre):
         arg = ex.mul(ex.const(1 / r, dim),
-                     ex.sub(ex.var(slot, dim, names[slot]),
-                            ex.const(Fraction(float(c)), dim)))
+                     ex.add(ex.var(slot, dim, names[slot]), ex.const(-float(c), dim)))
         factors.append(ex.bump(arg))
     return ex.mul(*factors)
 

@@ -5,6 +5,8 @@ builds every box interval by interval from the constructor: the hull of a
 sum's terms, the intersection of all of a product's factors, an integer
 power's base, and for a bump the preimage of [-1, 1] under an affine
 argument in one variable.  Everything else is supported everywhere.
+The affine form of a bump's argument is read off its exact polynomial
+(``ref_affine``), not from ``Expr._affine``.
 """
 
 from fractions import Fraction
@@ -43,6 +45,20 @@ def intersect(a: ex.Box, b: ex.Box) -> ex.Box:
     return ex.Box(a.dim, tuple(ivs))
 
 
+def ref_affine(e):
+    """The affine form of e read off ``as_polynomial(e)``: slot -> coefficient,
+    -1 for the constant term, or None.  As in ``as_affine``, a sum, product
+    or power with a part that has no form has none either, even where its
+    nonlinear terms cancel, as in ``(x0 - x0)*x0^2``."""
+    if isinstance(e, (ex.Sum, ex.Product, ex.IntPow)) and any(
+            ref_affine(c) is None for c in e._children()):
+        return None
+    poly = ex.as_polynomial(e)
+    if poly is None or any(sum(mono) > 1 for mono in poly):
+        return None
+    return {mono.index(1) if any(mono) else -1: c for mono, c in poly.items()}
+
+
 def ref_support(e) -> ex.Box:
     if isinstance(e, ex.Const):
         return empty(e.dim) if e.value == 0 else whole(e.dim)
@@ -61,7 +77,7 @@ def ref_support(e) -> ex.Box:
     if isinstance(e, ex.BumpRat):
         if not e.coeffs:
             return empty(e.dim)
-        affine = ex.as_affine(e.arg)
+        affine = ref_affine(e.arg)
         slots = [s for s in affine or {} if s >= 0 and affine[s] != 0]
         if len(slots) == 1:
             a, b = affine[slots[0]], affine.get(-1, Fraction(0))

@@ -1,3 +1,7 @@
+import gc
+import weakref
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -38,6 +42,30 @@ class TestRestrictFunction:
     def test_dimension_mismatch(self, line_bundle):
         with pytest.raises(DimensionError):
             bd.restrict_function(line_bundle, line_bundle.parse_base("x0"), (0.0,))
+
+    def test_consecutive_points_share_the_nodes_that_do_not_read_x(self):
+        """F keeps its last restriction, so the one at the next base point
+        finds every node that does not read x still alive, and shares it.
+        Each restriction is the node ``substitute`` builds, and the same x
+        gives the same node."""
+        b = bd.TrivialBundle(1, 2)
+        F = b.parse_total("exp(x0*y0/7)*cos(y1/11) + y0*y1^5")  # built by no other test
+        g = bd.restrict_function(b, F, (0.25,))
+        x_free = [weakref.ref(n.substitute({1: 0, 2: 1}, 2))  # y0, y1^5, cos(y1/11)...
+                  for n in (node or F for node, _, _ in F._plan)
+                  if n.free_slots and 0 not in n.free_slots]
+        assert len(x_free) == 6
+        del g
+        gc.collect()
+        g = bd.restrict_function(b, F, (-0.5,))
+        nodes = {id(node or g) for node, _, _ in g._plan}
+        assert all(r() is not None and id(r()) in nodes for r in x_free)
+        assert g is F.substitute({0: ex.const(-0.5, 2), 1: 0, 2: 1}, 2)
+        assert bd.restrict_function(b, F, np.array([-0.5])) is g
+        assert bd.restrict_function(bd.TrivialBundle(1, 2), F, (Fraction(-1, 2),)) is g
+        pts = grid_points(Box.of([(-2, 2), (-2, 2)]), 5)
+        fresh = ex.parse("exp(-1/2*y0/7)*cos(y1/11) + y0*y1^5", 2, base_dim=0)
+        assert [v.hex() for v in g.eval_array(pts)] == [v.hex() for v in fresh.eval_array(pts)]
 
 
 class TestExtendFunction:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from conftest import each_engine
 from reference_eval import ref_eval, ref_eval_array
-from reference_support import ref_support
+from reference_support import ref_affine, ref_support
 from transdist import expr as ex
 from transdist import quadrature
 from transdist.expr import Box
@@ -509,9 +509,43 @@ def test_bump_derivatives_share_their_argument_affine_form(monkeypatch):
     as_affine = ex.as_affine
     monkeypatch.setattr(ex, "as_affine", lambda e: calls.append(e) or as_affine(e))
     e = ex.parse("bump(2*x0 - 1/2)*exp(x0)", 1)
+    e.support_box()
+    assert len(calls) == distinct_nodes(e.factors[0].arg)  # one form per node
+    first = list(calls)
     boxes = {e.diff((k,)).support_box() for k in range(5)}
     assert boxes == {Box.of([(-0.25, 0.75)])}
-    assert len(calls) == 1
+    assert calls == first
+
+
+_AFFINE_PINS = {
+    "x0 - x0": {},
+    "(x0 - x0)*x1": {},
+    "(x0 + 1)*(x0 - 1)": None,
+    "2*(x0 + x1)/3 + 1": {0: Fraction(2, 3), 1: Fraction(2, 3), -1: 1},
+    "(x0 - x0 + 2)^3*x1": {1: 8},
+    "sin(x0)": None,
+    # affine as polynomials, but written through nonlinear terms: no form,
+    # so a bump of either is supported everywhere
+    "(x0 - x0)*x0^2": None,
+    "x0*x1 - x0*x1 + x0": None,
+}
+
+
+@pytest.mark.parametrize("text, form", _AFFINE_PINS.items())
+def test_affine_forms_of_pinned_expressions(text, form):
+    e = ex.parse(text, DIM)
+    assert e._affine == form and ref_affine(e) == form
+    assert all(type(c) is Fraction for c in (e._affine or {}).values())
+
+
+@settings(max_examples=150, deadline=None)
+@given(expressions)
+def test_affine_forms_match_the_polynomial_oracle(e):
+    """Forms read from the children's forms equal the ones read off the
+    exact polynomial, on random DAGs and their derivatives up to order 2."""
+    for alpha in ex.multi_indices_up_to(DIM, 2):
+        d = e.diff(alpha)
+        assert d._affine == ref_affine(d), (str(d), d._affine)
 
 
 def test_shared_substitution_stays_shared():
@@ -667,6 +701,72 @@ def test_a_lost_race_returns_the_node_the_table_holds():
     node = ex._node(key, 1)
     assert node is held[0]
     assert ex._NODES[key]() is node
+
+
+class _Racing:
+    """A part of an intern key whose hash, once ``steps`` hashes of the key
+    have begun, runs ``race``: another thread's ``_node`` call taking the
+    interpreter at that point of this thread's walk through the table."""
+
+    def __init__(self):
+        self.steps, self.race = 0, None
+
+    def __hash__(self):
+        self.steps -= 1
+        if self.steps == 0:
+            self.race()
+        return 0
+
+
+class _Built:
+    """A node type of its own, so that its keys meet no other test's."""
+
+
+def _dead_entry(key):
+    """An entry of ``key`` whose node has died and whose callback is still
+    to run, as after a thread switch."""
+    entry = ex._Entry(_Built())
+    entry.key = key
+    ex._NODES[key] = entry
+    return entry
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_forgetting_a_dead_entry_keeps_its_replacement(step):
+    """A dead node's callback that races a thread replacing its entry, the
+    other thread running at each point where the callback runs Python
+    code (a hash of the key), or after it: the replacement stays."""
+    part, won = _Racing(), []
+    key = (_Built, part)
+    part.race = lambda: won.append(ex._node(key))
+    try:
+        dead = _dead_entry(key)
+        part.steps = step
+        ex._forget(dead)
+        if not won:
+            won.append(ex._node(key))
+        assert ex._NODES.get(key) is not None and ex._NODES[key]() is won[0]
+    finally:
+        ex._NODES.pop(key, None)
+
+
+@pytest.mark.parametrize("step", [1, 2, 3, 4])
+def test_two_misses_on_a_dead_entry_return_one_node(step):
+    """Two threads that both find one dead node's entry, replayed in one:
+    the second runs at each point where the first runs Python code (a hash
+    of the key), or after it.  Both return the node the table holds."""
+    part, won = _Racing(), []
+    key = (_Built, part)
+    part.race = lambda: won.append(ex._node(key))
+    try:
+        _dead_entry(key)
+        part.steps = step
+        node = ex._node(key)
+        if not won:
+            won.append(ex._node(key))
+        assert node is won[0] is ex._NODES[key]()
+    finally:
+        ex._NODES.pop(key, None)
 
 
 def test_threads_interning_together_match_one_thread():

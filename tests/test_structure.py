@@ -179,11 +179,13 @@ def test_one_owner_of_grid_reuse():
     """Values built from one grid are reused through ``quadrature.kept``,
     keyed on an array's content by ``quadrature.grid_key``, the one caller of
     ``.tobytes()``; no closure keeps a memo by rebinding a ``nonlocal``.
-    ``kept`` is the one cache of a last entry: a term's integrand and a
-    fibre function's extension to a bundle go through it too."""
+    ``kept`` is the one cache of a last entry: a term's integrand, a
+    function's restriction to a fibre and a fibre function's extension to
+    a bundle go through it too."""
     assert calls_of("tobytes") == [("quadrature.py", "grid_key")]
     assert nodes_where(lambda n: isinstance(n, ast.Nonlocal)) == []
-    assert calls_of("kept") == [("bundle.py", "extend_function"),
+    assert calls_of("kept") == [("bundle.py", "restrict_function"),
+                                ("bundle.py", "extend_function"),
                                 ("distribution.py", "integrand"),
                                 ("distribution.py", "values"),  # QuadPart's
                                 ("distribution.py", "values"),  # NumericPart's

@@ -216,6 +216,14 @@ class TestSupport:
         report = vf.check_support(dist.zero_distribution(b), probe_count=10)
         assert report.passed
 
+    def test_probe_arguments_are_the_differences_sub_builds(self):
+        b = bd.TrivialBundle(2, 1)
+        centre = (0.3, -1.7, 2.25)
+        probe = vf._bump_probe(b, centre, 0.25)
+        for slot, (factor, name, c) in enumerate(zip(probe.factors, ("x0", "x1", "y0"), centre)):
+            assert factor.arg is ex.mul(ex.const(4, 3),
+                                        ex.sub(ex.var(slot, 3, name), ex.const(c, 3)))
+
     def test_shrunken_support_box_fails(self, setup, monkeypatch):
         b, T_dirac, _, _ = setup
         monkeypatch.setattr(dist, "total_support",
