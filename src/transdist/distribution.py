@@ -25,10 +25,10 @@ Equal fibre integrals are computed once, through ``quadrature.kept``, one
 entry each, with no lock.  A term keeps its last integrand
 (``Term.integrand``) keyed on a weak reference to F, which compares by
 identity while F lives, so every base function built from it shares the
-integrand's plan, support box and derivatives.  ``QuadPart.values`` keeps
-the last row it computed on the integrand node, keyed on the fibre box,
-the order and ``quadrature.grid_key(X)``, and a ``NumericPart`` keeps its
-fibre function on the last rule's axes.
+integrand's plan, support box and derivatives.  The integrand node keeps
+its last row (``QuadPart.values``, keyed on the box, order and base grid)
+and its fibre-only frontier for the last rule (``expr.grid_values``); a
+``NumericPart`` keeps its fibre function on the last rule's axes.
 """
 
 from __future__ import annotations
@@ -305,13 +305,14 @@ class QuadPart:
 
     def values(self, X: np.ndarray, order) -> np.ndarray:
         """The fibre integral at each row of an (M, l) array of base points;
-        the integrand node keeps the last one (see the module docstring)."""
+        the integrand keeps it and its frontier (see the module docstring)."""
+        memo = vars(self.integrand)
         return quadrature.kept(
-            vars(self.integrand), "_fibre_integral",
-            (self.fibre_box, order, quadrature.grid_key(X)),
+            memo, "_fibre_integral", (self.fibre_box, order, quadrature.grid_key(X)),
             lambda: quadrature.integrate_rows(
-                lambda i, j, r: self.integrand.eval_grid((X[i:j], *r.axes)).reshape(j - i, -1),
-                self.fibre_box, X.shape[0], order))
+                lambda i, j, r: self.integrand.eval_grid((X[i:j], *r.axes), lambda build: (
+                    quadrature.kept(memo, "_fibre_nodes", (r.box, r.order), build))
+                ).reshape(j - i, -1), self.fibre_box, X.shape[0], order))
 
     def diff_base(self, alpha) -> "QuadPart":
         total_alpha = self.bundle.base_alpha_to_total(alpha)

@@ -317,14 +317,14 @@ class Expr:
         """Evaluate on an (N, dim) array of points, returning shape (N,)."""
         return self.eval_grid((pts,))
 
-    def eval_grid(self, blocks) -> np.ndarray:
+    def eval_grid(self, blocks, keep=None) -> np.ndarray:
         """The value at every combination of rows of (n_i, d_i) point blocks
         whose widths sum to ``dim``, in C order with the first block slowest
         (as ``quadrature.tensor_grid`` orders them): the one-root case of
         ``grid_values``.  Block i's columns broadcast along axis i, so each
         node runs at the shape of the blocks it reads: a factor of x0 alone
         runs n_0 times."""
-        ((_, value),) = grid_values((self,), blocks)
+        ((_, value),) = grid_values((self,), blocks, keep)
         return value
 
     def _eval(self, point, vals, args):
@@ -1053,7 +1053,7 @@ class BumpRat(Expr):
         return f"bumprat({self.arg._text(0)}; {poly or '0'}; {self.pole_order})"
 
 
-def grid_values(roots, blocks):
+def grid_values(roots, blocks, keep=None):
     """Yield ``(k, roots[k].eval_grid(blocks))`` for every k, in plan order,
     each as soon as one ``_eval_arr`` pass over the union of the roots'
     DAGs computes it.  A value is dropped once nothing later reads it, so a
@@ -1061,6 +1061,10 @@ def grid_values(roots, blocks):
     beside the shared nodes still to be read.  A root's array is writable
     only if nothing else sees it: one handed out twice or read by a later
     node is read-only, and a coordinate's is a copy.
+
+    A one-row block is read as floats, so a node that reads only such
+    blocks runs its scalar ``_eval``.  With ``keep``, a lone root over a
+    one-row block 0 takes its fibre-only frontier from ``keep(build)``.
 
     >>> e = parse("x0*exp(x1)", 2)
     >>> [(k, v.tolist()) for k, v in grid_values([e, e.diff1(0)], [[[0.0], [1.0]], [[0.0]]])]
@@ -1073,14 +1077,21 @@ def grid_values(roots, blocks):
                   or sum(b.shape[1] for b in blocks) != roots[0].dim):
         raise DimensionError(f"expected point blocks of total width {roots[0].dim}")
     ones = (1,) * len(blocks)
-    cols = [np.ascontiguousarray(c).reshape(ones[:i] + (-1,) + ones[i + 1:])
-            for i, b in enumerate(blocks) for c in b.T]
+    cols = [c.item() if len(c) == 1 else np.ascontiguousarray(c).reshape(
+        ones[:i] + (-1,) + ones[i + 1:]) for i, b in enumerate(blocks) for c in b.T]
     shape = tuple(b.shape[0] for b in blocks)
     plan, root, at = _plan_of(roots, dead=True)
     ks = {}
     for k, pos in enumerate(at):
         ks.setdefault(pos, []).append(k)
-    for pos, value, kept in _values_over(plan, root, cols, ks):
+    method, fixed = "_eval_arr", (None,)
+    if 1 in shape:
+        width = blocks[0].shape[1] if keep and root is not None and shape[0] == 1 else 0
+        method, frontier, build = _schedule(plan, root, cols, width)
+        if frontier:
+            fixed = (*keep(lambda: tuple(v for _, v, _ in _values_over(
+                plan, root, cols, frontier, build))), None)
+    for pos, value, kept in _values_over(plan, root, cols, ks, method, fixed):
         shared = len(ks[pos]) > 1
         if np.shape(value) == shape and plan[pos][1]:  # a leaf's may be a caller's column
             value = value.reshape(-1)
@@ -1261,27 +1272,30 @@ def _values_at(plan, root, point) -> list:
     return vals
 
 
-def _values_over(plan, root, cols, at, method="_eval_arr"):
+def _values_over(plan, root, cols, at, method="_eval_arr", fixed=(None,)):
     """Yield ``(position, value, kept)`` for each plan position in ``at`` as
     the walk of ``_values_at`` over contiguous columns (numpy's exp on a
     reversed one can differ in the last bit) reaches it; ``kept``: a later
     node reads it.  Each value is dropped after its last reader, a root's
     after it is handed out.  Warnings are silenced while nodes run, not
-    while the caller holds a value.  ``taylor`` passes ``_Jets`` and
-    ``"_jet"``."""
+    while the caller holds a value.  ``method`` names every node's evaluator
+    (``taylor`` passes ``"_jet"``), or holds a name or a ``fixed`` index per node."""
     vals = []
     append = vals.append
     for stop in sorted(at):
         with np.errstate(over="ignore", invalid="ignore"):
-            for node, args, dead in plan[len(vals):stop]:
-                append(getattr(node or root, method)(cols, vals, args))
-                for i in dead:
-                    vals[i] = None
-            node, args, dead = plan[stop]
-            append(getattr(node or root, method)(cols, vals, args))
-        yield stop, vals[stop], stop not in dead
-        for i in dead:
-            vals[i] = None
+            if type(method) is str:
+                for node, args, dead in plan[len(vals):stop + 1]:
+                    append(value := getattr(node or root, method)(cols, vals, args))
+                    for i in dead:
+                        vals[i] = None
+            else:
+                for (node, args, dead), how in zip(plan[len(vals):stop + 1], method[len(vals):]):
+                    append(value := fixed[how] if type(how) is int
+                           else getattr(node or root, how)(cols, vals, args))
+                    for i in dead:
+                        vals[i] = None
+        yield stop, value, stop not in dead
 
 
 def _dead(args):
@@ -1296,6 +1310,27 @@ def _dead(args):
     for i, pos in enumerate(last):
         dead[pos].append(i)
     return map(tuple, dead)
+
+
+def _schedule(plan, root, cols, width):
+    """``(method, frontier, build)`` for ``grid_values``, memoized on a lone
+    root: ``_eval`` for a node that reads only float columns.  Given block
+    0's ``width``, the interior array nodes that read none of its slots are
+    fibre-only; those read by one that does (or the root) are the frontier,
+    the k-th taking ``fixed[k]``, the rest -1, as ``build`` gives block 0's
+    readers."""
+    lone = frozenset(s for s, c in enumerate(cols) if type(c) is float)
+    memo = {} if root is None else vars(root).setdefault("_schedules", {})
+    if (lone, width) not in memo:
+        reads = [(node or root).free_slots for node, _, _ in plan]
+        method = ["_eval" if r <= lone else "_eval_arr" for r in reads]
+        build = [-1 if not r.isdisjoint(range(width)) else m for r, m in zip(reads, method)]
+        read = {len(plan) - 1}.union(*(args for (_, args, _), b in zip(plan, build) if b == -1))
+        fibre = {p for p, b in enumerate(build) if width and b == "_eval_arr" and plan[p][1]}
+        index = dict(zip(sorted(fibre & read), itertools.count()))
+        method = [index.get(p, -1) if p in fibre else m for p, m in enumerate(method)]
+        memo.setdefault((lone, width), (method, list(index), build))
+    return memo[(lone, width)]
 
 
 def _plan_of(roots, dead: bool):

@@ -67,9 +67,9 @@ def pair_values(term, Y: np.ndarray, Z: np.ndarray) -> np.ndarray:
         return np.zeros((len(Y), len(Z)))
     if isinstance(term, NumericKernelTerm):
         return term.values_fn(Y, Z)
-    n = Z.shape[0]
-    return np.concatenate([term.weight.eval_grid((Y[i:j], Z)).reshape(-1, n)
-                           for i, j in quadrature.row_blocks(Y.shape[0], n)])
+    return np.concatenate([term.weight.eval_grid((Y[i:j], Z), lambda build: quadrature.kept(
+        vars(term.weight), "_fibre_nodes", quadrature.grid_key(Z), build)).reshape(-1, len(Z))
+        for i, j in quadrature.row_blocks(len(Y), len(Z))])
 
 
 def _classify(term) -> str:
@@ -297,11 +297,14 @@ def _compose_numeric(t1, t2, b: TrivialBundle, order):
         return NumericKernelTerm(b, base1, fibre2, depth2, fn)
     if _classify(t2) == "dirac":
         inverse, jac = _invert_affine_section(t2.section)
-        scale = 1.0 / float(jac)
+        scale, memo = 1.0 / float(jac), {}  # a dict of its own, as below
 
         def fn(Y, Z, _t1=t1, _inv=inverse, _f2=t2.weight, _scale=scale):
-            S = np.stack([c.eval_array(Z) for c in _inv], axis=-1)  # base points, l = k
-            return _scale * _f2.eval_array(S) * pair_values(_t1, Y, S)
+            # S(Z), base points (l = k), and _scale * f2(S): kept for the last Z
+            S, factor = quadrature.kept(memo, "S", quadrature.grid_key(Z), lambda: (
+                S := np.stack([c.eval_array(Z) for c in _inv], axis=-1),
+                _scale * _f2.eval_array(S)))
+            return factor * pair_values(_t1, Y, S)
 
         base1, fibre1 = _term_boxes(t1, b)
         pre_image = t2.weight.support_box().intersect(fibre1)

@@ -291,13 +291,14 @@ def grid_key(a: np.ndarray) -> tuple:
 def kept(memo: dict, name: str, key, build):
     """The value ``build()``, kept with ``key`` as ``memo[name]`` and returned
     again, uncopied, while the stored key compares equal (``!=`` is false):
-    the one cache of a last entry in the package.  An array is made
-    read-only.  No lock: the entry is read once and replaced by one
+    the package's one last-entry cache.  Arrays, alone or in a tuple, are
+    made read-only.  No lock: the entry is read once and replaced by one
     assignment, so racing threads build an equal value twice at worst."""
     entry = memo.get(name)  # read once: another thread may replace it
     if entry is None or entry[0] != key:
         entry = (key, build())
-        if isinstance(entry[1], np.ndarray):
-            entry[1].flags.writeable = False
+        for a in entry[1] if isinstance(entry[1], tuple) else entry[1:]:
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
         memo[name] = entry
     return entry[1]

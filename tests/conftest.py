@@ -1,3 +1,5 @@
+import collections
+
 import numpy as np
 import pytest
 
@@ -75,3 +77,41 @@ def rewrite_chain(monkeypatch, start: ex.Expr, run) -> int:
         if receiver is current:
             chain, current = chain + 1, out
     return chain
+
+
+def array_runs(monkeypatch) -> collections.Counter:
+    """Counts each node's ``_eval_arr`` runs from here on, keyed by node
+    (so the counter keeps every node it has seen alive)."""
+    runs = collections.Counter()
+    for cls in [c for c in vars(ex).values() if isinstance(c, type) and "_eval_arr" in vars(c)]:
+        def counting(self, cols, vals, args, _run=vars(cls)["_eval_arr"]):
+            runs[self] += 1
+            return _run(self, cols, vals, args)
+
+        monkeypatch.setattr(cls, "_eval_arr", counting)
+    return runs
+
+
+def nodes_by_reads(root: ex.Expr, base_slots) -> dict:
+    """The interior nodes of root's DAG by what they read: "base" (base
+    slots only, or nothing), "fibre" (fibre slots only) or "both"."""
+    seen, todo = set(), [root]
+    while todo:
+        node = todo.pop()
+        if node not in seen:
+            seen.add(node)
+            todo.extend(node._children())
+    out = {"base": set(), "fibre": set(), "both": set()}
+    for node in seen:
+        if node._children():
+            base = node.free_slots & base_slots
+            out["base" if node.free_slots <= base else "both" if base else "fibre"].add(node)
+    return out
+
+
+def fibre_frontier(root: ex.Expr, base_slots) -> set:
+    """The fibre-only interior nodes that a node reading a base slot reads,
+    and root itself if it is one: what a one-row grid pass keeps."""
+    kinds = nodes_by_reads(root, base_slots)
+    out = {k for node in kinds["both"] for k in node._children() if k in kinds["fibre"]}
+    return out | ({root} & kinds["fibre"])

@@ -13,7 +13,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import each_engine, fd_derivative, random_polynomial
+from conftest import (array_runs, each_engine, fd_derivative, fibre_frontier,
+                      nodes_by_reads, random_polynomial)
 from test_expr_dag import expressions
 from transdist import bundle as bd
 from transdist import cli
@@ -1154,6 +1155,61 @@ class TestFibreIntegralReuse:
         del term
         gc.collect()
         assert ref() is None
+
+
+class TestFibreFrontierReuse:
+    """A ``value(x)`` loop runs a density integrand's fibre-only nodes once
+    per rule: the integrand node keeps the values of its fibre-only
+    frontier for the last rule, read-only, and reads them at every x."""
+
+    XS = [(-0.6,), (-0.2,), (0.0,), (0.3,), (0.7,)]
+
+    @staticmethod
+    def make(b, k):
+        """A density and a function built by no other test (k apart)."""
+        return (dist.density(b, b.parse_total(f"bump(x0)*bump(y0)*(1 + x0*y0/{k})")),
+                b.parse_total(f"exp(y0/{k + 2})*cos(y0) + x0*y0^2"))
+
+    def test_value_loop_runs_each_frontier_node_once_per_rule(self, line_bundle, monkeypatch):
+        T, F = self.make(line_bundle, 23)
+        X = np.array(self.XS)
+        # many rows: a pass with no one-row block, which keeps nothing
+        want = {order: hexes(dist.evaluate(T, F, order=order).values(X)) for order in (12, 16)}
+        runs = array_runs(monkeypatch)
+        for order in (12, 16, 12):  # each switch replaces the kept entry
+            bf = dist.evaluate(T, F, order=order)
+            runs.clear()
+            assert hexes([bf.value(x) for x in self.XS]) == want[order]
+            integrand = bf.quad_parts[0].integrand
+            kinds = nodes_by_reads(integrand, {0})
+            assert fibre_frontier(integrand, {0}) and kinds["both"]
+            assert [runs[n] for n in kinds["fibre"]] == [1] * len(kinds["fibre"])
+            assert [runs[n] for n in kinds["both"]] == [len(self.XS)] * len(kinds["both"])
+            assert [runs[n] for n in kinds["base"]] == [0] * len(kinds["base"])  # floats
+
+    def test_the_kept_frontier_is_bounded_and_dies_with_its_integrand(self, line_bundle):
+        T, F = self.make(line_bundle, 41)
+        integrand = dist.evaluate(T, F).quad_parts[0].integrand
+        frontier = fibre_frontier(integrand, {0})
+        old = []
+        for order in (12, 16):
+            bf = dist.evaluate(T, F, order=order)
+            for x in self.XS:
+                bf.value(x)
+            key, kept = vars(integrand)["_fibre_nodes"]
+            assert key == (bf.quad_parts[0].fibre_box, order)
+            assert 0 < len(kept) == len(frontier)
+            assert all(a.shape == (1, order) and not a.flags.writeable for a in kept)
+            assert all(ref() is None for ref in old)  # replaced, not accumulated
+            old = [weakref.ref(a) for a in kept]
+        del bf, key, kept
+        ref = weakref.ref(integrand)
+        gc.disable()
+        try:
+            del T, F, integrand
+            assert ref() is None and all(r() is None for r in old)
+        finally:
+            gc.enable()
 
 
 class TestDiracIntegrand:

@@ -172,6 +172,32 @@ def test_grid_evaluation_is_eval_array_of_the_joined_rows(e, slots, a, b, pts):
             assert all(map(_same, got.tolist(), want.tolist())), (str(d), blocks, got, want)
 
 
+@settings(max_examples=150, deadline=None)
+@given(expressions, st.lists(st.integers(0, DIM - 1), max_size=2),
+       st.lists(block_coords, min_size=1, max_size=4),
+       st.lists(block_coords, min_size=2, max_size=5))
+def test_one_row_passes_read_the_kept_fibre_frontier(e, slots, xs, zs):
+    """Over a one-row block 0 and a fixed block, ``eval_grid`` with ``keep``
+    equals ``eval_array`` over the joined rows at every x, bit for bit: the
+    nodes of x0 alone run on floats, and the fibre-only frontier is built
+    once, on the first x, and read at the others."""
+    d = _differentiated(e, slots)
+    Z, kept = _strided(zs), []
+
+    def keep(build):
+        if not kept:
+            kept.append(build())
+        return kept[0]
+
+    with warnings.catch_warnings(), np.errstate(all="ignore"):
+        warnings.simplefilter("ignore")
+        for x in xs:
+            got = d.eval_grid((np.array([[x]]), Z), keep)
+            want = d.eval_array(np.hstack([np.full((len(zs), 1), x), Z]))
+            assert list(map(_bits, got.tolist())) == list(map(_bits, want.tolist())), str(d)
+    assert len(kept) <= 1
+
+
 def _bits(v: float) -> str:
     """The float's exact bits, the sign of zero included; every NaN alike."""
     return "nan" if math.isnan(v) else v.hex()

@@ -8,7 +8,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from conftest import rewrite_chain
+from conftest import array_runs, fibre_frontier, nodes_by_reads, rewrite_chain
 from transdist import bundle as bd
 from transdist import expr as ex
 from transdist import operators as op
@@ -313,18 +313,57 @@ class TestComposeNumeric:
             assert (got == dirac_after_kernel_per_row(t1, t2, Y, Z)).all()
             assert (got[-3:] == 0.0).all() and got[:-3].any()
 
-    def test_kernel_after_dirac(self, pair_bundle, kernels, Y):
+    def test_kernel_after_dirac(self, pair_bundle, kernels, Y, monkeypatch):
+        """Bit for bit the per-point loop, with S(Z) and f2(S) kept for the
+        last Z: a second call on the same Z evaluates no inverse-section
+        component, and a new Z evaluates each once again."""
         s = bd.section_from_strings(pair_bundle, ["2*x0 - 1/3"])
         t2 = op.Term(pair_bundle, pair_bundle.parse_base("bump(x0/2)*(1 + x0)"), s, (0,))
-        Z = low_order_grid(1, 9)
+        inverse, _ = op._invert_affine_section(s)
+        runs, eval_array = [], ex.Expr.eval_array
+
+        def counting(e, pts):
+            runs.extend(i for i, c in enumerate(inverse) if c is e)
+            return eval_array(e, pts)
+
+        monkeypatch.setattr(ex.Expr, "eval_array", counting)
         for t1 in kernels:
-            got = op._compose_numeric(t1, t2, pair_bundle, 12).values_fn(Y, Z)
-            assert (got == kernel_after_dirac_per_point(t1, t2, Y, Z)).all()
-            assert got.any()
+            fn = op._compose_numeric(t1, t2, pair_bundle, 12).values_fn
+            for Z, want in ((low_order_grid(1, 9), [0]), (low_order_grid(1, 9), []),
+                            (low_order_grid(1, 6), [0])):
+                runs.clear()
+                got = fn(Y, Z)
+                assert (got == kernel_after_dirac_per_point(t1, t2, Y, Z)).all()
+                assert got.any() and runs == want
 
 
 def hexes(values):
     return [float(v).hex() for v in np.ravel(values)]
+
+
+def test_numeric_value_loop_runs_each_frontier_node_once_per_grid(pair_bundle, monkeypatch):
+    """Under a density o density ``NumericPart``, the outer weight psi1(x, y)
+    keeps its fibre-only frontier for the last middle rule, so a
+    ``value(x)`` loop runs those nodes once per rule, and switching the
+    order 12 -> 16 -> 12 reads no stale entry."""
+    b = pair_bundle  # kernels built by no other test, sharing no interior node
+    K1 = op.density_kernel(b, b.parse_total("bump(x0)*bump(y0)*(1 + x0*y0/31)"))
+    K2 = op.density_kernel(b, b.parse_total("bump(x0/2)*bump(y0/3)*(2 + y0/37)"))
+    g = b.parse_fibre("y0^2 + 1/7")
+    X = np.array(PROBE_XS)
+    want = {order: hexes(op.apply(op.compose(K1, K2, order=order), g, order=order).values(X))
+            for order in (12, 16)}  # many rows: no pass keeps a frontier
+    weight = K1.terms[0].weight
+    kinds = nodes_by_reads(weight, {0})
+    assert fibre_frontier(weight, {0}) and kinds["both"]
+    runs = array_runs(monkeypatch)
+    for order in (12, 16, 12):
+        bf = op.apply(op.compose(K1, K2, order=order), g, order=order)
+        runs.clear()
+        assert hexes([bf.value(x) for x in PROBE_XS]) == want[order]
+        assert [runs[n] for n in kinds["fibre"]] == [1] * len(kinds["fibre"])
+        assert [runs[n] for n in kinds["both"]] == [len(PROBE_XS)] * len(kinds["both"])
+        assert [runs[n] for n in kinds["base"]] == [0] * len(kinds["base"])
 
 
 class TestInnerFactorMemo:

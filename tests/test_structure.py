@@ -180,15 +180,19 @@ def test_one_owner_of_grid_reuse():
     keyed on an array's content by ``quadrature.grid_key``, the one caller of
     ``.tobytes()``; no closure keeps a memo by rebinding a ``nonlocal``.
     ``kept`` is the one cache of a last entry: a term's integrand, a
-    function's restriction to a fibre and a fibre function's extension to
-    a bundle go through it too."""
+    function's restriction to a fibre, a fibre function's extension to a
+    bundle and the fibre-only frontier of a grid pass (``expr.grid_values``
+    asks its caller for it) go through it too."""
     assert calls_of("tobytes") == [("quadrature.py", "grid_key")]
     assert nodes_where(lambda n: isinstance(n, ast.Nonlocal)) == []
     assert calls_of("kept") == [("bundle.py", "restrict_function"),
                                 ("bundle.py", "extend_function"),
                                 ("distribution.py", "integrand"),
                                 ("distribution.py", "values"),  # QuadPart's
+                                ("distribution.py", "values"),  # its frontier
                                 ("distribution.py", "values"),  # NumericPart's
+                                ("operators.py", "pair_values"),  # a weight's frontier
+                                ("operators.py", "fn"),  # kernel o Dirac: S and f2(S)
                                 ("operators.py", "fn")]  # density o density
 
 
